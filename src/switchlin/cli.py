@@ -27,6 +27,7 @@ from .ballbeam import benchmark_plant, symbolic_system
 from .controllers import law_descriptor
 from .coverage import coverage_check, necessity_witness
 from .expr import EvaluationError, ExprError, ParseError, VectorField, parse
+from .expr import format_number as _fmt, format_vector as _fmt_vec
 from .geometry import (
     ControlAffineSystem,
     derivative_chain,
@@ -46,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # normalise negative zero
-    return f"{value:.9g}"
-
-
-def _fmt_vec(values) -> str:
-    return "(" + ", ".join(_fmt(float(v)) for v in values) + ")"
 
 
 def _output_dir(args) -> Path:

@@ -1,20 +1,17 @@
 """Control laws, the tracking outer loop, and the supervisory switching rule.
 
-Three laws, each of the form u = (-b_i(x) + v) / a_i(x):
+Every law has the form u = (-b_i(x) + v) / a_i(x) and is written once, as
+a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
+offset b_i, the singularity factors of a_i, and the output coordinates in
+which its outer loop places poles.  ``law1``, ``law2``, ``law3``,
+``apply_law``, ``xi_coordinates`` and ``outer_loop_v`` evaluate the
+descriptors exactly; the simulator compiles them with :func:`compile_law`.
 
-====  =====  =======================  ==========================
-law   order  coefficient a_i(x)       valid where
-====  =====  =======================  ==========================
-1     3      2 B x1 x4                x1 != 0 and x4 != 0
-2     4      -B G cos(x3)             cos(x3) != 0
-3     4      -B G                     everywhere
-====  =====  =======================  ==========================
-
-Law 1 inverts the exact third-order output chain; its coefficient vanishes
-when the ball sits at the pivot (x1 = 0) or the beam is momentarily at
-rest (x4 = 0).  Law 2 drops the centrifugal term B x1 x4^2 (higher order
-near those sets) and inverts the resulting fourth-order chain written in
-the approximate coordinates
+Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
+coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
+is momentarily at rest (x4 = 0).  Law 2 (order 4, a_2 = -B G cos x3) drops
+the centrifugal term B x1 x4^2 (higher order near those sets) and inverts
+the resulting chain in the approximate coordinates
 
     xi = (x1, x2, -B G sin x3, -B G x4 cos x3),
 
@@ -36,12 +33,13 @@ the binomial gains of (s - p)^order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ballbeam import PlantParams
-from .expr import Bindings, Real, ScalarField, parse
+from .expr import Bindings, Real, ScalarField, compile_kernel, parse
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -51,6 +49,7 @@ __all__ = [
     "SwitchThresholds",
     "TrackingReference",
     "apply_law",
+    "compile_law",
     "law1",
     "law2",
     "law3",
@@ -164,52 +163,6 @@ def pole_gains(pole: float, multiplicity: int) -> GainSet:
 
 
 # ---------------------------------------------------------------------------
-# the laws, closed form
-
-
-def law1(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Exact input-output linearisation, u = (-B x2 x4^2 + B G x4 cos x3 + v) / (2 B x1 x4)."""
-    x1, x2, x3, x4 = x
-    a = 2.0 * p.B * x1 * x4
-    if abs(a) < COEFFICIENT_FLOOR:
-        raise SingularControlError(1, a)
-    return (-p.B * x2 * x4 * x4 + p.B * p.G * x4 * math.cos(x3) + v) / a
-
-
-def law2(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Centrifugal-term-dropping law, u = (B G x4^2 sin x3 - v) / (B G cos x3)."""
-    x1, x2, x3, x4 = x
-    a = p.B * p.G * math.cos(x3)
-    if abs(a) < COEFFICIENT_FLOOR:
-        raise SingularControlError(2, a)
-    return (p.B * p.G * x4 * x4 * math.sin(x3) - v) / a
-
-
-def law3(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Constant-coefficient law u = v / (-B G); defined everywhere."""
-    return v / (-p.B * p.G)
-
-
-def apply_law(law_id: int, x: Sequence[float], v: float, p: PlantParams) -> float:
-    if law_id == 1:
-        return law1(x, v, p)
-    if law_id == 2:
-        return law2(x, v, p)
-    if law_id == 3:
-        return law3(x, v, p)
-    raise ValueError(f"unknown law id {law_id!r}")
-
-
-def xi_coordinates(
-    x: Sequence[float], p: PlantParams
-) -> tuple[float, float, float, float]:
-    """Approximate output-derivative coordinates (x1, x2, -BG sin x3, -BG x4 cos x3)."""
-    x1, x2, x3, x4 = x
-    bg = p.B * p.G
-    return (x1, x2, -bg * math.sin(x3), -bg * x4 * math.cos(x3))
-
-
-# ---------------------------------------------------------------------------
 # symbolic law descriptors
 
 
@@ -217,6 +170,8 @@ def xi_coordinates(
 class LawDescriptor:
     """Symbolic description of one control law u = (-offset + v) / coefficient.
 
+    ``coordinates`` are the outer loop's output coordinates, one per
+    order: the tracking errors are e^(j) = coordinates[j] - y_d^(j).
     ``factors`` lists the smooth factors whose simultaneous non-vanishing
     defines the validity domain; their zero sets are the law's declared
     singularity components.  A law with no factors is valid everywhere.
@@ -228,12 +183,23 @@ class LawDescriptor:
     coefficient: ScalarField
     offset: ScalarField
     factors: tuple[SingularityFactor, ...]
+    coordinates: tuple[ScalarField, ...]
+
+    def __post_init__(self):
+        if len(self.coordinates) != self.order:
+            raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
 
     def offset_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.offset.evaluate(Bindings(params, tuple(x)))
+
+    def coordinate_values(
+        self, x: Sequence[float], params: Mapping[str, Real]
+    ) -> tuple[float, ...]:
+        at_x = Bindings(params, tuple(x))
+        return tuple(c.evaluate(at_x) for c in self.coordinates)
 
     def validity_margin(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         """min_i |phi_i(x)| over the declared factors; +inf when there are none."""
@@ -243,32 +209,43 @@ class LawDescriptor:
         )
 
     def control(self, x: Sequence[float], v: float, params: Mapping[str, Real]) -> float:
-        a = self.coefficient_value(x, params)
-        if abs(a) < COEFFICIENT_FLOOR:
-            raise SingularControlError(self.law_id, a)
-        return (-self.offset_value(x, params) + v) / a
+        return _solve(
+            self.law_id, self.coefficient_value(x, params), self.offset_value(x, params), v
+        )
 
 
+def _solve(law_id: int, coefficient: float, offset: float, v: float) -> float:
+    if abs(coefficient) < COEFFICIENT_FLOOR:
+        raise SingularControlError(law_id, coefficient)
+    return (-offset + v) / coefficient
+
+
+@functools.cache  # descriptors are immutable; the law wrappers build one per call
 def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
     """Build the symbolic descriptor for one law.
 
     ``g_modified=True`` selects the unfrozen variant of law 3 whose
     coefficient 2 B x2 x4 - B G cos(x3) retains its state dependence; it
     exists for coverage and transversality analysis, not for supervision.
+
+    Squares are written ``x4*x4``: ``x4^2`` would regroup the products and
+    change the rounding of simulated trajectories.
     """
     if g_modified and law_id != 3:
         raise ValueError("only law 3 has a g-modified variant")
+    xi = _fields("x1", "x2", "-B*G*sin(x3)", "-B*G*x4*cos(x3)")
     if law_id == 1:
         return LawDescriptor(
             law_id=1,
             name="law1",
             order=3,
             coefficient=parse("2*B*x1*x4", 4),
-            offset=parse("B*x2*x4^2 - B*G*x4*cos(x3)", 4),
+            offset=parse("B*x2*x4*x4 - B*G*x4*cos(x3)", 4),
             factors=(
                 SingularityFactor(parse("x1", 4), "x1"),
                 SingularityFactor(parse("x4", 4), "x4"),
             ),
+            coordinates=_fields("x1", "x2", "B*(x1*x4*x4 - G*sin(x3))"),
         )
     if law_id == 2:
         return LawDescriptor(
@@ -276,31 +253,31 @@ def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
             name="law2",
             order=4,
             coefficient=parse("-B*G*cos(x3)", 4),
-            offset=parse("B*G*x4^2*sin(x3)", 4),
+            offset=parse("B*G*x4*x4*sin(x3)", 4),
             factors=(SingularityFactor(parse("cos(x3)", 4), "cos(x3)"),),
+            coordinates=xi,
         )
     if law_id == 3:
         if g_modified:
-            coefficient = parse("2*B*x2*x4 - B*G*cos(x3)", 4)
-            return LawDescriptor(
-                law_id=3,
-                name="law3g",
-                order=4,
-                coefficient=coefficient,
-                offset=parse("0", 4),
-                factors=(
-                    SingularityFactor(coefficient, "2*B*x2*x4 - B*G*cos(x3)"),
-                ),
-            )
+            text = "2*B*x2*x4 - B*G*cos(x3)"
+            coefficient = parse(text, 4)
+            factors = (SingularityFactor(coefficient, text),)
+        else:
+            coefficient, factors = parse("-B*G", 4), ()
         return LawDescriptor(
             law_id=3,
-            name="law3",
+            name="law3g" if g_modified else "law3",
             order=4,
-            coefficient=parse("-B*G", 4),
+            coefficient=coefficient,
             offset=parse("0", 4),
-            factors=(),
+            factors=factors,
+            coordinates=xi,
         )
     raise ValueError(f"unknown law id {law_id!r}")
+
+
+def _fields(*texts: str) -> tuple[ScalarField, ...]:
+    return tuple(parse(text, 4) for text in texts)
 
 
 def table_laws(alternate_law3: bool = False) -> tuple[LawDescriptor, ...]:
@@ -310,6 +287,35 @@ def table_laws(alternate_law3: bool = False) -> tuple[LawDescriptor, ...]:
         law_descriptor(2),
         law_descriptor(3, g_modified=alternate_law3),
     )
+
+
+# ---------------------------------------------------------------------------
+# the laws as functions
+
+
+def apply_law(law_id: int, x: Sequence[float], v: float, p: PlantParams) -> float:
+    """u = (-b_i(x) + v) / a_i(x) for law ``law_id``, evaluated exactly."""
+    return law_descriptor(law_id).control(x, v, p.symbol_values())
+
+
+def law1(x: Sequence[float], v: float, p: PlantParams) -> float:
+    """Exact input-output linearisation (law 1)."""
+    return apply_law(1, x, v, p)
+
+
+def law2(x: Sequence[float], v: float, p: PlantParams) -> float:
+    """Centrifugal-term-dropping law (law 2)."""
+    return apply_law(2, x, v, p)
+
+
+def law3(x: Sequence[float], v: float, p: PlantParams) -> float:
+    """Constant-coefficient law (law 3); defined everywhere."""
+    return apply_law(3, x, v, p)
+
+
+def xi_coordinates(x: Sequence[float], p: PlantParams) -> tuple[float, ...]:
+    """Approximate output-derivative coordinates (x1, x2, -BG sin x3, -BG x4 cos x3)."""
+    return law_descriptor(2).coordinate_values(x, p.symbol_values())
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +332,45 @@ def outer_loop_v(
 ) -> float:
     """Pole-placement virtual input v = y_d^(order) - sum_j alpha_j e^(j).
 
-    For the order-3 law the error derivatives come from the exact chain
-    (e, e', e'') = (x1 - y_d, x2 - y_d', L_f^2 h(x) - y_d''); the order-4
-    laws use the approximate coordinates, e^(j) = xi_{j+1} - y_d^(j).
+    The error derivatives are e^(j) = coordinates[j] - y_d^(j) in the
+    law's output coordinates.
     """
+    _check_order(law, gains)
+    coordinates = law.coordinate_values(x, p.symbol_values())
+    return _virtual_input(coordinates, ref, t, gains)
+
+
+def compile_law(
+    law: LawDescriptor, gains: GainSet, ref: TrackingReference, p: PlantParams
+) -> Callable[[Sequence[float], float], float]:
+    """u(x, t) for one law under its outer loop, from one compiled kernel.
+
+    Bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains, p),
+    p.symbol_values())``, with the gain order checked once, here.
+    """
+    _check_order(law, gains)
+    fields = (law.coefficient, law.offset, *law.coordinates)
+    kernel = compile_kernel([f.expr for f in fields], p.symbol_values(), 4)
+
+    def control(x: Sequence[float], t: float) -> float:
+        coefficient, offset, *coordinates = kernel(*x)
+        v = _virtual_input(coordinates, ref, t, gains)
+        return _solve(law.law_id, coefficient, offset, v)
+
+    return control
+
+
+def _check_order(law: LawDescriptor, gains: GainSet) -> None:
     if gains.order != law.order:
         raise ValueError(
             f"gain order {gains.order} does not match law order {law.order}"
         )
-    if law.order == 3:
-        x1, x2, x3, x4 = x
-        y_dd = p.B * (x1 * x4 * x4 - p.G * math.sin(x3))
-        errors = (
-            x1 - ref.derivative(t, 0),
-            x2 - ref.derivative(t, 1),
-            y_dd - ref.derivative(t, 2),
-        )
-    elif law.order == 4:
-        xi = xi_coordinates(x, p)
-        errors = tuple(xi[j] - ref.derivative(t, j) for j in range(4))
-    else:
-        raise ValueError(f"unsupported law order {law.order}")
+
+
+def _virtual_input(
+    coordinates: Sequence[float], ref: TrackingReference, t: float, gains: GainSet
+) -> float:
     feedback = 0.0
-    for alpha, error in zip(gains.alphas, errors):
-        feedback += alpha * error
-    return ref.derivative(t, law.order) - feedback
+    for j, (alpha, coordinate) in enumerate(zip(gains.alphas, coordinates)):
+        feedback += alpha * (coordinate - ref.derivative(t, j))
+    return ref.derivative(t, gains.order) - feedback

@@ -41,6 +41,7 @@ from scipy.optimize import brentq
 
 from .controllers import LawDescriptor
 from .expr import Bindings, Real, ScalarField, state_indices
+from .expr import format_number as _fmt, format_vector as _fmt_vec
 from .geometry import SingularityFactor, transversality_rank
 
 __all__ = [
@@ -257,7 +258,7 @@ class CoverageReport:
             lines.append("coverage INCOMPLETE")
             for witness in self.witnesses[:10]:
                 coeffs = ", ".join(f"{n}={_fmt(v)}" for n, v in witness.coefficients)
-                lines.append(f"  witness {_fmt_state(witness.state)}  [{coeffs}]")
+                lines.append(f"  witness {_fmt_vec(witness.state)}  [{coeffs}]")
             if self.witness_total > 10:
                 lines.append(f"  ... {self.witness_total - 10} more")
         return "\n".join(lines) + "\n"
@@ -270,16 +271,6 @@ class CoverageReport:
                 ",".join(_fmt(v) for v in witness.state) + f",{failed}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # normalise negative zero
-    return f"{value:.9g}"
-
-
-def _fmt_state(state: Sequence[float]) -> str:
-    return "(" + ", ".join(_fmt(v) for v in state) + ")"
 
 
 #: grid for the free coordinates of deterministic probes

@@ -51,7 +51,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "Sub",
     "VectorField",
     "as_expr",
+    "compile_kernel",
     "differentiate",
     "evaluate",
     "evaluate_many",
@@ -403,45 +404,73 @@ def evaluate_many(
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError("states must be a 2-d array of shape (n, dim)")
-    result = _eval_vec(expr, params, states)
+    kernel = _generate((expr,), params, states.shape[1], np)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (result,) = kernel(*states.T)
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
 
 
-def _eval_vec(node: Expr, params: Mapping[str, Real], states: np.ndarray):
-    match node:
-        case Constant(value=v):
-            return float(v)
-        case Parameter(name=n):
-            try:
-                return float(params[n])
-            except KeyError:
-                raise EvaluationError(f"unbound parameter '{n}'", node) from None
-        case StateVar(index=i):
-            if i > states.shape[1]:
-                raise EvaluationError(
-                    f"state variable x{i} outside state vector of length "
-                    f"{states.shape[1]}",
-                    node,
-                )
-            return states[:, i - 1]
-        case Negate(operand=e):
-            return -_eval_vec(e, params, states)
-        case Add(left=l, right=r):
-            return _eval_vec(l, params, states) + _eval_vec(r, params, states)
-        case Sub(left=l, right=r):
-            return _eval_vec(l, params, states) - _eval_vec(r, params, states)
-        case Mul(left=l, right=r):
-            return _eval_vec(l, params, states) * _eval_vec(r, params, states)
-        case Div(left=l, right=r):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _eval_vec(l, params, states) / _eval_vec(r, params, states)
-        case IntPow(base=b, exponent=n):
-            return _eval_vec(b, params, states) ** n
-        case Sin(argument=a):
-            return np.sin(_eval_vec(a, params, states))
-        case Cos(argument=a):
-            return np.cos(_eval_vec(a, params, states))
-    raise TypeError(f"not an expression node: {node!r}")
+def compile_kernel(
+    exprs: Sequence[Expr], params: Mapping[str, Real], dim: int
+) -> Callable[..., tuple[float, ...]]:
+    """Float function of x1..x<dim> returning the value of each expression.
+
+    It performs the operations of :func:`evaluate` in the same order, with
+    integer constants as floats; a zero denominator raises ZeroDivisionError.
+    """
+    return _generate(exprs, params, dim, math)
+
+
+def _generate(exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, functions):
+    """Straight-line function of x1..x<dim> returning a tuple of values.
+
+    ``functions`` supplies ``sin`` and ``cos``.  Parameters are bound once,
+    as floats, under generated names, and the code runs without builtins.
+    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
+    up, exceed what Python's parser accepts.
+    """
+    namespace = {"__builtins__": {}, "sin": functions.sin, "cos": functions.cos}
+    names: dict[str, str] = {}
+
+    def emit(node: Expr) -> str:
+        match node:
+            case Constant(value=v):
+                return f"({float(v)!r})"
+            case Parameter(name=n):
+                if n not in params:
+                    raise EvaluationError(f"unbound parameter '{n}'", node)
+                if n not in names:
+                    names[n] = f"p{len(names)}"
+                    namespace[names[n]] = float(params[n])
+                return names[n]
+            case StateVar(index=i):
+                if i > dim:
+                    raise EvaluationError(
+                        f"state variable x{i} outside state vector of length {dim}", node
+                    )
+                return f"x{i}"
+            case Negate(operand=e):
+                return f"(-{emit(e)})"
+            case Add(left=l, right=r):
+                return f"({emit(l)} + {emit(r)})"
+            case Sub(left=l, right=r):
+                return f"({emit(l)} - {emit(r)})"
+            case Mul(left=l, right=r):
+                return f"({emit(l)} * {emit(r)})"
+            case Div(left=l, right=r):
+                return f"({emit(l)} / {emit(r)})"
+            case IntPow(base=b, exponent=n):
+                return f"({emit(b)} ** {n})"
+            case Sin(argument=a):
+                return f"sin({emit(a)})"
+            case Cos(argument=a):
+                return f"cos({emit(a)})"
+        raise TypeError(f"not an expression node: {node!r}")
+
+    outputs = ", ".join(emit(expr) for expr in exprs)
+    arguments = ", ".join(f"x{i}" for i in range(1, dim + 1))
+    exec(f"def kernel({arguments}):\n    return ({outputs},)\n", namespace)
+    return namespace["kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +634,17 @@ def to_text(expr: Expr) -> str:
         case Cos(argument=a):
             return f"cos({to_text(a)})"
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def format_number(value: float) -> str:
+    """9 significant digits, negative zero printed as 0: all numeric text output."""
+    if value == 0.0:
+        value = 0.0  # normalise negative zero
+    return f"{value:.9g}"
+
+
+def format_vector(values) -> str:
+    return "(" + ", ".join(format_number(float(v)) for v in values) + ")"
 
 
 # ---------------------------------------------------------------------------

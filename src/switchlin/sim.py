@@ -23,16 +23,15 @@ import numpy as np
 
 from .ballbeam import PlantParams, reduced_dynamics
 from .controllers import (
-    GainSet,
-    LawDescriptor,
     SwitchThresholds,
     TrackingReference,
-    apply_law,
-    outer_loop_v,
+    compile_law,
+    law_descriptor,
     pole_gains,
     supervisor,
     table_laws,
 )
+from .expr import format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
@@ -175,12 +174,6 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # normalise negative zero
-    return f"{value:.9g}"
-
-
 def rk4_step(
     deriv: Callable[[Sequence[float]], Sequence[float]],
     x: Sequence[float],
@@ -209,28 +202,22 @@ def rk4_step(
     return out
 
 
-def _law_table(sc: Scenario) -> dict[int, tuple[LawDescriptor, GainSet]]:
-    laws = table_laws()
-    gains = {
-        1: pole_gains(sc.pole_law1, 3),
-        2: pole_gains(sc.pole_law2, 4),
-        3: pole_gains(sc.pole_law3, 4),
-    }
-    return {law.law_id: (law, gains[law.law_id]) for law in laws}
-
-
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
-    At each step: select the law with the supervisor, compute the virtual
-    input for that law's outer loop, compute u, record the sample, then
-    advance one RK4 step with u held constant.  A beam angle beyond pi in
-    magnitude means the model has left its meaningful regime; that is
-    reported as a warning, not an error.
+    At each step: select the law with the supervisor, compute u from that
+    law's compiled outer loop and law, record the sample, then advance one
+    RK4 step with u held constant.  A beam angle beyond pi in magnitude
+    means the model has left its meaningful regime; that is reported as a
+    warning, not an error.
     """
     p = sc.plant
     ref = sc.reference
-    table = _law_table(sc)
+    poles = {1: sc.pole_law1, 2: sc.pole_law2, 3: sc.pole_law3}
+    controls = {
+        law.law_id: compile_law(law, pole_gains(poles[law.law_id], law.order), ref, p)
+        for law in table_laws()
+    }
     n = sc.sample_count
     h = sc.step
 
@@ -238,20 +225,16 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     states = np.empty((n, 4))
     u_out = np.empty(n)
     law_out = np.empty(n, dtype=np.int64)
-    a1_out = np.empty(n)
     err_out = np.empty(n)
     abscos_out = np.empty(n)
 
     x = tuple(sc.initial_state)
-    two_b = 2.0 * p.B
     warned_regime = False
     for k in range(n):
         t = k * h
         law_id = supervisor(x, sc.thresholds)
-        law, gains = table[law_id]
-        v = outer_loop_v(x, ref, t, law, gains, p)
         try:
-            u = apply_law(law_id, x, v, p)
+            u = controls[law_id](x, t)
         except ArithmeticError as exc:
             raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t) from exc
 
@@ -259,7 +242,6 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         states[k] = x
         u_out[k] = u
         law_out[k] = law_id
-        a1_out[k] = two_b * x[0] * x[3]
         err_out[k] = x[0] - ref.value(t)
         abscos_out[k] = abs(math.cos(x[2]))
 
@@ -287,7 +269,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         states=states,
         u=u_out,
         law=law_out,
-        a1=a1_out,
+        a1=law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), states),
         error=err_out,
         abscos3=abscos_out,
     )

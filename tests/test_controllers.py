@@ -371,3 +371,27 @@ def test_law1_closed_loop_third_derivative(plant):
     jerk = (-0.5 * y[:-4] + y[1:-3] - y[3:-1] + 0.5 * y[4:]) / h**3
     tail = jerk[50:]
     assert np.max(np.abs(tail - v)) < 1e-3
+
+
+def test_descriptor_needs_one_coordinate_per_order():
+    import dataclasses
+
+    law = law_descriptor(2)
+    with pytest.raises(ValueError, match="4 output coordinates"):
+        dataclasses.replace(law, coordinates=law.coordinates[:3])
+    with pytest.raises(ValueError, match="3 output coordinates"):
+        dataclasses.replace(law, order=3)
+
+
+def test_compile_law_checks_gain_order_once(plant):
+    from switchlin.controllers import compile_law
+
+    ref = TrackingReference(0.4, 3.0)
+    with pytest.raises(ValueError, match="gain order"):
+        compile_law(law_descriptor(1), pole_gains(-3.0, 4), ref, plant)
+    control = compile_law(law_descriptor(1), pole_gains(-4.0, 3), ref, plant)
+    x = (0.2, 0.1, 0.05, 0.5)
+    v = outer_loop_v(x, ref, 0.7, law_descriptor(1), pole_gains(-4.0, 3), plant)
+    assert control(x, 0.7) == law1(x, v, plant)
+    with pytest.raises(SingularControlError):
+        control((0.0, 0.1, 0.05, 0.5), 0.7)

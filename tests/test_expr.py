@@ -438,3 +438,40 @@ def test_intpow_rejects_bad_exponent():
         IntPow(X1, -1)
     with pytest.raises(ExprError):
         IntPow(X1, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def test_evaluate_many_keeps_user_names_out_of_generated_code(rng):
+    # "lambda" is a Python keyword and "sum" a builtin
+    field = parse("lambda*x1 + sum", 1)
+    params = {"lambda": 2.0, "sum": 0.5}
+    states = rng.uniform(-2, 2, size=(16, 1))
+    batch = field.evaluate_many(params, states)
+    assert batch.tolist() == [field.evaluate(Bindings(params, tuple(s))) for s in states]
+
+
+def test_evaluate_many_unbound_parameter():
+    with pytest.raises(EvaluationError, match="unbound parameter 'B'"):
+        parse("B*x1", 4).evaluate_many({}, np.zeros((3, 4)))
+
+
+def test_evaluate_many_state_array_too_narrow():
+    with pytest.raises(EvaluationError, match="x4"):
+        parse("x1 + x4", 4).evaluate_many({}, np.zeros((3, 2)))
+
+
+def test_compile_kernel_matches_exact_evaluation(rng):
+    from switchlin.expr import compile_kernel
+
+    params = {"B": 5 / 7, "G": 9.81}
+    fields = []
+    for law_id in (1, 2, 3):
+        law = law_descriptor(law_id)
+        fields.extend([law.coefficient, law.offset, *law.coordinates])
+    kernel = compile_kernel([f.expr for f in fields], params, 4)
+    for state in rng.uniform(-2, 2, size=(200, 4)):
+        x = tuple(float(v) for v in state)
+        assert kernel(*x) == tuple(f.evaluate(Bindings(params, x)) for f in fields)

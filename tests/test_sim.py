@@ -329,3 +329,27 @@ def test_shipped_scenarios_parse():
     assert len(paths) >= 5
     for path in paths:
         load_scenario(path)
+
+
+@pytest.mark.parametrize("name", ["regulation", "small_tracking"])
+def test_run_matches_exact_descriptor_control(name):
+    # the simulator's compiled kernels and the exact descriptor path are
+    # one definition: every recorded input agrees bit for bit
+    import pathlib
+
+    from switchlin.controllers import law_descriptor, outer_loop_v, pole_gains
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    sc = load_scenario(path)
+    trajectory, _ = run(sc)
+    params = sc.plant.symbol_values()
+    poles = {1: sc.pole_law1, 2: sc.pole_law2, 3: sc.pole_law3}
+    laws = {}
+    for law_id in (1, 2, 3):
+        law = law_descriptor(law_id)
+        laws[law_id] = (law, pole_gains(poles[law_id], law.order))
+    for k in range(len(trajectory)):
+        x = tuple(trajectory.states[k])
+        law, gains = laws[int(trajectory.law[k])]
+        v = outer_loop_v(x, sc.reference, float(trajectory.t[k]), law, gains, sc.plant)
+        assert trajectory.u[k] == law.control(x, v, params)
