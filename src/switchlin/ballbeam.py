@@ -20,6 +20,7 @@ so B = 5/7.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -64,7 +65,7 @@ class PlantParams:
             # zero gravity is allowed: it isolates the centrifugal term
             raise ValueError("plant parameter G must be non-negative")
 
-    @property
+    @functools.cached_property  # read by every reduced_dynamics call
     def B(self) -> float:
         """Reduced-mass ratio M / (M + Jb/R^2); 5/7 for a rolling solid sphere."""
         return self.M / (self.M + self.Jb / self.R**2)

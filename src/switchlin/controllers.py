@@ -121,19 +121,37 @@ class TrackingReference:
         omega = 2.0 * math.pi / self.period
         scale = self.amplitude * omega**order
         phase = omega * t
-        # d/dt cycles cos -> -sin -> -cos -> sin
-        match order % 4:
-            case 0:
-                return scale * math.cos(phase)
-            case 1:
-                return -scale * math.sin(phase)
-            case 2:
-                return -scale * math.cos(phase)
-            case _:
-                return scale * math.sin(phase)
+        negated, sine = _CYCLE[order % 4]
+        return (-scale if negated else scale) * (math.sin(phase) if sine else math.cos(phase))
 
     def value(self, t: float) -> float:
         return self.derivative(t, 0)
+
+
+#: y_d^(j) = +-scale_j * (cos or sin)(phase), (negated, sine) = _CYCLE[j % 4]:
+#: d/dt cycles cos -> -sin -> -cos -> sin
+_CYCLE = ((False, False), (True, True), (True, False), (False, True))
+
+
+def _reference_table(ref: TrackingReference, order: int) -> Callable[[float], list[float]]:
+    """t -> [y_d(t), ..., y_d^(order)(t)] from one cos and one sin of the phase.
+
+    Bit for bit ``ref.derivative(t, j)`` for each j; the scales
+    amplitude * omega**j are computed once, here.
+    """
+    omega = 2.0 * math.pi / ref.period
+    terms = []
+    for j in range(order + 1):
+        scale = ref.amplitude * omega**j
+        negated, sine = _CYCLE[j % 4]
+        terms.append((-scale if negated else scale, sine))
+
+    def table(t: float) -> list[float]:
+        phase = omega * t
+        waves = (math.cos(phase), math.sin(phase))
+        return [coefficient * waves[sine] for coefficient, sine in terms]
+
+    return table
 
 
 @dataclass(frozen=True)
@@ -337,7 +355,8 @@ def outer_loop_v(
     """
     _check_order(law, gains)
     coordinates = law.coordinate_values(x, p.symbol_values())
-    return _virtual_input(coordinates, ref, t, gains)
+    targets = [ref.derivative(t, j) for j in range(gains.order + 1)]
+    return _virtual_input(coordinates, targets, gains.alphas)
 
 
 def compile_law(
@@ -351,11 +370,13 @@ def compile_law(
     _check_order(law, gains)
     fields = (law.coefficient, law.offset, *law.coordinates)
     kernel = compile_kernel([f.expr for f in fields], p.symbol_values(), 4)
+    targets = _reference_table(ref, law.order)
+    law_id, alphas = law.law_id, gains.alphas
 
     def control(x: Sequence[float], t: float) -> float:
         coefficient, offset, *coordinates = kernel(*x)
-        v = _virtual_input(coordinates, ref, t, gains)
-        return _solve(law.law_id, coefficient, offset, v)
+        v = _virtual_input(coordinates, targets(t), alphas)
+        return _solve(law_id, coefficient, offset, v)
 
     return control
 
@@ -368,9 +389,10 @@ def _check_order(law: LawDescriptor, gains: GainSet) -> None:
 
 
 def _virtual_input(
-    coordinates: Sequence[float], ref: TrackingReference, t: float, gains: GainSet
+    coordinates: Sequence[float], targets: Sequence[float], alphas: Sequence[float]
 ) -> float:
+    """v = y_d^(order) - sum_j alpha_j (coordinates[j] - y_d^(j)); targets[j] = y_d^(j)."""
     feedback = 0.0
-    for j, (alpha, coordinate) in enumerate(zip(gains.alphas, coordinates)):
-        feedback += alpha * (coordinate - ref.derivative(t, j))
-    return ref.derivative(t, gains.order) - feedback
+    for alpha, coordinate, target in zip(alphas, coordinates, targets):
+        feedback += alpha * (coordinate - target)
+    return targets[-1] - feedback

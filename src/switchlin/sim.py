@@ -1,10 +1,10 @@
 """Deterministic closed-loop simulation of the supervised hybrid controller.
 
-Fixed-step classical Runge-Kutta integration of the reduced plant.  The
-supervisor and the selected law are evaluated once per step, at the step's
-start, and the resulting input is held constant across the step (zero-
-order hold).  Identical scenarios therefore produce bitwise-identical
-trajectories.
+Fixed-step classical Runge-Kutta integration of the reduced plant, by a
+straight-line step generated once per state length.  The supervisor and
+the selected law are evaluated once per step, at the step's start, and
+the resulting input is held constant across the step (zero-order hold).
+Identical scenarios therefore produce bitwise-identical trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -13,6 +13,7 @@ unknown keys are rejected.  Trajectories serialise to CSV with the header
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,law,a1,err,abscos3"
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g\n"
+_CSV_BLOCK = 1024  # rows formatted per write, so the text never holds a whole run
 
 #: default integration step [s]; three decades below the reference period
 DEFAULT_STEP = 1e-3
@@ -127,22 +130,15 @@ class Trajectory:
         return len(self.t)
 
     def write_csv(self, stream: TextIO) -> None:
+        """CSV rows as :func:`~switchlin.expr.format_number` prints each value."""
         stream.write(CSV_HEADER + "\n")
-        for k in range(len(self.t)):
-            x1, x2, x3, x4 = self.states[k]
-            row = (
-                _fmt(self.t[k]),
-                _fmt(x1),
-                _fmt(x2),
-                _fmt(x3),
-                _fmt(x4),
-                _fmt(self.u[k]),
-                str(int(self.law[k])),
-                _fmt(self.a1[k]),
-                _fmt(self.error[k]),
-                _fmt(self.abscos3[k]),
-            )
-            stream.write(",".join(row) + "\n")
+        floats = (self.t, *self.states.T, self.u, self.a1, self.error, self.abscos3)
+        for start in range(0, len(self.t), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            # + 0.0 turns -0.0 into 0.0, as format_number does
+            columns = [(column[block] + 0.0).tolist() for column in floats]
+            columns.insert(6, self.law[block].tolist())
+            stream.write("".join(_CSV_ROW % row for row in zip(*columns)))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as stream:
@@ -182,24 +178,67 @@ def rk4_step(
     """One classical 4-stage Runge-Kutta step of size h.
 
     ``deriv`` must already hold any input constant (zero-order hold is the
-    caller's responsibility).  Raises IntegrationError if the update is
-    not finite.
+    caller's responsibility) and return one component per state component;
+    a derivative of another length raises ValueError.  Raises
+    IntegrationError if the update is not finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
-    k1 = deriv(x)
-    half = 0.5 * h
-    k2 = deriv(tuple(xi + half * ki for xi, ki in zip(x, k1)))
-    k3 = deriv(tuple(xi + half * ki for xi, ki in zip(x, k2)))
-    k4 = deriv(tuple(xi + h * ki for xi, ki in zip(x, k3)))
-    sixth = h / 6.0
-    out = tuple(
-        xi + sixth * (a + 2.0 * (b + c) + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
-    if not all(math.isfinite(v) for v in out):
-        raise IntegrationError("integration produced a non-finite state")
-    return out
+    return _rk4_kernel(len(x))(deriv, x, h)
+
+
+@functools.cache
+def _rk4_kernel(n: int) -> Callable:
+    """Straight-line RK4 step for states of length n.
+
+    Per component it computes ``x_i + half*k_i``, ``x_i + h*k_i`` and
+    ``x_i + sixth*(a + 2.0*(b + c) + d)``, so the rounding is that of the
+    textbook per-component loop.
+    """
+    if n < 1:
+        raise ValueError("the state must have at least one component")
+    namespace = {
+        "__builtins__": {},
+        "len": len,
+        "isfinite": math.isfinite,
+        "IntegrationError": IntegrationError,
+        "length_error": _length_error,
+    }
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in range(n))
+
+    def stage(k: str, state: str) -> list[str]:
+        return [
+            f"    {k} = deriv({state})",
+            f"    if len({k}) != {n}:",
+            f"        raise length_error(len({k}), {n})",
+            f"    {names(k)}= {k}",
+        ]
+
+    def shifted(step: str, k: str) -> str:
+        return "(" + "".join(f"x{i} + {step} * {k}{i}, " for i in range(n)) + ")"
+
+    lines = [
+        "def rk4(deriv, x, h):",
+        f"    {names('x')}= x",
+        "    half = 0.5 * h",
+        *stage("a", "x"),
+        *stage("b", shifted("half", "a")),
+        *stage("c", shifted("half", "b")),
+        *stage("d", shifted("h", "c")),
+        "    sixth = h / 6.0",
+        *(f"    y{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(n)),
+        "    if not (" + " and ".join(f"isfinite(y{i})" for i in range(n)) + "):",
+        "        raise IntegrationError('integration produced a non-finite state')",
+        f"    return ({names('y')})",
+    ]
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["rk4"]
+
+
+def _length_error(got: int, expected: int) -> ValueError:
+    return ValueError(f"derivative has {got} components but the state has {expected}")
 
 
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
@@ -213,6 +252,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """
     p = sc.plant
     ref = sc.reference
+    thresholds = sc.thresholds
     poles = {1: sc.pole_law1, 2: sc.pole_law2, 3: sc.pole_law3}
     controls = {
         law.law_id: compile_law(law, pole_gains(poles[law.law_id], law.order), ref, p)
@@ -232,7 +272,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     warned_regime = False
     for k in range(n):
         t = k * h
-        law_id = supervisor(x, sc.thresholds)
+        law_id = supervisor(x, thresholds)
         try:
             u = controls[law_id](x, t)
         except ArithmeticError as exc:

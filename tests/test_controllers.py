@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from switchlin.controllers import (
     SingularControlError,
     SwitchThresholds,
     TrackingReference,
+    _reference_table,
     apply_law,
     law1,
     law2,
@@ -296,6 +298,38 @@ def test_tracking_reference_derivatives_are_exact():
             2 * step
         )
         assert numeric == pytest.approx(ref.derivative(0.7, order + 1), rel=1e-7, abs=1e-6)
+
+
+def _bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.4])
+@pytest.mark.parametrize("period", [3.0, 0.7])
+def test_reference_table_matches_derivatives_bit_for_bit(amplitude, period):
+    # the per-run table computes one cos and one sin per call; each entry,
+    # signed zeros included, is the one-at-a-time derivative
+    ref = TrackingReference(amplitude, period)
+    omega = 2.0 * math.pi / period
+    for order in (3, 4, 7):
+        table = _reference_table(ref, order)
+        for t in np.linspace(0.0, 12.0, 601).tolist() + [1e-300, 2.5e-4, 1e6]:
+            expected = [ref.derivative(t, j) for j in range(order + 1)]
+            assert _bits(table(t)) == _bits(expected)
+            # and the derivative is the textbook cycle cos -> -sin -> -cos -> sin
+            phase = omega * t
+            textbook = []
+            for j in range(order + 1):
+                scale = amplitude * omega**j
+                textbook.append(
+                    (
+                        scale * math.cos(phase),
+                        -scale * math.sin(phase),
+                        -scale * math.cos(phase),
+                        scale * math.sin(phase),
+                    )[j % 4]
+                )
+            assert _bits(expected) == _bits(textbook)
 
 
 def test_tracking_reference_validation():

@@ -1,17 +1,21 @@
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from switchlin import sim
 from switchlin.ballbeam import benchmark_plant
 from switchlin.controllers import SwitchThresholds, TrackingReference
+from switchlin.expr import format_number
 from switchlin.sim import (
     CSV_HEADER,
     IntegrationError,
     Scenario,
     ScenarioError,
+    Trajectory,
     load_scenario,
     rk4_step,
     run,
@@ -19,6 +23,8 @@ from switchlin.sim import (
     scenario_to_dict,
     sweep,
 )
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _scenario(**overrides):
@@ -77,6 +83,60 @@ def test_rk4_rejects_bad_step():
 def test_rk4_nonfinite_result():
     with pytest.raises(IntegrationError):
         rk4_step(lambda s: (1e308,), (1e308,), 10.0)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_rk4_rejects_derivative_of_wrong_length(length):
+    # a short derivative must not silently truncate the state, nor a long
+    # one be cut to fit it
+    with pytest.raises(ValueError, match=f"derivative has {length} components but the state has 2"):
+        rk4_step(lambda s: (1.0,) * length, (0.0, 0.0), 0.1)
+
+
+def _textbook_rk4(deriv, x, h):
+    n = len(x)
+    half = 0.5 * h
+    k1 = deriv(x)
+    k2 = deriv(tuple([x[i] + half * k1[i] for i in range(n)]))
+    k3 = deriv(tuple([x[i] + half * k2[i] for i in range(n)]))
+    k4 = deriv(tuple([x[i] + h * k3[i] for i in range(n)]))
+    sixth = h / 6.0
+    return tuple([x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)])
+
+
+def _fields(n, rng):
+    matrix = rng.normal(size=(n, n)).tolist()
+    shift = rng.normal(size=n).tolist()
+
+    def linear(s):
+        return tuple(sum(a * v for a, v in zip(row, s)) for row in matrix)
+
+    def nonlinear(s):
+        return tuple(
+            math.sin(s[i - 1]) * s[i] - shift[i] * s[(i + 1) % n] ** 2 for i in range(n)
+        )
+
+    return linear, nonlinear
+
+
+def test_rk4_kernel_matches_textbook_loop(rng):
+    # the generated straight-line kernel rounds exactly as the per-component
+    # loop does, and is generated once per state length
+    sim._rk4_kernel.cache_clear()
+    lengths = (1, 2, 4, 5)
+    steps = 0
+    for n in lengths:
+        for field in _fields(n, rng):
+            for h in (1e-3, 0.05):
+                x = expected = tuple(rng.uniform(-1.0, 1.0, size=n).tolist())
+                for _ in range(40):
+                    x = rk4_step(field, x, h)
+                    expected = _textbook_rk4(field, expected, h)
+                    assert x == expected
+                    steps += 1
+    info = sim._rk4_kernel.cache_info()
+    assert (info.misses, info.currsize) == (len(lengths), len(lengths))
+    assert info.hits == steps - len(lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +226,42 @@ def test_run_wraps_stage_overflow_as_integration_error():
             run(sc)
 
 
+def _counting_rk4(monkeypatch):
+    counts = {"calls": 0, "returned": 0}
+
+    def counting(deriv, x, h):
+        counts["calls"] += 1
+        out = rk4_step(deriv, x, h)
+        counts["returned"] += 1
+        return out
+
+    monkeypatch.setattr(sim, "rk4_step", counting)
+    return counts
+
+
+def test_run_calls_rk4_step_once_per_step(monkeypatch):
+    # benchmarks count a run's steps through sim.rk4_step
+    sc = load_scenario(SCENARIO_DIR / "regulation.json")
+    counts = _counting_rk4(monkeypatch)
+    trajectory, _ = run(sc)
+    assert counts["calls"] == counts["returned"] == sc.sample_count - 1 == len(trajectory) - 1
+
+
+def test_diverging_run_calls_rk4_step_once_per_attempted_step(monkeypatch):
+    sc = _scenario(
+        initial_state=(0.0, 0.0, 0.0, 0.0),
+        reference=TrackingReference(amplitude=0.4, period=3.0),
+        duration=30.0,
+        tail_window=10.0,
+    )
+    counts = _counting_rk4(monkeypatch)
+    with pytest.warns(UserWarning, match="beam angle"):
+        with pytest.raises(IntegrationError) as err:
+            run(sc)
+    # every completed step, plus the one whose state was not finite
+    assert counts["calls"] == counts["returned"] + 1 == round(err.value.time / sc.step)
+
+
 def test_run_warns_when_beam_leaves_regime():
     sc = _scenario(
         initial_state=(0.0, 0.0, 0.0, 0.0),
@@ -227,6 +323,45 @@ def test_trajectory_csv_format():
     # nine significant digits
     value = f"{math.pi:.9g}"
     assert len(value.replace(".", "").replace("-", "")) <= 10
+
+
+def _format_number_csv(trajectory):
+    lines = [CSV_HEADER]
+    for k in range(len(trajectory)):
+        x1, x2, x3, x4 = trajectory.states[k]
+        row = [format_number(v) for v in (trajectory.t[k], x1, x2, x3, x4, trajectory.u[k])]
+        row.append(str(int(trajectory.law[k])))
+        row += [
+            format_number(v)
+            for v in (trajectory.a1[k], trajectory.error[k], trajectory.abscos3[k])
+        ]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_format_number(rng):
+    # spans several write blocks; the awkward values sit in every column
+    n = 2500
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e21, 123456789.5, -123456789.5,
+               math.nan, math.inf, -math.inf, 5e-324]
+    columns = rng.normal(scale=10.0, size=(9, n))
+    for c in range(9):
+        columns[c, c : c + len(special)] = special
+        columns[c, n - len(special) :] = special
+    trajectory = Trajectory(
+        t=columns[0],
+        states=columns[1:5].T.copy(),
+        u=columns[5],
+        law=rng.integers(1, 4, size=n),
+        a1=columns[6],
+        error=columns[7],
+        abscos3=columns[8],
+    )
+    stream = io.StringIO()
+    trajectory.write_csv(stream)
+    text = stream.getvalue()
+    assert text == _format_number_csv(trajectory)
+    assert ",-0," not in text and "nan" in text and "1e+21" in text
 
 
 def test_metrics_report_fields():
