@@ -16,7 +16,9 @@ evidence machinery around that structure:
 * ``necessity_witness`` deterministically searches the declared
   singularity sets for a state where every supplied law's coefficient
   vanishes, demonstrating that the given subset of laws cannot cover the
-  state space;
+  state space; each stage of the search is one grid evaluated as a
+  vectorised batch, and the first hit in ``itertools.product`` order is
+  returned;
 * ``transversality_report`` stacks factor differentials at given points
   and reports their ranks.
 
@@ -26,7 +28,9 @@ exceeds the margin in magnitude.  Because zeros of transcendental factors
 magnitudes at or below ``ZERO_FLOOR`` count as zero even at margin 0.
 
 All sampling is seeded and all searches are grid-based, so every function
-here is deterministic.
+here is deterministic.  Searches and scans use the vectorised
+``evaluate_many``, where a vanishing denominator gives inf or nan rather
+than an error; exact ``evaluate`` refines roots and accepts sampled points.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .controllers import LawDescriptor
-from .expr import Bindings, Real, ScalarField, state_indices
+from .expr import Bindings, EvaluationError, Real, ScalarField, state_indices
 from .expr import format_number as _fmt, format_vector as _fmt_vec
 from .geometry import SingularityFactor, transversality_rank
 
@@ -199,7 +203,13 @@ def _solve_on_line(
     params: Mapping[str, Real],
     span: float = 8.0,
 ) -> np.ndarray | None:
-    """Root of field along base + t * direction, t in [-span, span], or None."""
+    """Root of field along base + t * direction, t in [-span, span], or None.
+
+    The 161-point scan is one vectorised evaluation; brentq refines the
+    first bracket with exact evaluation.  A non-finite scan value (a
+    vanishing denominator on the line) never brackets a root: the line is
+    dropped and None returned, so the caller draws a new point.
+    """
     norm = np.linalg.norm(direction)
     if norm == 0:
         return None
@@ -209,7 +219,9 @@ def _solve_on_line(
         return field.evaluate(Bindings(params, tuple(base + t * direction)))
 
     ts = np.linspace(-span, span, 161)
-    values = [along(t) for t in ts]
+    values = field.evaluate_many(params, base + ts[:, None] * direction)
+    if not np.all(np.isfinite(values)):
+        return None
     for left, right, f_left, f_right in zip(ts, ts[1:], values, values[1:]):
         if f_left == 0.0:
             return base + left * direction
@@ -388,7 +400,13 @@ def _single_variable(field: ScalarField) -> int | None:
 def _axis_roots(
     field: ScalarField, var: int, span: float = math.pi, samples: int = 257
 ) -> list[float]:
-    """Roots of a single-variable factor along its axis in [-span, span]."""
+    """Roots of a single-variable factor along its axis in [-span, span].
+
+    The scan is one vectorised evaluation with no parameters bound, and
+    brentq refines each bracket with exact evaluation.  A factor with a
+    parameter (EvaluationError) or with a non-finite scan value yields no
+    roots.
+    """
     base = np.zeros(field.dim)
 
     def along(t: float) -> float:
@@ -396,10 +414,14 @@ def _axis_roots(
         point[var - 1] = t
         return field.evaluate(Bindings({}, tuple(point)))
 
+    ts = np.linspace(-span, span, samples)
+    scan = np.zeros((samples, field.dim))
+    scan[:, var - 1] = ts
     try:
-        ts = np.linspace(-span, span, samples)
-        values = [along(t) for t in ts]
-    except ArithmeticError:
+        values = field.evaluate_many({}, scan)
+    except EvaluationError:
+        return []
+    if not np.all(np.isfinite(values)):
         return []
     roots = []
     for left, right, f_left, f_right in zip(ts, ts[1:], values, values[1:]):
@@ -435,13 +457,14 @@ def necessity_witness(
 ) -> tuple[float, ...] | None:
     """Deterministic search for a state where every supplied law fails.
 
-    The search walks the declared singularity structure: first the pure
-    part of each coordinate factor (pinned to zero, with the remaining
-    factors held clear of zero), then every intersection of two or more
-    pinned factors, then a plain grid.  Coordinate grids run over [-1, 1]
-    at 21 points per axis, plus beam-angle probes at 0, +-pi/4, +-pi/2.
-    Returns the first state at which every law's coefficient magnitude is
-    below ``tol``, or None.
+    The search walks the declared singularity structure in three stages:
+    first the pure part of each coordinate factor (pinned to zero, with the
+    remaining factors held clear of zero), then every intersection of two
+    or more pinned factors, then a plain grid.  Coordinate grids run over
+    [-1, 1] at 21 points per axis, plus beam-angle probes at 0, +-pi/4,
+    +-pi/2.  Each grid is evaluated as one vectorised batch, and the first
+    state in ``itertools.product`` order at which every law's coefficient
+    magnitude is below ``tol`` is returned, or None.
 
     A law that declares no singularity factors is valid everywhere by
     declaration, so no witness can exist and the search is skipped.
@@ -461,23 +484,13 @@ def necessity_witness(
                     collected.append(factor)
         factors = collected
     dim = laws[0].coefficient.dim
-
-    def fails_everywhere(point: tuple[float, ...]) -> bool:
-        return all(
-            abs(law.coefficient_value(point, params)) < tol for law in laws
-        )
-
     pinnable = [f for f in factors if f.pinned_coordinate is not None]
 
     # stage 1: pure parts of single coordinate factors
     for target in pinnable:
         others = [f for f in factors if f.field != target.field]
         witness = _grid_search(
-            dim,
-            pins={target.pinned_coordinate: 0.0},
-            predicate=fails_everywhere,
-            clear_factors=others,
-            params=params,
+            dim, {target.pinned_coordinate: 0.0}, laws, tol, others, params
         )
         if witness is not None:
             return witness
@@ -488,25 +501,29 @@ def necessity_witness(
             pins = {f.pinned_coordinate: 0.0 for f in combo}
             if len(pins) < size:
                 continue
-            witness = _grid_search(
-                dim, pins=pins, predicate=fails_everywhere, clear_factors=(), params=params
-            )
+            witness = _grid_search(dim, pins, laws, tol, (), params)
             if witness is not None:
                 return witness
 
     # stage 3: unconstrained grid, for factor lists with nothing to pin
-    return _grid_search(
-        dim, pins={}, predicate=fails_everywhere, clear_factors=(), params=params
-    )
+    return _grid_search(dim, {}, laws, tol, (), params)
 
 
 def _grid_search(
     dim: int,
     pins: Mapping[int, float],
-    predicate,
+    laws: Sequence[LawDescriptor],
+    tol: float,
     clear_factors: Sequence[SingularityFactor],
     params: Mapping[str, Real],
 ) -> tuple[float, ...] | None:
+    """First grid state, in product order, that is clear and a witness.
+
+    A state is clear when every clear factor exceeds PURE_PART_CLEARANCE in
+    magnitude, and a witness when every law's coefficient is below ``tol``
+    in magnitude.  A NaN (0/0 on the grid) never counts as either; an
+    infinite factor value counts as clear.
+    """
     axes = []
     for i in range(1, dim + 1):
         if i in pins:
@@ -517,17 +534,17 @@ def _grid_search(
             )
         else:
             axes.append(_AXIS_CANDIDATES)
-    for point in itertools.product(*axes):
-        if clear_factors:
-            at_point = Bindings(params, point)
-            if any(
-                abs(f.field.evaluate(at_point)) <= PURE_PART_CLEARANCE
-                for f in clear_factors
-            ):
-                continue
-        if predicate(point):
-            return point
-    return None
+    # indexing="ij" makes the last axis vary fastest, as itertools.product does
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    keep = np.ones(len(grid), dtype=bool)
+    for f in clear_factors:
+        keep &= np.abs(f.field.evaluate_many(params, grid)) > PURE_PART_CLEARANCE
+    for law in laws:
+        keep &= np.abs(law.coefficient.evaluate_many(params, grid)) < tol
+    hits = np.flatnonzero(keep)
+    if len(hits) == 0:
+        return None
+    return tuple(float(v) for v in grid[hits[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,13 @@ def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key '{key}' in {where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"key '{key}' in {where} must be finite")
+    return number
 
 
 def scenario_from_dict(data: dict) -> Scenario:

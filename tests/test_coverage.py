@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from switchlin.controllers import law_descriptor, table_laws
+from switchlin import coverage, expr
+from switchlin.controllers import LawDescriptor, law_descriptor, table_laws
 from switchlin.coverage import (
     SamplingError,
     coverage_check,
@@ -12,7 +14,7 @@ from switchlin.coverage import (
     pure_part_sample,
     transversality_report,
 )
-from switchlin.expr import Bindings, parse
+from switchlin.expr import Bindings, ScalarField, parse
 from switchlin.geometry import SingularityFactor
 
 BOX = [(-1.0, 1.0)] * 4
@@ -216,6 +218,182 @@ def test_necessity_none_for_nowhere_singular_family(params):
 def test_necessity_is_deterministic(params):
     laws = [law_descriptor(1), law_descriptor(2)]
     assert necessity_witness(laws, params=params) == necessity_witness(laws, params=params)
+
+
+def _reference_witness(laws, factors=None, params=None, tol=coverage.NECESSITY_TOL):
+    """The point-by-point necessity search: product order, exact evaluation."""
+    laws = list(laws)
+    params = {} if params is None else params
+    if not laws or any(not law.factors for law in laws):
+        return None
+    if factors is None:
+        factors = []
+        for law in laws:
+            for f in law.factors:
+                if all(f.field != c.field for c in factors):
+                    factors.append(f)
+    pinnable = [f for f in factors if f.pinned_coordinate is not None]
+    stages = [
+        ({f.pinned_coordinate: 0.0}, [g for g in factors if g.field != f.field])
+        for f in pinnable
+    ]
+    for size in range(2, len(pinnable) + 1):
+        for combo in itertools.combinations(pinnable, size):
+            pins = {f.pinned_coordinate: 0.0 for f in combo}
+            if len(pins) == size:
+                stages.append((pins, []))
+    stages.append(({}, []))
+    x3_axis = coverage._X3_SPECIAL + tuple(v for v in coverage._AXIS_CANDIDATES if v)
+    clearance = coverage.PURE_PART_CLEARANCE
+    for pins, clear in stages:
+        axes = [
+            (pins[i],) if i in pins else x3_axis if i == 3 else coverage._AXIS_CANDIDATES
+            for i in range(1, 5)
+        ]
+        for point in itertools.product(*axes):
+            at_point = Bindings(params, point)
+            if any(abs(f.field.evaluate(at_point)) <= clearance for f in clear):
+                continue
+            if all(abs(law.coefficient_value(point, params)) < tol for law in laws):
+                return point
+    return None
+
+
+_LAW_FAMILY = {
+    "1": law_descriptor(1),
+    "2": law_descriptor(2),
+    "3": law_descriptor(3),
+    "3g": law_descriptor(3, g_modified=True),
+}
+_SUBSETS = [
+    names
+    for size in range(1, len(_LAW_FAMILY) + 1)
+    for names in itertools.combinations(_LAW_FAMILY, size)
+]
+
+
+@pytest.mark.parametrize("bg", [None, (0.5, 9.81), (0.9, 1.62)], ids=["benchmark", "B0.5", "B0.9"])
+def test_necessity_matches_pointwise_reference(params, bg):
+    if bg is not None:
+        params = {"B": bg[0], "G": bg[1]}
+    for names in _SUBSETS:
+        laws = [_LAW_FAMILY[n] for n in names]
+        assert necessity_witness(laws, params=params) == _reference_witness(
+            laws, params=params
+        ), names
+
+
+def test_necessity_matches_pointwise_reference_with_factors_and_tol(params):
+    laws = [law_descriptor(1), law_descriptor(2)]
+    factors = [F_COS, F_X4, F_X1]
+    expected = _reference_witness(laws, factors=factors, params=params)
+    assert expected is not None
+    assert necessity_witness(laws, factors=factors, params=params) == expected
+    for names in _SUBSETS:
+        laws = [_LAW_FAMILY[n] for n in names]
+        assert necessity_witness(laws, params=params, tol=1e-3) == _reference_witness(
+            laws, params=params, tol=1e-3
+        ), names
+
+
+def test_necessity_makes_no_exact_evaluations(params, monkeypatch):
+    calls = []
+    exact = expr.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    witness = necessity_witness([law_descriptor(1), law_descriptor(2)], params=params)
+    assert witness is not None
+    assert calls == []
+
+
+def _probe_law(coefficient: str) -> LawDescriptor:
+    field = parse(coefficient, 4)
+    return LawDescriptor(
+        law_id=9,
+        name="probe",
+        order=1,
+        coefficient=field,
+        offset=parse("0", 4),
+        factors=(SingularityFactor(field, coefficient),),
+        coordinates=(parse("x1", 4),),
+    )
+
+
+@pytest.mark.parametrize("text", ["(x1 - 0.5)*(x2 - 0.3)", "(x3 - 0.5)*(x4 - 0.2)"])
+def test_necessity_first_hit_follows_product_order(params, text):
+    # the coefficient vanishes on two grid hyperplanes; which one is hit
+    # first depends on the order in which the grid is walked
+    laws = [_probe_law(text)]
+    expected = _reference_witness(laws, params=params)
+    assert expected is not None
+    assert necessity_witness(laws, params=params) == expected
+
+
+def test_grid_search_nan_is_neither_clear_nor_a_witness(params):
+    # with x1 pinned to 0, x2/x1 is nan where x2 = 0 and +-inf elsewhere
+    ratio = SingularityFactor(parse("x2/x1", 4), "x2/x1")
+    pins = {1: 0.0}
+    # nan rows are not witnesses, inf rows are not witnesses either
+    assert coverage._grid_search(4, pins, [_probe_law("x2/x1")], 1e-9, (), params) is None
+    # nan rows (x2 = 0) are not clear; inf rows are, so the first hit skips x2 = 0
+    hit = coverage._grid_search(4, pins, [_probe_law("x3")], 1e-9, (ratio,), params)
+    assert hit == (0.0, 1.0, 0.0, 0.0)
+    # law x2 vanishes only on the nan rows, which are never clear
+    assert coverage._grid_search(4, pins, [_probe_law("x2")], 1e-9, (ratio,), params) is None
+
+
+@pytest.mark.parametrize("text", ["1/x1 - 2", "x1/x1 + x1 - 2"])
+def test_solve_on_line_drops_a_line_with_non_finite_values(params, text):
+    # the scan passes through x1 = 0, where the field is inf or nan; the
+    # finite root at x1 = 0.5 or 1 is not used
+    base = np.array([0.0, 0.3, 0.2, 0.1])
+    direction = np.array([1.0, 0.0, 0.0, 0.0])
+    field = parse(text, 4)
+    assert coverage._solve_on_line(field, base, direction, params) is None
+    shifted = base + np.array([0.05, 0.0, 0.0, 0.0])  # scan misses x1 = 0
+    assert coverage._solve_on_line(field, shifted, direction, params) is not None
+
+
+def test_axis_roots_without_finite_scan_or_bound_parameters():
+    assert coverage._axis_roots(parse("1/x3 - 2", 4), 3) == []
+    assert coverage._axis_roots(parse("x3/x3 - x3 - 0.5", 4), 3) == []
+    assert coverage._axis_roots(parse("cos(x3) - B", 4), 3) == []
+    assert coverage._axis_roots(parse("cos(x3)", 4), 3) == [-math.pi / 2, math.pi / 2]
+    parameterised = SingularityFactor(parse("cos(x3) - B", 4), "cos(x3) - B")
+    assert coverage._factor_probes([parameterised], 4).shape == (0, 4)
+    assert len(coverage._factor_probes([parameterised, F_COS], 4)) == 2 * 27
+
+
+def _exact_rows(self, params, states):
+    states = np.asarray(states, dtype=float)
+    return np.array([self.evaluate(Bindings(params, tuple(row))) for row in states])
+
+
+def test_vectorised_scans_match_exact_scans(params, monkeypatch):
+    law12 = [f for n in (1, 2) for f in law_descriptor(n).factors]
+    law3g = list(law_descriptor(3, g_modified=True).factors)
+    cases = [(index, law12) for index in (1, 2, 3)] + [(1, law3g)]
+    shipped = [
+        [f for law in table_laws(alternate_law3=alternate) for f in law.factors]
+        for alternate in (False, True)
+    ]
+
+    def run():
+        samples = [
+            pure_part_sample(index, factors, BOX, 20, params, seed=seed).tobytes()
+            for index, factors in cases
+            for seed in (0, 1, 2)
+        ]
+        probes = [coverage._factor_probes(factors, 4).tobytes() for factors in shipped]
+        return samples, probes
+
+    vectorised = run()
+    monkeypatch.setattr(ScalarField, "evaluate_many", _exact_rows)
+    assert run() == vectorised
 
 
 # ---------------------------------------------------------------------------

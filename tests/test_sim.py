@@ -443,6 +443,44 @@ def test_scenario_rejects_bad_values():
         scenario_from_dict(data)
 
 
+_NUMERIC_KEYS = [
+    ("plant", "M"),
+    ("plant", "R"),
+    ("plant", "J"),
+    ("plant", "J_b"),
+    ("plant", "G"),
+    ("reference", "amplitude"),
+    ("reference", "period"),
+    ("thresholds", "eps1"),
+    ("thresholds", "eps4"),
+    ("poles", "law1"),
+    ("poles", "law2"),
+    ("poles", "law3"),
+    (None, "step"),
+    (None, "duration"),
+    (None, "tail_window"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+@pytest.mark.parametrize("section, key", _NUMERIC_KEYS)
+def test_scenario_rejects_non_finite_numbers(section, key, value):
+    data = _scenario_dict()
+    (data if section is None else data[section])[key] = value
+    with pytest.raises(ScenarioError, match=f"key '{key}' in .* must be finite"):
+        scenario_from_dict(data)
+
+
+def test_load_scenario_rejects_nan_literal(tmp_path):
+    path = tmp_path / "scenario.json"
+    text = json.dumps(_scenario_dict()).replace('"amplitude": 0.0', '"amplitude": NaN')
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="'amplitude' in reference must be finite"):
+        load_scenario(path)
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_scenario_dict()))
