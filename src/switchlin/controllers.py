@@ -5,7 +5,10 @@ a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``law1``, ``law2``, ``law3``,
 ``apply_law``, ``xi_coordinates`` and ``outer_loop_v`` evaluate the
-descriptors exactly; the simulator compiles them with :func:`compile_law`.
+descriptors exactly.  For simulation, :func:`compile_control` generates
+each law's whole control, outer loop included, as one straight-line
+function, once per law and plant, and binds the reference and the gains
+per call; :func:`compile_law` is its u alone.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .ballbeam import PlantParams
-from .expr import Bindings, Real, ScalarField, compile_kernel, parse
+from .expr import Bindings, Real, ScalarField, _emit, parse
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -49,6 +52,7 @@ __all__ = [
     "SwitchThresholds",
     "TrackingReference",
     "apply_law",
+    "compile_control",
     "compile_law",
     "law1",
     "law2",
@@ -133,23 +137,33 @@ class TrackingReference:
 _CYCLE = ((False, False), (True, True), (True, False), (False, True))
 
 
+def _reference_scales(ref: TrackingReference, order: int) -> tuple[float, tuple[float, ...]]:
+    """omega and the signed scales of y_d, ..., y_d^(order).
+
+    y_d^(j)(t) = scales[j] * (cos or sin)(omega t), the wave read from
+    ``_CYCLE[j % 4]``; each scale is amplitude * omega**j, computed once.
+    """
+    omega = 2.0 * math.pi / ref.period
+    scales = []
+    for j in range(order + 1):
+        scale = ref.amplitude * omega**j
+        scales.append(-scale if _CYCLE[j % 4][0] else scale)
+    return omega, tuple(scales)
+
+
 def _reference_table(ref: TrackingReference, order: int) -> Callable[[float], list[float]]:
     """t -> [y_d(t), ..., y_d^(order)(t)] from one cos and one sin of the phase.
 
-    Bit for bit ``ref.derivative(t, j)`` for each j; the scales
-    amplitude * omega**j are computed once, here.
+    Bit for bit ``ref.derivative(t, j)`` for each j, from the constants the
+    compiled control binds (:func:`_reference_scales`).
     """
-    omega = 2.0 * math.pi / ref.period
-    terms = []
-    for j in range(order + 1):
-        scale = ref.amplitude * omega**j
-        negated, sine = _CYCLE[j % 4]
-        terms.append((-scale if negated else scale, sine))
+    omega, scales = _reference_scales(ref, order)
+    sines = [_CYCLE[j % 4][1] for j in range(order + 1)]
 
     def table(t: float) -> list[float]:
         phase = omega * t
         waves = (math.cos(phase), math.sin(phase))
-        return [coefficient * waves[sine] for coefficient, sine in terms]
+        return [scale * waves[sine] for scale, sine in zip(scales, sines)]
 
     return table
 
@@ -362,23 +376,83 @@ def outer_loop_v(
 def compile_law(
     law: LawDescriptor, gains: GainSet, ref: TrackingReference, p: PlantParams
 ) -> Callable[[Sequence[float], float], float]:
-    """u(x, t) for one law under its outer loop, from one compiled kernel.
+    """u(x, t) for one law under its outer loop: the u of :func:`compile_control`.
 
     Bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains, p),
     p.symbol_values())``, with the gain order checked once, here.
     """
-    _check_order(law, gains)
-    fields = (law.coefficient, law.offset, *law.coordinates)
-    kernel = compile_kernel([f.expr for f in fields], p.symbol_values(), 4)
-    targets = _reference_table(ref, law.order)
-    law_id, alphas = law.law_id, gains.alphas
+    closed_loop = compile_control(law, gains, ref, p)
 
     def control(x: Sequence[float], t: float) -> float:
-        coefficient, offset, *coordinates = kernel(*x)
-        v = _virtual_input(coordinates, targets(t), alphas)
-        return _solve(law_id, coefficient, offset, v)
+        return closed_loop(x, t)[0]
 
     return control
+
+
+def compile_control(
+    law: LawDescriptor, gains: GainSet, ref: TrackingReference, p: PlantParams
+) -> Callable[[Sequence[float], float], tuple[float, float]]:
+    """(u, y_d)(x, t) for one law under its outer loop, as one generated function.
+
+    u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains,
+    p), p.symbol_values())`` and y_d bit for bit ``ref.value(t)``.  The
+    code is generated once per law and plant; the reference constants and
+    the gains are bound here, so a new call generates nothing.
+    """
+    _check_order(law, gains)
+    plant = tuple((name, float(value).hex()) for name, value in p.symbol_values().items())
+    omega, scales = _reference_scales(ref, law.order)
+    return _control_factory(law, plant)(omega, *scales, *gains.alphas)
+
+
+@functools.lru_cache(maxsize=64)  # bounded: a sweep may vary the plant
+def _control_factory(law: LawDescriptor, plant: tuple[tuple[str, str], ...]) -> Callable:
+    """Generate ``make(omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
+
+    ``plant`` holds the parameter values as ``float.hex`` strings, so the
+    cache tells 0.0 from -0.0.  ``control(x, t)`` computes the law's
+    coefficient, offset and coordinates q_j as the expr emitter writes them,
+    the targets r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
+    v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
+    the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
+    the operations of the exact path, in its order.  It returns (u, r_0).
+    """
+    order = law.order
+    params = {name: float.fromhex(value) for name, value in plant}
+    namespace = {
+        "__builtins__": {},
+        "sin": math.sin,
+        "cos": math.cos,
+        "abs": abs,
+        "SingularControlError": SingularControlError,
+    }
+    fields = (law.coefficient, law.offset, *law.coordinates)
+    coefficient, offset, *coordinates = _emit([f.expr for f in fields], params, 4, namespace)
+    constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
+    lines = [
+        f"def make(omega, {', '.join(constants)}):",
+        "    def control(x, t):",
+        "        x1, x2, x3, x4 = x",
+        f"        coefficient = {coefficient}",
+        f"        offset = {offset}",
+        *(f"        q{j} = {source}" for j, source in enumerate(coordinates)),
+        "        phase = omega * t",
+        "        wave_cos = cos(phase)",
+        "        wave_sin = sin(phase)",
+        *(
+            f"        r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
+            for j in range(order + 1)
+        ),
+        "        feedback = 0.0",
+        *(f"        feedback += alpha{j} * (q{j} - r{j})" for j in range(order)),
+        f"        v = r{order} - feedback",
+        f"        if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
+        f"            raise SingularControlError({law.law_id!r}, coefficient)",
+        "        return (-offset + v) / coefficient, r0",
+        "    return control",
+    ]
+    exec("\n".join(lines) + "\n", namespace)
+    return namespace["make"]
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

@@ -430,6 +430,23 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, funct
     up, exceed what Python's parser accepts.
     """
     namespace = {"__builtins__": {}, "sin": functions.sin, "cos": functions.cos}
+    outputs = ", ".join(_emit(exprs, params, dim, namespace))
+    arguments = ", ".join(f"x{i}" for i in range(1, dim + 1))
+    exec(f"def kernel({arguments}):\n    return ({outputs},)\n", namespace)
+    return namespace["kernel"]
+
+
+def _emit(
+    exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, namespace: dict
+) -> list[str]:
+    """Python source of each expression over the names x1..x<dim>.
+
+    Each parameter is bound in ``namespace``, as a float, under a generated
+    name (``p0``, ``p1``, ...), so user names never reach the code; ``sin``
+    and ``cos`` are left for ``namespace`` to supply.  The package's code
+    generators share this emitter, so every one performs the operations of
+    :func:`evaluate` in the same order.
+    """
     names: dict[str, str] = {}
 
     def emit(node: Expr) -> str:
@@ -467,10 +484,7 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, funct
                 return f"cos({emit(a)})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    outputs = ", ".join(emit(expr) for expr in exprs)
-    arguments = ", ".join(f"x{i}" for i in range(1, dim + 1))
-    exec(f"def kernel({arguments}):\n    return ({outputs},)\n", namespace)
-    return namespace["kernel"]
+    return [emit(expr) for expr in exprs]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Fixed-step classical Runge-Kutta integration of the reduced plant, by a
 straight-line step generated once per state length.  The supervisor and
 the selected law are evaluated once per step, at the step's start, and
 the resulting input is held constant across the step (zero-order hold).
-Identical scenarios therefore produce bitwise-identical trajectories.
+Each law's whole control, outer loop included, is one straight-line
+function generated once per law and plant; a run only binds its
+reference and gains.  Identical scenarios therefore produce
+bitwise-identical trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -26,7 +29,7 @@ from .ballbeam import PlantParams, reduced_dynamics
 from .controllers import (
     SwitchThresholds,
     TrackingReference,
-    compile_law,
+    compile_control,
     law_descriptor,
     pole_gains,
     supervisor,
@@ -92,7 +95,7 @@ class Scenario:
     tail_window: float = DEFAULT_TAIL_WINDOW
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
+        object.__setattr__(self, "initial_state", tuple(_float(v) for v in self.initial_state))
         if len(self.initial_state) != 4:
             raise ScenarioError("initial_state must have exactly 4 components")
         if not all(math.isfinite(v) for v in self.initial_state):
@@ -244,20 +247,19 @@ def _length_error(got: int, expected: int) -> ValueError:
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
-    At each step: select the law with the supervisor, compute u from that
-    law's compiled outer loop and law, record the sample, then advance one
-    RK4 step with u held constant.  A beam angle beyond pi in magnitude
-    means the model has left its meaningful regime; that is reported as a
-    warning, not an error.
+    At each step: select the law with the supervisor, compute u and y_d
+    from that law's compiled control, record the sample (the error column
+    is x1 - y_d), then advance one RK4 step with u held constant.  A beam
+    angle beyond pi in magnitude means the model has left its meaningful
+    regime; that is reported as a warning, not an error.
     """
     p = sc.plant
-    ref = sc.reference
     thresholds = sc.thresholds
-    poles = {1: sc.pole_law1, 2: sc.pole_law2, 3: sc.pole_law3}
-    controls = {
-        law.law_id: compile_law(law, pole_gains(poles[law.law_id], law.order), ref, p)
-        for law in table_laws()
-    }
+    poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
+    controls = (None,) + tuple(  # indexed by law id
+        compile_control(law, pole_gains(pole, law.order), sc.reference, p)
+        for law, pole in zip(table_laws(), poles)
+    )
     n = sc.sample_count
     h = sc.step
 
@@ -274,7 +276,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         t = k * h
         law_id = supervisor(x, thresholds)
         try:
-            u = controls[law_id](x, t)
+            u, y_d = controls[law_id](x, t)
         except ArithmeticError as exc:
             raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t) from exc
 
@@ -282,7 +284,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         states[k] = x
         u_out[k] = u
         law_out[k] = law_id
-        err_out[k] = x[0] - ref.value(t)
+        err_out[k] = x[0] - y_d
         abscos_out[k] = abs(math.cos(x[2]))
 
         if not warned_regime and abs(x[2]) > math.pi:
@@ -385,13 +387,18 @@ def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key '{key}' in {where} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    number = _float(value)
     if not math.isfinite(number):
         raise ScenarioError(f"key '{key}' in {where} must be finite")
     return number
+
+
+def _float(value: int | float) -> float:
+    """float(value); an integer beyond the float range becomes an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -436,7 +443,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
         return Scenario(
             plant=plant,
-            initial_state=tuple(float(v) for v in state),
+            initial_state=tuple(state),
             reference=reference,
             thresholds=thresholds,
             pole_law1=_number(pole_map, "law1", "poles"),

@@ -161,7 +161,8 @@ def test_criterion_04_benchmark_scenario():
             False,
             f"closed loop diverged: {exc} after {elapsed:.1f} s wall time; the "
             "supervised architecture cannot hold full-amplitude tracking "
-            "through the singular transits (see decisions ledger)",
+            "through the singular transits (see the README's \"Known behaviour "
+            "of the benchmark scenario\")",
         )
         return
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from switchlin.ballbeam import benchmark_plant, reduced_dynamics, symbolic_system
+from switchlin.ballbeam import PlantParams, benchmark_plant, reduced_dynamics, symbolic_system
 from switchlin.controllers import (
     GainSet,
     SingularControlError,
@@ -13,6 +13,8 @@ from switchlin.controllers import (
     TrackingReference,
     _reference_table,
     apply_law,
+    compile_control,
+    compile_law,
     law1,
     law2,
     law3,
@@ -429,3 +431,59 @@ def test_compile_law_checks_gain_order_once(plant):
     assert control(x, 0.7) == law1(x, v, plant)
     with pytest.raises(SingularControlError):
         control((0.0, 0.1, 0.05, 0.5), 0.7)
+
+
+def _exact_control(law, gains, ref, plant, x, t):
+    # the reference path: exact descriptor evaluation, one derivative at a time
+    v = outer_loop_v(x, ref, t, law, gains, plant)
+    return law.control(x, v, plant.symbol_values())
+
+
+def _outcome(function, *args):
+    try:
+        return _bits([function(*args)])
+    except SingularControlError as exc:
+        return (exc.law_id, str(exc))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.4])
+@pytest.mark.parametrize("law_id, g_modified", [(1, False), (2, False), (3, False), (3, True)])
+def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_id, g_modified):
+    law = law_descriptor(law_id, g_modified=g_modified)
+    gains = pole_gains(-3.0, law.order)
+    ref = TrackingReference(amplitude, 3.0)
+    control = compile_control(law, gains, ref, plant)
+    u_only = compile_law(law, gains, ref, plant)
+    rng = np.random.default_rng(60 + law_id)
+    states = rng.uniform(-1.5, 1.5, size=(500, 4))
+    states[::50, 0] = 0.0  # on law 1's singular set, and signed zeros elsewhere
+    states[25::50, 0] = 1e-310  # law 1's coefficient below the floor, not zero
+    states[::70, 3] = -0.0
+    times = rng.uniform(0.0, 30.0, size=500)
+    times[::90] = 0.0
+    singular = 0
+    for x, t in zip(states.tolist(), times.tolist()):
+        expected = _outcome(_exact_control, law, gains, ref, plant, x, t)
+        assert _outcome(lambda: control(x, t)[0]) == expected
+        assert _outcome(u_only, x, t) == expected
+        if isinstance(expected, list):
+            assert _bits([control(x, t)[1]]) == _bits([ref.value(t)])
+        else:
+            singular += 1
+    assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
+
+
+def test_compiled_control_tells_signed_zero_plants_apart():
+    # G = 0.0 and G = -0.0 give law 2 coefficients of opposite zero sign;
+    # the compiled code must not be shared between the two plants
+    law = law_descriptor(2)
+    gains = pole_gains(-3.0, 4)
+    ref = TrackingReference(0.4, 3.0)
+    x = (0.3, 0.0, 0.1, 0.0)
+    messages = []
+    for g in (0.0, -0.0, 0.0):
+        plant = PlantParams.solid_sphere(G=g)
+        expected = _outcome(_exact_control, law, gains, ref, plant, x, 0.5)
+        assert _outcome(lambda: compile_control(law, gains, ref, plant)(x, 0.5)[0]) == expected
+        messages.append(expected[1])
+    assert messages[0] == messages[2] != messages[1]

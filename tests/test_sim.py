@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from switchlin import sim
-from switchlin.ballbeam import benchmark_plant
-from switchlin.controllers import SwitchThresholds, TrackingReference
+from switchlin.ballbeam import PlantParams, benchmark_plant
+from switchlin.controllers import SingularControlError, SwitchThresholds, TrackingReference
 from switchlin.expr import format_number
 from switchlin.sim import (
     CSV_HEADER,
@@ -526,3 +526,58 @@ def test_run_matches_exact_descriptor_control(name):
         law, gains = laws[int(trajectory.law[k])]
         v = outer_loop_v(x, sc.reference, float(trajectory.t[k]), law, gains, sc.plant)
         assert trajectory.u[k] == law.control(x, v, params)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize("index", range(4))
+def test_scenario_rejects_initial_state_beyond_float_range(index, sign):
+    # json.load returns a 401-digit literal as this integer
+    data = _scenario_dict()
+    data["initial_state"][index] = sign * 10**400
+    with pytest.raises(ScenarioError, match="^initial_state must be finite$"):
+        scenario_from_dict(data)
+
+
+def test_run_error_column_is_x1_minus_reference():
+    sc = load_scenario(SCENARIO_DIR / "small_tracking.json")
+    trajectory, _ = run(sc)
+    expected = [
+        x1 - sc.reference.value(t)
+        for x1, t in zip(trajectory.states[:, 0].tolist(), trajectory.t.tolist())
+    ]
+    assert trajectory.error.tobytes() == np.array(expected).tobytes()
+
+
+def test_run_generates_each_control_once_per_law_and_plant(monkeypatch):
+    from switchlin import controllers
+
+    emitted = []
+
+    def counting_emit(exprs, *args):
+        emitted.append(len(exprs))
+        return emit(exprs, *args)
+
+    emit = controllers._emit
+    monkeypatch.setattr(controllers, "_emit", counting_emit)
+    controllers._control_factory.cache_clear()
+    sc = _scenario(duration=0.05)
+    for _ in range(3):
+        run(sc)
+    assert len(emitted) == 3  # laws 1, 2 and 3
+    run(_scenario(duration=0.05, plant=PlantParams.solid_sphere(G=9.0)))
+    assert len(emitted) == 6
+    info = controllers._control_factory.cache_info()
+    assert (info.misses, info.hits) == (6, 6)
+
+
+def test_run_reports_a_failing_control_as_integration_error():
+    # without gravity law 2's coefficient -B*G*cos(x3) is zero, and the
+    # supervisor picks law 2 at the first sample (|x1| > eps1, x4 = 0)
+    sc = _scenario(plant=PlantParams.solid_sphere(G=0.0), initial_state=(0.3, 0.0, 0.1, 0.0))
+    with pytest.raises(IntegrationError) as info:
+        run(sc)
+    assert str(info.value) == (
+        "control failed at t=0.000000: law 2 coefficient -0.0 is below the floor 1e-300"
+    )
+    assert info.value.time == 0.0
+    assert isinstance(info.value.__cause__, SingularControlError)
