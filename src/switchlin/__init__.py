@@ -13,15 +13,12 @@ from .controllers import (
     LawDescriptor,
     SwitchThresholds,
     TrackingReference,
-    law1,
-    law2,
-    law3,
+    apply_law,
     law_descriptor,
     outer_loop_v,
     pole_gains,
     supervisor,
     table_laws,
-    xi_coordinates,
 )
 from .coverage import (
     CoverageReport,
@@ -79,14 +76,12 @@ __all__ = [
     "Trajectory",
     "VectorField",
     "ad_power",
+    "apply_law",
     "benchmark_plant",
     "coverage_check",
     "derivative_chain",
     "factor_check",
     "involutivity_witness",
-    "law1",
-    "law2",
-    "law3",
     "law_descriptor",
     "lie_bracket",
     "lie_derivative",
@@ -105,5 +100,4 @@ __all__ = [
     "table_laws",
     "transversality_rank",
     "transversality_report",
-    "xi_coordinates",
 ]

@@ -17,6 +17,7 @@ order of precedence.  All numeric output uses 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .ballbeam import benchmark_plant, symbolic_system
 from .controllers import law_descriptor
 from .coverage import coverage_check, necessity_witness
-from .expr import EvaluationError, ExprError, ParseError, VectorField, parse
+from .expr import EvaluationError, VectorField, parse
 from .expr import format_number as _fmt, format_vector as _fmt_vec
 from .geometry import (
     ControlAffineSystem,
@@ -206,6 +207,8 @@ def cmd_coverage(args) -> int:
         lo, hi = (float(v) for v in args.box.split(":"))
     except ValueError:
         raise UsageError(f"bad box {args.box!r}; expected LO:HI") from None
+    if not all(math.isfinite(v) for v in (lo, hi, hi - lo)):
+        raise UsageError(f"box {args.box!r} must have finite bounds and a finite width")
     if not lo < hi:
         raise UsageError("box must satisfy LO < HI")
     params = benchmark_plant().symbol_values()
@@ -362,24 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # ScenarioError, ParseError and ExprError are ValueErrors
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"switchlin: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, EvaluationError) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioError, ParseError, ExprError, EvaluationError, ValueError) as exc:
-        print(f"switchlin: {exc}", file=sys.stderr)
-        return 1
-    except SimulationError as exc:
-        print(f"switchlin: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SimulationError, OSError) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 2
 

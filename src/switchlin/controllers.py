@@ -3,12 +3,11 @@
 Every law has the form u = (-b_i(x) + v) / a_i(x) and is written once, as
 a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
-which its outer loop places poles.  ``law1``, ``law2``, ``law3``,
-``apply_law``, ``xi_coordinates`` and ``outer_loop_v`` evaluate the
-descriptors exactly.  For simulation, :func:`compile_control` generates
-each law's whole control, outer loop included, as one straight-line
-function, once per law and plant, and binds the reference and the gains
-per call; :func:`compile_law` is its u alone.
+which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
+evaluate the descriptors exactly.  For simulation, :func:`compile_control`
+generates each law's whole control, outer loop included, as one
+straight-line function, once per law and plant, and binds the reference
+and the gains per call.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -53,16 +52,11 @@ __all__ = [
     "TrackingReference",
     "apply_law",
     "compile_control",
-    "compile_law",
-    "law1",
-    "law2",
-    "law3",
     "law_descriptor",
     "outer_loop_v",
     "pole_gains",
     "supervisor",
     "table_laws",
-    "xi_coordinates",
 ]
 
 #: coefficient magnitude below which a law refuses to divide; practical
@@ -151,23 +145,6 @@ def _reference_scales(ref: TrackingReference, order: int) -> tuple[float, tuple[
     return omega, tuple(scales)
 
 
-def _reference_table(ref: TrackingReference, order: int) -> Callable[[float], list[float]]:
-    """t -> [y_d(t), ..., y_d^(order)(t)] from one cos and one sin of the phase.
-
-    Bit for bit ``ref.derivative(t, j)`` for each j, from the constants the
-    compiled control binds (:func:`_reference_scales`).
-    """
-    omega, scales = _reference_scales(ref, order)
-    sines = [_CYCLE[j % 4][1] for j in range(order + 1)]
-
-    def table(t: float) -> list[float]:
-        phase = omega * t
-        waves = (math.cos(phase), math.sin(phase))
-        return [scale * waves[sine] for scale, sine in zip(scales, sines)]
-
-    return table
-
-
 @dataclass(frozen=True)
 class GainSet:
     """Outer-loop gains: alphas[j] multiplies the j-th error derivative.
@@ -252,7 +229,7 @@ def _solve(law_id: int, coefficient: float, offset: float, v: float) -> float:
     return (-offset + v) / coefficient
 
 
-@functools.cache  # descriptors are immutable; the law wrappers build one per call
+@functools.cache  # descriptors are immutable; apply_law builds one per call
 def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
     """Build the symbolic descriptor for one law.
 
@@ -330,26 +307,6 @@ def apply_law(law_id: int, x: Sequence[float], v: float, p: PlantParams) -> floa
     return law_descriptor(law_id).control(x, v, p.symbol_values())
 
 
-def law1(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Exact input-output linearisation (law 1)."""
-    return apply_law(1, x, v, p)
-
-
-def law2(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Centrifugal-term-dropping law (law 2)."""
-    return apply_law(2, x, v, p)
-
-
-def law3(x: Sequence[float], v: float, p: PlantParams) -> float:
-    """Constant-coefficient law (law 3); defined everywhere."""
-    return apply_law(3, x, v, p)
-
-
-def xi_coordinates(x: Sequence[float], p: PlantParams) -> tuple[float, ...]:
-    """Approximate output-derivative coordinates (x1, x2, -BG sin x3, -BG x4 cos x3)."""
-    return law_descriptor(2).coordinate_values(x, p.symbol_values())
-
-
 # ---------------------------------------------------------------------------
 # outer loop
 
@@ -371,22 +328,6 @@ def outer_loop_v(
     coordinates = law.coordinate_values(x, p.symbol_values())
     targets = [ref.derivative(t, j) for j in range(gains.order + 1)]
     return _virtual_input(coordinates, targets, gains.alphas)
-
-
-def compile_law(
-    law: LawDescriptor, gains: GainSet, ref: TrackingReference, p: PlantParams
-) -> Callable[[Sequence[float], float], float]:
-    """u(x, t) for one law under its outer loop: the u of :func:`compile_control`.
-
-    Bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains, p),
-    p.symbol_values())``, with the gain order checked once, here.
-    """
-    closed_loop = compile_control(law, gains, ref, p)
-
-    def control(x: Sequence[float], t: float) -> float:
-        return closed_loop(x, t)[0]
-
-    return control
 
 
 def compile_control(

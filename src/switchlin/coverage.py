@@ -309,8 +309,8 @@ def coverage_check(
     supplied laws' factors, so gaps of measure zero are found even though
     random samples almost never land on them.
     """
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    if not margin >= 0:  # also rejects NaN, which would cover nothing
+        raise ValueError(f"margin must be a non-negative number, got {margin!r}")
     if n < 0:
         raise ValueError("sample count must be non-negative")
     rng = np.random.default_rng(seed)
@@ -348,14 +348,19 @@ def coverage_check(
     )
 
 
-def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray:
-    """Deterministic points on each factor zero set and pairwise intersection."""
+def _unique(factors: Sequence[SingularityFactor]) -> list[SingularityFactor]:
+    """The first factor of each distinct zero set (equal fields), in order."""
     unique: list[SingularityFactor] = []
     for factor in factors:
         if all(factor.field != u.field for u in unique):
             unique.append(factor)
+    return unique
+
+
+def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray:
+    """Deterministic points on each factor zero set and pairwise intersection."""
     solutions = []
-    for factor in unique:
+    for factor in _unique(factors):
         pinned = factor.pinned_coordinate
         if pinned is not None:
             solutions.append({pinned: (0.0,)})
@@ -477,12 +482,7 @@ def necessity_witness(
     if any(not law.factors for law in laws):
         return None
     if factors is None:
-        collected: list[SingularityFactor] = []
-        for law in laws:
-            for factor in law.factors:
-                if all(factor.field != c.field for c in collected):
-                    collected.append(factor)
-        factors = collected
+        factors = _unique([f for law in laws for f in law.factors])
     dim = laws[0].coefficient.dim
     pinnable = [f for f in factors if f.pinned_coordinate is not None]
 

@@ -51,7 +51,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -75,7 +75,6 @@ __all__ = [
     "Sub",
     "VectorField",
     "as_expr",
-    "compile_kernel",
     "differentiate",
     "evaluate",
     "evaluate_many",
@@ -399,41 +398,23 @@ def evaluate_many(
 
     Uses raw IEEE semantics throughout (a vanishing denominator yields
     inf/nan rather than an error); intended for sampling loops where the
-    expressions are known to be benign.
+    expressions are known to be benign.  The expression is compiled to one
+    straight-line numpy function per call; parameters are bound once, as
+    floats, under generated names, and the code runs without builtins.
+    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
+    up, exceed what Python's parser accepts.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError("states must be a 2-d array of shape (n, dim)")
-    kernel = _generate((expr,), params, states.shape[1], np)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        (result,) = kernel(*states.T)
-    return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
-
-
-def compile_kernel(
-    exprs: Sequence[Expr], params: Mapping[str, Real], dim: int
-) -> Callable[..., tuple[float, ...]]:
-    """Float function of x1..x<dim> returning the value of each expression.
-
-    It performs the operations of :func:`evaluate` in the same order, with
-    integer constants as floats; a zero denominator raises ZeroDivisionError.
-    """
-    return _generate(exprs, params, dim, math)
-
-
-def _generate(exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, functions):
-    """Straight-line function of x1..x<dim> returning a tuple of values.
-
-    ``functions`` supplies ``sin`` and ``cos``.  Parameters are bound once,
-    as floats, under generated names, and the code runs without builtins.
-    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
-    up, exceed what Python's parser accepts.
-    """
-    namespace = {"__builtins__": {}, "sin": functions.sin, "cos": functions.cos}
-    outputs = ", ".join(_emit(exprs, params, dim, namespace))
+    dim = states.shape[1]
+    namespace = {"__builtins__": {}, "sin": np.sin, "cos": np.cos}
+    (source,) = _emit((expr,), params, dim, namespace)
     arguments = ", ".join(f"x{i}" for i in range(1, dim + 1))
-    exec(f"def kernel({arguments}):\n    return ({outputs},)\n", namespace)
-    return namespace["kernel"]
+    exec(f"def kernel({arguments}):\n    return {source}\n", namespace)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = namespace["kernel"](*states.T)
+    return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
 
 
 def _emit(

@@ -202,6 +202,22 @@ def test_coverage_usage_errors(tmp_path, capsys):
     assert main(["coverage", "--laws", ""]) == 1
 
 
+def test_coverage_rejects_nan_margin(tmp_path, capsys):
+    assert main(["--output-dir", str(tmp_path), "coverage",
+                 "--laws", "1,2", "--margin", "nan"]) == 1
+    assert "switchlin: margin must be a non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "coverage_report.txt").exists()
+
+
+@pytest.mark.parametrize("box", ["0:inf", "-inf:inf", "-1e308:1e308"])
+def test_coverage_rejects_box_without_finite_width(tmp_path, capsys, box):
+    assert main(["--output-dir", str(tmp_path), "coverage", "--laws", "1,2",
+                 "--samples", "10", f"--box={box}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("switchlin: ")
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # involutivity
 

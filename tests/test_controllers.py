@@ -11,19 +11,15 @@ from switchlin.controllers import (
     SingularControlError,
     SwitchThresholds,
     TrackingReference,
-    _reference_table,
+    _CYCLE,
+    _reference_scales,
     apply_law,
     compile_control,
-    compile_law,
-    law1,
-    law2,
-    law3,
     law_descriptor,
     outer_loop_v,
     pole_gains,
     supervisor,
     table_laws,
-    xi_coordinates,
 )
 from switchlin.geometry import derivative_chain
 from switchlin.sim import rk4_step
@@ -73,57 +69,55 @@ def test_thresholds_must_be_positive():
 def test_law1_mass_ratio_cancels():
     p = benchmark_plant()
     # (G * 0.5) / (2 * 0.2 * 0.5) with the cos term at angle zero
-    assert law1((0.2, 0, 0, 0.5), 0.0, p) == pytest.approx(24.525, rel=1e-12)
+    assert apply_law(1, (0.2, 0, 0, 0.5), 0.0, p) == pytest.approx(24.525, rel=1e-12)
 
 
 def test_law1_zero_numerator():
     p = benchmark_plant()
-    assert abs(law1((1.0, 0.0, math.pi / 2, 1.0), 0.0, p)) < 1e-12
+    assert abs(apply_law(1, (1.0, 0.0, math.pi / 2, 1.0), 0.0, p)) < 1e-12
 
 
 def test_law1_singularity_guard():
     p = benchmark_plant()
     with pytest.raises(SingularControlError):
-        law1((0.0, 0.0, 0.0, 1.0), 1.0, p)
+        apply_law(1, (0.0, 0.0, 0.0, 1.0), 1.0, p)
 
 
 def test_law2_constant_demand():
     p = benchmark_plant()
     expected = -7 / (5 * 9.81)
-    assert law2((0, 0, 0, 0), 1.0, p) == pytest.approx(expected, rel=1e-12)
+    assert apply_law(2, (0, 0, 0, 0), 1.0, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_law2_zero_numerator():
     p = benchmark_plant()
-    assert law2((0, 0, 0, 1), 0.0, p) == 0.0
+    assert apply_law(2, (0, 0, 0, 1), 0.0, p) == 0.0
 
 
 def test_law2_reduces_to_tangent():
     p = benchmark_plant()
-    assert law2((0, 0, math.pi / 4, 1), 0.0, p) == pytest.approx(1.0, rel=1e-12)
+    assert apply_law(2, (0, 0, math.pi / 4, 1), 0.0, p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_law3_constant_coefficient():
     p = benchmark_plant()
-    assert law3((5.0, -2.0, 1.0, 3.0), 1.0, p) == pytest.approx(
+    assert apply_law(3, (5.0, -2.0, 1.0, 3.0), 1.0, p) == pytest.approx(
         -7 / (5 * 9.81), rel=1e-12
     )
-    assert law3((0, 0, 0, 0), 0.0, p) == 0.0
+    assert apply_law(3, (0, 0, 0, 0), 0.0, p) == 0.0
 
 
 def test_law3_agrees_with_law2_at_origin(rng):
     p = benchmark_plant()
     for v in rng.uniform(-20, 20, size=20):
-        assert law3((0, 0, 0, 0), float(v), p) == pytest.approx(
-            law2((0, 0, 0, 0), float(v), p), rel=1e-14
+        assert apply_law(3, (0, 0, 0, 0), float(v), p) == pytest.approx(
+            apply_law(2, (0, 0, 0, 0), float(v), p), rel=1e-14
         )
 
 
 def test_apply_law_dispatch():
     p = benchmark_plant()
     x = (0.2, 0.1, 0.05, 0.5)
-    assert apply_law(1, x, 0.3, p) == law1(x, 0.3, p)
-    assert apply_law(3, x, 0.3, p) == law3(x, 0.3, p)
     with pytest.raises(ValueError):
         apply_law(4, x, 0.0, p)
 
@@ -138,7 +132,7 @@ def test_law1_exactness_through_symbolic_chain(plant, rng):
         if abs(2 * plant.B * x[0] * x[3]) < 0.01:
             continue
         v = float(rng.uniform(-10, 10))
-        u = law1(x, v, plant)
+        u = apply_law(1, x, v, plant)
         from switchlin.expr import Bindings
 
         at_x = Bindings(params, x)
@@ -156,7 +150,7 @@ def test_law2_exactness_in_xi_dynamics(plant, rng):
         if abs(math.cos(x[2])) < 0.1:
             continue
         v = float(rng.uniform(-10, 10))
-        u = law2(x, v, plant)
+        u = apply_law(2, x, v, plant)
         xi4dot = B * G * x[3] ** 2 * math.sin(x[2]) - B * G * math.cos(x[2]) * u
         assert abs(xi4dot - v) < 1e-10 * max(1.0, abs(v))
         count += 1
@@ -187,17 +181,18 @@ def test_selected_law_regularity(plant, rng):
 
 
 def test_xi_coordinates_at_origin(plant):
-    assert xi_coordinates((0, 0, 0, 0), plant) == (0.0, 0.0, 0.0, 0.0)
+    xi = law_descriptor(2).coordinate_values((0, 0, 0, 0), plant.symbol_values())
+    assert xi == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_xi_coordinates_values(plant):
-    xi = xi_coordinates((0.1, 0.2, 0.0, 1.0), plant)
+    xi = law_descriptor(2).coordinate_values((0.1, 0.2, 0.0, 1.0), plant.symbol_values())
     assert xi[0] == 0.1 and xi[1] == 0.2 and xi[2] == 0.0
     assert xi[3] == pytest.approx(-(5 / 7) * 9.81, rel=1e-12)
 
 
 def test_xi3_at_vertical_beam(plant):
-    xi = xi_coordinates((0, 0, math.pi / 2, 0), plant)
+    xi = law_descriptor(2).coordinate_values((0, 0, math.pi / 2, 0), plant.symbol_values())
     assert xi[2] == pytest.approx(-(5 / 7) * 9.81, rel=1e-12)
 
 
@@ -309,17 +304,21 @@ def _bits(values):
 @pytest.mark.parametrize("amplitude", [0.0, 0.4])
 @pytest.mark.parametrize("period", [3.0, 0.7])
 def test_reference_table_matches_derivatives_bit_for_bit(amplitude, period):
-    # the per-run table computes one cos and one sin per call; each entry,
-    # signed zeros included, is the one-at-a-time derivative
+    # the compiled control's targets, rebuilt from the constants it binds:
+    # scales[j] * (cos or sin)(omega t) with one cos and one sin per time.
+    # Each entry, signed zeros included, is the one-at-a-time derivative
     ref = TrackingReference(amplitude, period)
     omega = 2.0 * math.pi / period
     for order in (3, 4, 7):
-        table = _reference_table(ref, order)
+        bound_omega, scales = _reference_scales(ref, order)
+        assert bound_omega == omega
         for t in np.linspace(0.0, 12.0, 601).tolist() + [1e-300, 2.5e-4, 1e6]:
-            expected = [ref.derivative(t, j) for j in range(order + 1)]
-            assert _bits(table(t)) == _bits(expected)
-            # and the derivative is the textbook cycle cos -> -sin -> -cos -> sin
             phase = omega * t
+            waves = (math.cos(phase), math.sin(phase))
+            table = [scale * waves[_CYCLE[j % 4][1]] for j, scale in enumerate(scales)]
+            expected = [ref.derivative(t, j) for j in range(order + 1)]
+            assert _bits(table) == _bits(expected)
+            # and the derivative is the textbook cycle cos -> -sin -> -cos -> sin
             textbook = []
             for j in range(order + 1):
                 scale = amplitude * omega**j
@@ -345,9 +344,20 @@ def test_tracking_reference_validation():
 # law descriptors
 
 
+def _closed_form(law_id, x, v, plant):
+    # u = (-b_i(x) + v) / a_i(x), written out by hand
+    x1, x2, x3, x4 = x
+    B, G = plant.B, plant.G
+    if law_id == 1:
+        return (-(B * x2 * x4**2 - B * G * x4 * math.cos(x3)) + v) / (2 * B * x1 * x4)
+    if law_id == 2:
+        return (-(B * G * x4**2 * math.sin(x3)) + v) / (-B * G * math.cos(x3))
+    return v / (-B * G)
+
+
 def test_descriptors_match_closed_forms(plant, rng):
     params = plant.symbol_values()
-    for law_id, law_fn in ((1, law1), (2, law2), (3, law3)):
+    for law_id in (1, 2, 3):
         descriptor = law_descriptor(law_id)
         count = 0
         while count < 200:
@@ -356,7 +366,7 @@ def test_descriptors_match_closed_forms(plant, rng):
                 continue
             v = float(rng.uniform(-5, 5))
             assert descriptor.control(x, v, params) == pytest.approx(
-                law_fn(x, v, plant), rel=1e-12, abs=1e-12
+                _closed_form(law_id, x, v, plant), rel=1e-12, abs=1e-12
             )
             count += 1
 
@@ -399,10 +409,10 @@ def test_law1_closed_loop_third_derivative(plant):
     x = (0.3, 0.0, 0.0, 0.5)
     positions = []
     for _ in range(400):
-        u = law1(x, v, plant)
+        u = apply_law(1, x, v, plant)
         positions.append(x[0])
         # continuous feedback: recompute the law inside the step stages
-        x = rk4_step(lambda s: reduced_dynamics(s, law1(s, v, plant), plant), x, h)
+        x = rk4_step(lambda s: reduced_dynamics(s, apply_law(1, s, v, plant), plant), x, h)
     y = np.array(positions)
     jerk = (-0.5 * y[:-4] + y[1:-3] - y[3:-1] + 0.5 * y[4:]) / h**3
     tail = jerk[50:]
@@ -419,16 +429,14 @@ def test_descriptor_needs_one_coordinate_per_order():
         dataclasses.replace(law, order=3)
 
 
-def test_compile_law_checks_gain_order_once(plant):
-    from switchlin.controllers import compile_law
-
+def test_compile_control_checks_gain_order_once(plant):
     ref = TrackingReference(0.4, 3.0)
     with pytest.raises(ValueError, match="gain order"):
-        compile_law(law_descriptor(1), pole_gains(-3.0, 4), ref, plant)
-    control = compile_law(law_descriptor(1), pole_gains(-4.0, 3), ref, plant)
+        compile_control(law_descriptor(1), pole_gains(-3.0, 4), ref, plant)
+    control = compile_control(law_descriptor(1), pole_gains(-4.0, 3), ref, plant)
     x = (0.2, 0.1, 0.05, 0.5)
     v = outer_loop_v(x, ref, 0.7, law_descriptor(1), pole_gains(-4.0, 3), plant)
-    assert control(x, 0.7) == law1(x, v, plant)
+    assert control(x, 0.7)[0] == apply_law(1, x, v, plant)
     with pytest.raises(SingularControlError):
         control((0.0, 0.1, 0.05, 0.5), 0.7)
 
@@ -453,7 +461,6 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
     gains = pole_gains(-3.0, law.order)
     ref = TrackingReference(amplitude, 3.0)
     control = compile_control(law, gains, ref, plant)
-    u_only = compile_law(law, gains, ref, plant)
     rng = np.random.default_rng(60 + law_id)
     states = rng.uniform(-1.5, 1.5, size=(500, 4))
     states[::50, 0] = 0.0  # on law 1's singular set, and signed zeros elsewhere
@@ -465,7 +472,6 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
     for x, t in zip(states.tolist(), times.tolist()):
         expected = _outcome(_exact_control, law, gains, ref, plant, x, t)
         assert _outcome(lambda: control(x, t)[0]) == expected
-        assert _outcome(u_only, x, t) == expected
         if isinstance(expected, list):
             assert _bits([control(x, t)[1]]) == _bits([ref.value(t)])
         else:

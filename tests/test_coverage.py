@@ -160,6 +160,12 @@ def test_coverage_validation(params):
         coverage_check(table_laws(), BOX, 10, -0.5, params)
 
 
+def test_coverage_rejects_nan_margin(params):
+    # NaN fails every comparison, so as a threshold it would cover no state
+    with pytest.raises(ValueError, match="margin must be a non-negative number, got nan"):
+        coverage_check(table_laws()[:2], BOX, 10, math.nan, params)
+
+
 def test_coverage_witness_csv_format(params):
     report = coverage_check([law_descriptor(1)], BOX, 100, 0.0, params)
     lines = report.witnesses_csv().splitlines()

@@ -463,15 +463,18 @@ def test_evaluate_many_state_array_too_narrow():
         parse("x1 + x4", 4).evaluate_many({}, np.zeros((3, 2)))
 
 
-def test_compile_kernel_matches_exact_evaluation(rng):
-    from switchlin.expr import compile_kernel
-
+def test_evaluate_many_matches_exact_evaluation_on_law_fields(rng):
+    # the compiled numpy kernel performs the operations of the exact
+    # evaluator in the same order, so each law field agrees with == on
+    # every state, not just to a tolerance
     params = {"B": 5 / 7, "G": 9.81}
     fields = []
     for law_id in (1, 2, 3):
         law = law_descriptor(law_id)
         fields.extend([law.coefficient, law.offset, *law.coordinates])
-    kernel = compile_kernel([f.expr for f in fields], params, 4)
-    for state in rng.uniform(-2, 2, size=(200, 4)):
-        x = tuple(float(v) for v in state)
-        assert kernel(*x) == tuple(f.evaluate(Bindings(params, x)) for f in fields)
+    states = rng.uniform(-2, 2, size=(200, 4))
+    exact = [tuple(float(v) for v in state) for state in states]
+    for field in fields:
+        assert field.evaluate_many(params, states).tolist() == [
+            field.evaluate(Bindings(params, x)) for x in exact
+        ]

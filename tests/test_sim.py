@@ -278,7 +278,7 @@ def test_law2_only_tracking_converges():
     # tracking; this pins down that the divergence of the supervised
     # benchmark is a property of the switching, not of the laws
     from switchlin.ballbeam import reduced_dynamics
-    from switchlin.controllers import law2, law_descriptor, outer_loop_v, pole_gains
+    from switchlin.controllers import apply_law, law_descriptor, outer_loop_v, pole_gains
 
     p = benchmark_plant()
     ref = TrackingReference(0.4, 3.0)
@@ -289,7 +289,7 @@ def test_law2_only_tracking_converges():
     max_abs_x3 = 0.0
     for k in range(round(duration / h)):
         t = k * h
-        u = law2(x, outer_loop_v(x, ref, t, descriptor, gains, p), p)
+        u = apply_law(2, x, outer_loop_v(x, ref, t, descriptor, gains, p), p)
         if t >= duration - 10.0:
             tail.append((x[0] - ref.value(t)) ** 2)
         max_abs_x3 = max(max_abs_x3, abs(x[2]))
