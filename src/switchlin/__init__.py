@@ -50,7 +50,7 @@ from .geometry import (
     relative_degree_at,
     transversality_rank,
 )
-from .sim import Metrics, Scenario, Trajectory, load_scenario, rk4_step, run, sweep
+from .sim import Metrics, Scenario, Trajectory, load_scenario, rk4_step, run
 
 __version__ = "0.1.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "rk4_step",
     "run",
     "supervisor",
-    "sweep",
     "symbolic_system",
     "table_laws",
     "transversality_rank",

@@ -64,6 +64,9 @@ class PlantParams:
         if self.G < 0:
             # zero gravity is allowed: it isolates the centrifugal term
             raise ValueError("plant parameter G must be non-negative")
+        for name in ("M", "R", "J", "Jb", "G"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"plant parameter {name} must be finite")
 
     @functools.cached_property  # read by every reduced_dynamics call
     def B(self) -> float:

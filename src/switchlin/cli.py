@@ -146,9 +146,12 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
     if len(parts) != dim:
         raise UsageError(f"probe point needs {dim} comma-separated values: {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        point = tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad probe point {text!r}") from None
+    if not all(math.isfinite(v) for v in point):
+        raise UsageError(f"probe point {text!r} must be finite")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def cmd_derive(args) -> int:
     print(f"uniform chain through order {args.order}: {'yes' if chain.uniform else 'no'}")
     for probe in args.probe or []:
         point = _parse_point(probe, system.dim)
-        gamma = relative_degree_at(system, point, max_order=system.dim)
+        gamma = relative_degree_at(system, point)
         verdict = str(gamma) if gamma is not None else f"undefined (through order {system.dim})"
         print(f"relative degree at {_fmt_vec(point)}: {verdict}")
     return 0
@@ -297,7 +300,7 @@ def cmd_sweep(args) -> int:
         out_rows.append(
             (
                 stem,
-                float(np.min(np.abs(trajectory.a1))),
+                metrics.min_abs_a1,
                 float(np.min(np.abs(trajectory.states[:, 0]))),
                 float(np.min(np.abs(trajectory.states[:, 3]))),
                 float(np.min(trajectory.abscos3)),

@@ -86,6 +86,8 @@ class SwitchThresholds:
     def __post_init__(self):
         if not (self.eps1 > 0 and self.eps4 > 0):
             raise ValueError("switching thresholds must be strictly positive")
+        if not (math.isfinite(self.eps1) and math.isfinite(self.eps4)):
+            raise ValueError("switching thresholds must be finite")
 
 
 def supervisor(x: Sequence[float], thresholds: SwitchThresholds) -> int:
@@ -111,6 +113,8 @@ class TrackingReference:
             raise ValueError("reference amplitude must be non-negative")
         if not self.period > 0:
             raise ValueError("reference period must be positive")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.period)):
+            raise ValueError("reference amplitude and period must be finite")
 
     def derivative(self, t: float, order: int = 0) -> float:
         """Exact analytic derivative y_d^(order)(t) for order >= 0."""
@@ -289,13 +293,9 @@ def _fields(*texts: str) -> tuple[ScalarField, ...]:
     return tuple(parse(text, 4) for text in texts)
 
 
-def table_laws(alternate_law3: bool = False) -> tuple[LawDescriptor, ...]:
-    """The three shipped laws; optionally with the g-modified law 3 variant."""
-    return (
-        law_descriptor(1),
-        law_descriptor(2),
-        law_descriptor(3, g_modified=alternate_law3),
-    )
+def table_laws() -> tuple[LawDescriptor, ...]:
+    """The three shipped laws."""
+    return (law_descriptor(1), law_descriptor(2), law_descriptor(3))
 
 
 # ---------------------------------------------------------------------------

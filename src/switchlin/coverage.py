@@ -13,6 +13,9 @@ evidence machinery around that structure:
 * ``coverage_check`` samples a box (plus deterministic probes placed on
   each component and each pairwise intersection) and reports every state
   at which no supplied law is valid;
+* one line-root finder serves both: a factor that is not a bare
+  coordinate is solved along a random line (pure parts) or along its
+  axis (probes) by a vectorised scan refined by brentq;
 * ``necessity_witness`` deterministically searches the declared
   singularity sets for a state where every supplied law's coefficient
   vanishes, demonstrating that the given subset of laws cannot cover the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -124,16 +127,14 @@ def factor_check(
                 f"could not find {n} points clear of the factor zero sets"
             )
         batch = rng.uniform(lows, highs, size=(max(n, 1024), len(box)))
-        magnitudes = np.column_stack(
-            [np.abs(f.field.evaluate_many(params, batch)) for f in factors]
-        )
-        keep = np.min(magnitudes, axis=1) > 1e-8
+        factor_values = [f.field.evaluate_many(params, batch) for f in factors]
+        keep = np.min(np.abs(np.column_stack(factor_values)), axis=1) > 1e-8
         batch = batch[keep]
         if batch.size == 0:
             continue
         product = np.ones(len(batch))
-        for f in factors:
-            product *= f.field.evaluate_many(params, batch)
+        for v in factor_values:
+            product *= v[keep]
         quotients.append(a.evaluate_many(params, batch) / product)
         accepted += len(batch)
     values = np.concatenate(quotients)[:n]
@@ -153,9 +154,8 @@ def pure_part_sample(
     n: int,
     params: Mapping[str, Real],
     seed: int = 0,
-    clearance: float = PURE_PART_CLEARANCE,
 ) -> np.ndarray:
-    """n points on the pure part X_index: phi_index = 0, |phi_j| > clearance.
+    """n points on the pure part X_index: phi_index = 0, |phi_j| > PURE_PART_CLEARANCE.
 
     ``index`` is 1-based.  Coordinate factors are pinned to zero exactly;
     any other factor is solved to rounding error along a random line
@@ -184,51 +184,54 @@ def pure_part_sample(
         if pinned is not None:
             point[pinned - 1] = 0.0
         else:
-            solved = _solve_on_line(target.field, point, rng.normal(size=dim), params)
-            if solved is None:
+            direction = rng.normal(size=dim)
+            norm = np.linalg.norm(direction)
+            if norm == 0:
                 continue
-            point = solved
+            direction = direction / norm
+            t = next(_roots_along(target.field, point, direction, params, 8.0, 161), None)
+            if t is None:
+                continue
+            point = point + t * direction
         at_point = Bindings(params, tuple(point))
         if abs(target.field.evaluate(at_point)) > ZERO_FLOOR:
             continue
-        if all(abs(f.field.evaluate(at_point)) > clearance for f in others):
+        if all(abs(f.field.evaluate(at_point)) > PURE_PART_CLEARANCE for f in others):
             points.append(point)
     return np.array(points)
 
 
-def _solve_on_line(
+def _roots_along(
     field: ScalarField,
     base: np.ndarray,
     direction: np.ndarray,
     params: Mapping[str, Real],
-    span: float = 8.0,
-) -> np.ndarray | None:
-    """Root of field along base + t * direction, t in [-span, span], or None.
+    span: float,
+    samples: int,
+) -> Iterator[float]:
+    """Roots t of field along base + t * direction, t in [-span, span], in order.
 
-    The 161-point scan is one vectorised evaluation; brentq refines the
-    first bracket with exact evaluation.  A non-finite scan value (a
-    vanishing denominator on the line) never brackets a root: the line is
-    dropped and None returned, so the caller draws a new point.
+    The scan is one vectorised evaluation; each sign change is refined by
+    brentq with exact evaluation, and an exact zero at a scan point is
+    yielded as is.  A non-finite scan value (a vanishing denominator on the
+    line) never brackets a root: the whole line yields nothing.  An unbound
+    parameter raises EvaluationError on the first ``next``.
     """
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        return None
-    direction = direction / norm
 
     def along(t: float) -> float:
         return field.evaluate(Bindings(params, tuple(base + t * direction)))
 
-    ts = np.linspace(-span, span, 161)
+    ts = np.linspace(-span, span, samples)
     values = field.evaluate_many(params, base + ts[:, None] * direction)
     if not np.all(np.isfinite(values)):
-        return None
+        return
     for left, right, f_left, f_right in zip(ts, ts[1:], values, values[1:]):
         if f_left == 0.0:
-            return base + left * direction
-        if f_left * f_right < 0:
-            root = brentq(along, left, right, xtol=1e-15, rtol=8.9e-16)
-            return base + root * direction
-    return None
+            yield float(left)
+        elif f_left * f_right < 0:
+            yield float(brentq(along, left, right, xtol=1e-15, rtol=8.9e-16))
+    if values[-1] == 0.0:
+        yield float(ts[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +368,16 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
         if pinned is not None:
             solutions.append({pinned: (0.0,)})
             continue
-        var = _single_variable(factor.field)
-        if var is None:
+        found = state_indices(factor.field.expr)
+        if len(found) != 1:
             continue  # multi-variable factor: probed only via the grid
-        roots = _axis_roots(factor.field, var)
+        (var,) = found
+        axis = np.zeros(dim)
+        axis[var - 1] = 1.0
+        try:
+            roots = list(_roots_along(factor.field, np.zeros(dim), axis, {}, math.pi, 257))
+        except EvaluationError:
+            continue  # a factor with a parameter is probed only via the grid
         if roots:
             solutions.append({var: tuple(roots)})
     points: list[tuple[float, ...]] = []
@@ -395,50 +404,6 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
     return np.array(points) if points else np.empty((0, dim))
 
 
-def _single_variable(field: ScalarField) -> int | None:
-    found = state_indices(field.expr)
-    if len(found) == 1:
-        return next(iter(found))
-    return None
-
-
-def _axis_roots(
-    field: ScalarField, var: int, span: float = math.pi, samples: int = 257
-) -> list[float]:
-    """Roots of a single-variable factor along its axis in [-span, span].
-
-    The scan is one vectorised evaluation with no parameters bound, and
-    brentq refines each bracket with exact evaluation.  A factor with a
-    parameter (EvaluationError) or with a non-finite scan value yields no
-    roots.
-    """
-    base = np.zeros(field.dim)
-
-    def along(t: float) -> float:
-        point = base.copy()
-        point[var - 1] = t
-        return field.evaluate(Bindings({}, tuple(point)))
-
-    ts = np.linspace(-span, span, samples)
-    scan = np.zeros((samples, field.dim))
-    scan[:, var - 1] = ts
-    try:
-        values = field.evaluate_many({}, scan)
-    except EvaluationError:
-        return []
-    if not np.all(np.isfinite(values)):
-        return []
-    roots = []
-    for left, right, f_left, f_right in zip(ts, ts[1:], values, values[1:]):
-        if f_left == 0.0:
-            roots.append(float(left))
-        elif f_left * f_right < 0:
-            roots.append(float(brentq(along, left, right, xtol=1e-15, rtol=8.9e-16)))
-    if values[-1] == 0.0:
-        roots.append(float(ts[-1]))
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # necessity witness search
 
@@ -455,10 +420,7 @@ _X3_AXIS_INDEX = 3
 
 
 def necessity_witness(
-    laws: Sequence[LawDescriptor],
-    factors: Sequence[SingularityFactor] | None = None,
-    params: Mapping[str, Real] | None = None,
-    tol: float = NECESSITY_TOL,
+    laws: Sequence[LawDescriptor], params: Mapping[str, Real]
 ) -> tuple[float, ...] | None:
     """Deterministic search for a state where every supplied law fails.
 
@@ -469,29 +431,24 @@ def necessity_witness(
     [-1, 1] at 21 points per axis, plus beam-angle probes at 0, +-pi/4,
     +-pi/2.  Each grid is evaluated as one vectorised batch, and the first
     state in ``itertools.product`` order at which every law's coefficient
-    magnitude is below ``tol`` is returned, or None.
+    magnitude is below ``NECESSITY_TOL`` is returned, or None.
 
     A law that declares no singularity factors is valid everywhere by
     declaration, so no witness can exist and the search is skipped.
     """
     laws = list(laws)
-    if params is None:
-        params = {}
     if not laws:
         return None
     if any(not law.factors for law in laws):
         return None
-    if factors is None:
-        factors = _unique([f for law in laws for f in law.factors])
+    factors = _unique([f for law in laws for f in law.factors])
     dim = laws[0].coefficient.dim
     pinnable = [f for f in factors if f.pinned_coordinate is not None]
 
     # stage 1: pure parts of single coordinate factors
     for target in pinnable:
         others = [f for f in factors if f.field != target.field]
-        witness = _grid_search(
-            dim, {target.pinned_coordinate: 0.0}, laws, tol, others, params
-        )
+        witness = _grid_search(dim, {target.pinned_coordinate: 0.0}, laws, others, params)
         if witness is not None:
             return witness
 
@@ -501,28 +458,27 @@ def necessity_witness(
             pins = {f.pinned_coordinate: 0.0 for f in combo}
             if len(pins) < size:
                 continue
-            witness = _grid_search(dim, pins, laws, tol, (), params)
+            witness = _grid_search(dim, pins, laws, (), params)
             if witness is not None:
                 return witness
 
     # stage 3: unconstrained grid, for factor lists with nothing to pin
-    return _grid_search(dim, {}, laws, tol, (), params)
+    return _grid_search(dim, {}, laws, (), params)
 
 
 def _grid_search(
     dim: int,
     pins: Mapping[int, float],
     laws: Sequence[LawDescriptor],
-    tol: float,
     clear_factors: Sequence[SingularityFactor],
     params: Mapping[str, Real],
 ) -> tuple[float, ...] | None:
     """First grid state, in product order, that is clear and a witness.
 
     A state is clear when every clear factor exceeds PURE_PART_CLEARANCE in
-    magnitude, and a witness when every law's coefficient is below ``tol``
-    in magnitude.  A NaN (0/0 on the grid) never counts as either; an
-    infinite factor value counts as clear.
+    magnitude, and a witness when every law's coefficient is below
+    NECESSITY_TOL in magnitude.  A NaN (0/0 on the grid) never counts as
+    either; an infinite factor value counts as clear.
     """
     axes = []
     for i in range(1, dim + 1):
@@ -540,7 +496,7 @@ def _grid_search(
     for f in clear_factors:
         keep &= np.abs(f.field.evaluate_many(params, grid)) > PURE_PART_CLEARANCE
     for law in laws:
-        keep &= np.abs(law.coefficient.evaluate_many(params, grid)) < tol
+        keep &= np.abs(law.coefficient.evaluate_many(params, grid)) < NECESSITY_TOL
     hits = np.flatnonzero(keep)
     if len(hits) == 0:
         return None

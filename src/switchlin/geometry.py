@@ -52,7 +52,7 @@ __all__ = [
 #: relative singular-value threshold for all numeric rank decisions
 RANK_RTOL = 1e-9
 
-#: default tolerance for deciding that a mixed derivative is nonzero
+#: tolerance for deciding that a mixed derivative is nonzero
 RELDEG_TOL = 1e-9
 
 #: radius of the sampled neighbourhood used by the relative-degree probe
@@ -165,39 +165,28 @@ def derivative_chain(sys: ControlAffineSystem, order: int) -> DerivativeChain:
     return DerivativeChain(tuple(outputs), tuple(mixed), order)
 
 
-def relative_degree_at(
-    sys: ControlAffineSystem,
-    x0: Sequence[float],
-    max_order: int | None = None,
-    tol: float = RELDEG_TOL,
-) -> int | None:
-    """Relative degree at x0, or None if undefined through ``max_order``.
+def relative_degree_at(sys: ControlAffineSystem, x0: Sequence[float]) -> int | None:
+    """Relative degree at x0, or None if undefined through order ``sys.dim``.
 
-    Returns the smallest gamma with |L_g L_f^(gamma-1) h(x0)| > tol such
-    that every lower mixed derivative vanishes near x0.  "Vanishes near"
+    Returns the smallest gamma with |L_g L_f^(gamma-1) h(x0)| > RELDEG_TOL
+    such that every lower mixed derivative vanishes near x0.  "Vanishes near"
     is decided symbolically when the derivative simplifies to zero, and
     otherwise by sampling points in a small ball around x0 (a heuristic
     fallback; the symbolic path is exact for the systems shipped here).
     """
-    if max_order is None:
-        max_order = sys.dim
-    if not 1 <= max_order <= sys.dim:
-        raise ValueError(f"max_order must be in 1..{sys.dim}, got {max_order}")
-    chain = derivative_chain(sys, max_order)
+    chain = derivative_chain(sys, sys.dim)
     at_x0 = sys.bindings(x0)
-    for gamma in range(1, max_order + 1):
-        if abs(chain.mixed[gamma - 1].evaluate(at_x0)) <= tol:
+    for gamma in range(1, sys.dim + 1):
+        if abs(chain.mixed[gamma - 1].evaluate(at_x0)) <= RELDEG_TOL:
             continue
         lower = chain.mixed[: gamma - 1]
-        if all(_vanishes_near(m, x0, sys.params, tol) for m in lower):
+        if all(_vanishes_near(m, x0, sys.params) for m in lower):
             return gamma
         return None
     return None
 
 
-def _vanishes_near(
-    field_: ScalarField, x0: Sequence[float], params: Mapping[str, Real], tol: float
-) -> bool:
+def _vanishes_near(field_: ScalarField, x0: Sequence[float], params: Mapping[str, Real]) -> bool:
     if field_.is_zero():
         return True
     rng = np.random.default_rng(0)
@@ -206,21 +195,21 @@ def _vanishes_near(
     radii = rng.uniform(0.0, 1.0, NEIGHBOURHOOD_SAMPLES) ** (1.0 / field_.dim)
     points = np.asarray(x0, dtype=float) + NEIGHBOURHOOD_RADIUS * radii[:, None] * directions
     values = field_.evaluate_many(params, points)
-    return bool(np.max(np.abs(values)) <= tol)
+    return bool(np.max(np.abs(values)) <= RELDEG_TOL)
 
 
-def matrix_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Numeric rank: singular values above rtol times the largest one."""
+def matrix_rank(matrix: np.ndarray) -> int:
+    """Numeric rank: singular values above RANK_RTOL times the largest one."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
 
 
-def transversality_rank(differentials: Sequence[Sequence[float]], rtol: float = RANK_RTOL) -> int:
+def transversality_rank(differentials: Sequence[Sequence[float]]) -> int:
     """Rank of stacked covectors at a point.
 
     Full rank k means the k hypersurfaces whose differentials were stacked
@@ -232,7 +221,7 @@ def transversality_rank(differentials: Sequence[Sequence[float]], rtol: float = 
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("all covectors must have the same length")
-    return matrix_rank(np.array(rows, dtype=float), rtol)
+    return matrix_rank(np.array(rows, dtype=float))
 
 
 @dataclass(frozen=True)

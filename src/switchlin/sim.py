@@ -21,7 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "run",
     "scenario_from_dict",
     "scenario_to_dict",
-    "sweep",
 ]
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,law,a1,err,abscos3"
@@ -337,16 +336,6 @@ def _metrics(trajectory: Trajectory, sc: Scenario) -> Metrics:
         dwell_fractions=dwell,
         tail_window=sc.tail_window,
     )
-
-
-def sweep(scenarios: Iterable[Scenario]) -> list[tuple[Trajectory, Metrics]]:
-    """Run scenarios independently, in order.
-
-    Each run is a pure function of its scenario, so results do not depend
-    on execution order; callers wanting per-scenario fault isolation
-    should wrap individual `run` calls instead.
-    """
-    return [run(sc) for sc in scenarios]
 
 
 # ---------------------------------------------------------------------------

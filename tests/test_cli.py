@@ -88,6 +88,12 @@ def test_derive_usage_errors(capsys):
                  "--probe", "1,2"]) == 1
 
 
+@pytest.mark.parametrize("probe", ["nan,0,0,nan", "0,inf,0,0", "0,0,-inf,0"])
+def test_derive_rejects_non_finite_probe(capsys, probe):
+    assert main(["derive", "--order", "3", "--probe", probe]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -235,6 +241,14 @@ def test_involutivity_probe_file(tmp_path, capsys):
     assert main(["involutivity", "--probes", str(probes)]) == 0
     out = capsys.readouterr().out
     assert out.count("bracket =") == 2
+
+
+def test_involutivity_rejects_non_finite_probe(tmp_path, capsys):
+    probes = tmp_path / "probes.csv"
+    probes.write_text("1,0,0,0\nnan,0,0,0\n")
+    assert main(["involutivity", "--probes", str(probes)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("switchlin: ") and "must be finite" in err
 
 
 def test_involutivity_empty_probe_file(tmp_path, capsys):

@@ -340,6 +340,25 @@ def test_tracking_reference_validation():
         TrackingReference(0.4, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: TrackingReference(v, 3.0),
+        lambda v: TrackingReference(0.4, v),
+        lambda v: SwitchThresholds(v, 0.08),
+        lambda v: SwitchThresholds(0.05, v),
+        lambda v: PlantParams.solid_sphere(G=v),
+        lambda v: PlantParams(M=v, R=1.0, J=1.0, Jb=1.0),
+        lambda v: PlantParams(M=1.0, R=1.0, J=v, Jb=1.0),
+    ],
+    ids=["amplitude", "period", "eps1", "eps4", "G", "M", "J"],
+)
+def test_non_finite_parameters_are_rejected(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # law descriptors
 
@@ -394,7 +413,6 @@ def test_g_modified_variant_only_for_law3():
 
 def test_table_laws_names():
     assert [d.name for d in table_laws()] == ["law1", "law2", "law3"]
-    assert [d.name for d in table_laws(alternate_law3=True)] == ["law1", "law2", "law3g"]
 
 
 # ---------------------------------------------------------------------------

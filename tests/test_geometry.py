@@ -235,12 +235,12 @@ def _double_integrator():
 
 
 def test_relative_degree_regular_point(bb):
-    assert relative_degree_at(bb, (1, 0, 0, 1), max_order=3) == 3
+    assert relative_degree_at(bb, (1, 0, 0, 1)) == 3
 
 
 def test_relative_degree_undefined_on_singular_set(bb):
-    assert relative_degree_at(bb, (0, 0, 0, 0), max_order=3) is None
-    assert relative_degree_at(bb, (1, 1, 1, 0), max_order=3) is None
+    assert relative_degree_at(bb, (0, 0, 0, 0)) is None
+    assert relative_degree_at(bb, (1, 1, 1, 0)) is None
 
 
 def test_relative_degree_double_integrator(rng):
@@ -267,9 +267,7 @@ def test_relative_degree_invariant_under_output_scaling(bb, rng):
             f=bb.f, g=bb.g, h=ScalarField(c * bb.h.expr, 4), params=bb.params
         )
         for x in [(1, 0, 0, 1), (0.3, -1, 0.5, -0.7), (-2, 0.1, 0.2, 1.5)]:
-            assert relative_degree_at(scaled, x, max_order=3) == relative_degree_at(
-                bb, x, max_order=3
-            )
+            assert relative_degree_at(scaled, x) == relative_degree_at(bb, x)
 
 
 # ---------------------------------------------------------------------------

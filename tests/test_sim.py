@@ -21,7 +21,6 @@ from switchlin.sim import (
     run,
     scenario_from_dict,
     scenario_to_dict,
-    sweep,
 )
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -296,14 +295,6 @@ def test_law2_only_tracking_converges():
         x = rk4_step(lambda s: reduced_dynamics(s, u, p), x, h)
     assert math.sqrt(np.mean(tail)) < 0.01
     assert max_abs_x3 < math.radians(20.0)
-
-
-def test_sweep_runs_are_independent_and_deterministic():
-    scenarios = [_scenario(duration=2.0), _scenario(duration=2.0)]
-    results = sweep(scenarios)
-    assert len(results) == 2
-    assert np.array_equal(results[0][0].states, results[1][0].states)
-    assert sweep([]) == []
 
 
 # ---------------------------------------------------------------------------
