@@ -7,7 +7,7 @@ closed-loop simulator, and sampling-based coverage / necessity analysis
 for families of control laws.
 """
 
-from .ballbeam import PlantParams, State, benchmark_plant, symbolic_system
+from .ballbeam import PlantParams, benchmark_plant, symbolic_system
 from .controllers import (
     GainSet,
     LawDescriptor,
@@ -70,7 +70,6 @@ __all__ = [
     "ScalarField",
     "Scenario",
     "SingularityFactor",
-    "State",
     "SwitchThresholds",
     "TrackingReference",
     "Trajectory",

@@ -23,14 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .expr import Parameter, ScalarField, Sin, StateVar, VectorField
 from .geometry import ControlAffineSystem
 
 __all__ = [
     "PlantParams",
-    "State",
     "benchmark_plant",
     "full_dynamics",
     "reduced_dynamics",
@@ -95,15 +94,6 @@ class PlantParams:
 def benchmark_plant() -> PlantParams:
     """The standard laboratory parameter set used by the shipped scenarios."""
     return PlantParams(M=0.05, R=0.01, J=0.02, Jb=2e-6, G=9.81)
-
-
-class State(NamedTuple):
-    """Plant state (ball position [m], ball velocity [m/s], beam angle [rad], beam rate [rad/s])."""
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
 
 
 def reduced_dynamics(

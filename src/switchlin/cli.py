@@ -35,7 +35,7 @@ from .geometry import (
     involutivity_witness,
     relative_degree_at,
 )
-from .sim import ScenarioError, SimulationError, load_scenario, run
+from .sim import Metrics, ScenarioError, SimulationError, Trajectory, load_scenario, run
 
 __all__ = ["main"]
 
@@ -185,12 +185,18 @@ def cmd_simulate(args) -> int:
     trajectory_path = _resolve(args, args.trajectory or f"{stem}_trajectory.csv")
     metrics_path = _resolve(args, args.metrics or f"{stem}_metrics.txt")
     trajectory, metrics = run(scenario)
-    trajectory.to_csv(trajectory_path)
-    metrics_path.write_text(metrics.report_text(), encoding="ascii")
+    _write_run(trajectory, metrics, trajectory_path, metrics_path)
     print(f"trajectory: {trajectory_path} ({len(trajectory)} samples)")
     print(f"metrics:    {metrics_path}")
     print(metrics.report_text(), end="")
     return 0
+
+
+def _write_run(
+    trajectory: Trajectory, metrics: Metrics, trajectory_path: Path, metrics_path: Path
+) -> None:
+    trajectory.to_csv(trajectory_path)
+    metrics_path.write_text(metrics.report_text(), encoding="ascii")
 
 
 _LAW_TOKENS = {"1": (1, False), "2": (2, False), "3": (3, False), "3g": (3, True)}
@@ -293,10 +299,8 @@ def cmd_sweep(args) -> int:
             failures += 1
             print(f"{stem}: FAILED ({exc})", file=sys.stderr)
             continue
-        trajectory.to_csv(_resolve(args, f"{stem}_trajectory.csv"))
-        _resolve(args, f"{stem}_metrics.txt").write_text(
-            metrics.report_text(), encoding="ascii"
-        )
+        trajectory_path = _resolve(args, f"{stem}_trajectory.csv")
+        _write_run(trajectory, metrics, trajectory_path, _resolve(args, f"{stem}_metrics.txt"))
         out_rows.append(
             (
                 stem,

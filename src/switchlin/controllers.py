@@ -6,8 +6,8 @@ offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, :func:`compile_control`
 generates each law's whole control, outer loop included, as one
-straight-line function, once per law and plant, and binds the reference
-and the gains per call.
+straight-line function, once per law, and binds the plant, the reference
+and the gains per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .ballbeam import PlantParams
-from .expr import Bindings, Real, ScalarField, _emit, parse
+from .expr import Bindings, Real, ScalarField, _bind, _compile, _emit, parse
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -120,11 +120,9 @@ class TrackingReference:
         """Exact analytic derivative y_d^(order)(t) for order >= 0."""
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        omega = 2.0 * math.pi / self.period
-        scale = self.amplitude * omega**order
+        omega, scales = _reference_scales(self, order)
         phase = omega * t
-        negated, sine = _CYCLE[order % 4]
-        return (-scale if negated else scale) * (math.sin(phase) if sine else math.cos(phase))
+        return scales[order] * (math.sin(phase) if _CYCLE[order % 4][1] else math.cos(phase))
 
     def value(self, t: float) -> float:
         return self.derivative(t, 0)
@@ -337,41 +335,34 @@ def compile_control(
 
     u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains,
     p), p.symbol_values())`` and y_d bit for bit ``ref.value(t)``.  The
-    code is generated once per law and plant; the reference constants and
-    the gains are bound here, so a new call generates nothing.
+    code is generated once per law; the plant values, the reference
+    constants and the gains are bound here, so a new call generates nothing.
     """
     _check_order(law, gains)
-    plant = tuple((name, float(value).hex()) for name, value in p.symbol_values().items())
+    make, names = _control_factory(law)
     omega, scales = _reference_scales(ref, law.order)
-    return _control_factory(law, plant)(omega, *scales, *gains.alphas)
+    return make(*_bind(names, p.symbol_values()), omega, *scales, *gains.alphas)
 
 
-@functools.lru_cache(maxsize=64)  # bounded: a sweep may vary the plant
-def _control_factory(law: LawDescriptor, plant: tuple[tuple[str, str], ...]) -> Callable:
-    """Generate ``make(omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
+@functools.cache  # unbounded: one entry per law descriptor, whatever the plant
+def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
+    """Generate ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
 
-    ``plant`` holds the parameter values as ``float.hex`` strings, so the
-    cache tells 0.0 from -0.0.  ``control(x, t)`` computes the law's
-    coefficient, offset and coordinates q_j as the expr emitter writes them,
-    the targets r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
+    Returns ``make`` and the plant parameter names that ``p0, p1, ..``
+    stand for.  ``control(x, t)`` computes the law's coefficient, offset
+    and coordinates q_j as the expr emitter writes them, the targets
+    r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
     v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
     the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
     the operations of the exact path, in its order.  It returns (u, r_0).
     """
     order = law.order
-    params = {name: float.fromhex(value) for name, value in plant}
-    namespace = {
-        "__builtins__": {},
-        "sin": math.sin,
-        "cos": math.cos,
-        "abs": abs,
-        "SingularControlError": SingularControlError,
-    }
     fields = (law.coefficient, law.offset, *law.coordinates)
-    coefficient, offset, *coordinates = _emit([f.expr for f in fields], params, 4, namespace)
+    (coefficient, offset, *coordinates), names = _emit([f.expr for f in fields], 4)
+    plant = [f"p{k}" for k in range(len(names))]
     constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
     lines = [
-        f"def make(omega, {', '.join(constants)}):",
+        f"def make({', '.join(plant + ['omega'] + constants)}):",
         "    def control(x, t):",
         "        x1, x2, x3, x4 = x",
         f"        coefficient = {coefficient}",
@@ -392,8 +383,15 @@ def _control_factory(law: LawDescriptor, plant: tuple[tuple[str, str], ...]) -> 
         "        return (-offset + v) / coefficient, r0",
         "    return control",
     ]
-    exec("\n".join(lines) + "\n", namespace)
-    return namespace["make"]
+    make = _compile(
+        "\n".join(lines) + "\n",
+        "make",
+        sin=math.sin,
+        cos=math.cos,
+        abs=abs,
+        SingularControlError=SingularControlError,
+    )
+    return make, names
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

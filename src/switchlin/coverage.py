@@ -366,7 +366,7 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
     for factor in _unique(factors):
         pinned = factor.pinned_coordinate
         if pinned is not None:
-            solutions.append({pinned: (0.0,)})
+            solutions.append((pinned, (0.0,)))
             continue
         found = state_indices(factor.field.expr)
         if len(found) != 1:
@@ -379,29 +379,16 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
         except EvaluationError:
             continue  # a factor with a parameter is probed only via the grid
         if roots:
-            solutions.append({var: tuple(roots)})
-    points: list[tuple[float, ...]] = []
-    seen = set()
+            solutions.append((var, tuple(roots)))
+    points: dict[tuple[float, ...], None] = {}  # distinct points, first-seen order
     for size in (1, 2):
         for combo in itertools.combinations(solutions, size):
-            pins: dict[int, tuple[float, ...]] = {}
-            ok = True
-            for solution in combo:
-                (var, roots), = solution.items()
-                if var in pins:
-                    ok = False
-                    break
-                pins[var] = roots
-            if not ok:
-                continue
-            axes = [
-                pins.get(i, _PROBE_GRID) for i in range(1, dim + 1)
-            ]
-            for point in itertools.product(*axes):
-                if point not in seen:
-                    seen.add(point)
-                    points.append(point)
-    return np.array(points) if points else np.empty((0, dim))
+            pins = dict(combo)
+            if len(pins) < size:
+                continue  # both factors pin the same coordinate
+            grid = _grid([pins.get(i, _PROBE_GRID) for i in range(1, dim + 1)])
+            points.update(dict.fromkeys(map(tuple, grid.tolist())))
+    return np.array(list(points)) if points else np.empty((0, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +477,7 @@ def _grid_search(
             )
         else:
             axes.append(_AXIS_CANDIDATES)
-    # indexing="ij" makes the last axis vary fastest, as itertools.product does
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    grid = _grid(axes)
     keep = np.ones(len(grid), dtype=bool)
     for f in clear_factors:
         keep &= np.abs(f.field.evaluate_many(params, grid)) > PURE_PART_CLEARANCE
@@ -501,6 +487,12 @@ def _grid_search(
     if len(hits) == 0:
         return None
     return tuple(float(v) for v in grid[hits[0]])
+
+
+def _grid(axes: Sequence[Sequence[float]]) -> np.ndarray:
+    """Every point of the product of ``axes``, one row each, in ``itertools.product`` order."""
+    # indexing="ij" makes the last axis vary fastest, as itertools.product does
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 # ---------------------------------------------------------------------------

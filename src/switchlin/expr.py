@@ -51,7 +51,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -297,31 +297,28 @@ def _children(node: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of the tree, parents before children."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
 def max_state_index(expr: Expr) -> int:
     """Largest state-variable index referenced; 0 if none."""
-    if isinstance(expr, StateVar):
-        return expr.index
-    return max((max_state_index(c) for c in _children(expr)), default=0)
+    return max(state_indices(expr), default=0)
 
 
 def state_indices(expr: Expr) -> frozenset[int]:
     """Indices of all state variables referenced by the expression."""
-    if isinstance(expr, StateVar):
-        return frozenset((expr.index,))
-    out: frozenset[int] = frozenset()
-    for child in _children(expr):
-        out |= state_indices(child)
-    return out
+    return frozenset(node.index for node in _nodes(expr) if isinstance(node, StateVar))
 
 
 def parameter_names(expr: Expr) -> frozenset[str]:
     """Names of all parameters referenced by the expression."""
-    if isinstance(expr, Parameter):
-        return frozenset((expr.name,))
-    out: frozenset[str] = frozenset()
-    for child in _children(expr):
-        out |= parameter_names(child)
-    return out
+    return frozenset(node.name for node in _nodes(expr) if isinstance(node, Parameter))
 
 
 # ---------------------------------------------------------------------------
@@ -399,34 +396,44 @@ def evaluate_many(
     Uses raw IEEE semantics throughout (a vanishing denominator yields
     inf/nan rather than an error); intended for sampling loops where the
     expressions are known to be benign.  The expression is compiled to one
-    straight-line numpy function per call; parameters are bound once, as
-    floats, under generated names, and the code runs without builtins.
-    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
-    up, exceed what Python's parser accepts.
+    straight-line numpy function per call, which takes the parameters as
+    float arguments under generated names.  Trees nested beyond roughly 190
+    levels, where :func:`parse` also gives up, exceed what Python's parser
+    accepts.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError("states must be a 2-d array of shape (n, dim)")
     dim = states.shape[1]
-    namespace = {"__builtins__": {}, "sin": np.sin, "cos": np.cos}
-    (source,) = _emit((expr,), params, dim, namespace)
-    arguments = ", ".join(f"x{i}" for i in range(1, dim + 1))
-    exec(f"def kernel({arguments}):\n    return {source}\n", namespace)
+    (source,), names = _emit((expr,), dim)
+    arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
+    code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
+    kernel = _compile(code, "kernel", sin=np.sin, cos=np.cos)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = namespace["kernel"](*states.T)
+        result = kernel(*states.T, *_bind(names, params))
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
 
 
-def _emit(
-    exprs: Sequence[Expr], params: Mapping[str, Real], dim: int, namespace: dict
-) -> list[str]:
-    """Python source of each expression over the names x1..x<dim>.
+def _compile(source: str, name: str, **names) -> Callable:
+    """Run ``source`` with only ``names`` and no builtins in scope; return its ``name``.
 
-    Each parameter is bound in ``namespace``, as a float, under a generated
-    name (``p0``, ``p1``, ...), so user names never reach the code; ``sin``
-    and ``cos`` are left for ``namespace`` to supply.  The package's code
-    generators share this emitter, so every one performs the operations of
-    :func:`evaluate` in the same order.
+    This is the package's only ``exec``: all generated code is compiled here.
+    """
+    namespace = {"__builtins__": {}, **names}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _emit(exprs: Sequence[Expr], dim: int) -> tuple[list[str], tuple[str, ...]]:
+    """Python source of each expression over x1..x<dim>, and its parameter names.
+
+    The k-th distinct parameter, in order of first appearance, is written
+    ``p<k>`` and :func:`_bind` supplies its value when the code is called,
+    so user names never reach the code and the code depends only on the
+    expressions: a law's control is generated once, and the plant,
+    reference and gains are bound per run.  ``sin`` and ``cos`` are left
+    for the namespace to supply.  Every code generator shares this emitter,
+    so each performs the operations of :func:`evaluate` in the same order.
     """
     names: dict[str, str] = {}
 
@@ -435,11 +442,8 @@ def _emit(
             case Constant(value=v):
                 return f"({float(v)!r})"
             case Parameter(name=n):
-                if n not in params:
-                    raise EvaluationError(f"unbound parameter '{n}'", node)
                 if n not in names:
                     names[n] = f"p{len(names)}"
-                    namespace[names[n]] = float(params[n])
                 return names[n]
             case StateVar(index=i):
                 if i > dim:
@@ -465,7 +469,15 @@ def _emit(
                 return f"cos({emit(a)})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    return [emit(expr) for expr in exprs]
+    return [emit(expr) for expr in exprs], tuple(names)
+
+
+def _bind(names: Sequence[str], params: Mapping[str, Real]) -> list[float]:
+    """The float value of each parameter in ``names``, in order, from ``params``."""
+    for n in names:
+        if n not in params:
+            raise EvaluationError(f"unbound parameter '{n}'", Parameter(n))
+    return [float(params[n]) for n in names]
 
 
 # ---------------------------------------------------------------------------

@@ -99,18 +99,14 @@ def lie_derivative(phi: ScalarField, v: VectorField) -> ScalarField:
 
 
 def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
-    """[f, g] = (dg/dx) f - (df/dx) g, componentwise and simplified."""
+    """[f, g] = (dg/dx) f - (df/dx) g: component k is L_f g_k - L_g f_k, simplified."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim}-d vs {g.dim}-d")
-    n = f.dim
     components = []
-    for k in range(n):
-        forward = Constant(0)
-        backward = Constant(0)
-        for i in range(1, n + 1):
-            forward = Add(forward, Mul(differentiate(g.components[k], i), f.components[i - 1]))
-            backward = Add(backward, Mul(differentiate(f.components[k], i), g.components[i - 1]))
-        components.append(simplify(Sub(forward, backward)))
+    for k in range(1, f.dim + 1):
+        forward = lie_derivative(g.component_field(k), f)
+        backward = lie_derivative(f.component_field(k), g)
+        components.append(simplify(Sub(forward.expr, backward.expr)))
     return VectorField(tuple(components))
 
 

@@ -5,9 +5,9 @@ straight-line step generated once per state length.  The supervisor and
 the selected law are evaluated once per step, at the step's start, and
 the resulting input is held constant across the step (zero-order hold).
 Each law's whole control, outer loop included, is one straight-line
-function generated once per law and plant; a run only binds its
-reference and gains.  Identical scenarios therefore produce
-bitwise-identical trajectories.
+function generated once per law; a run binds the plant, the reference
+and the gains.  Identical scenarios therefore produce bitwise-identical
+trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -35,7 +35,7 @@ from .controllers import (
     supervisor,
     table_laws,
 )
-from .expr import format_number as _fmt
+from .expr import _compile, format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
@@ -48,7 +48,6 @@ __all__ = [
     "rk4_step",
     "run",
     "scenario_from_dict",
-    "scenario_to_dict",
 ]
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,law,a1,err,abscos3"
@@ -108,6 +107,9 @@ class Scenario:
         for name in ("pole_law1", "pole_law2", "pole_law3"):
             if not getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be strictly negative")
+        for name in ("step", "duration", "tail_window", "pole_law1", "pole_law2", "pole_law3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
 
     @property
     def sample_count(self) -> int:
@@ -199,13 +201,6 @@ def _rk4_kernel(n: int) -> Callable:
     """
     if n < 1:
         raise ValueError("the state must have at least one component")
-    namespace = {
-        "__builtins__": {},
-        "len": len,
-        "isfinite": math.isfinite,
-        "IntegrationError": IntegrationError,
-        "length_error": _length_error,
-    }
 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in range(n))
@@ -235,8 +230,14 @@ def _rk4_kernel(n: int) -> Callable:
         "        raise IntegrationError('integration produced a non-finite state')",
         f"    return ({names('y')})",
     ]
-    exec("\n".join(lines) + "\n", namespace)
-    return namespace["rk4"]
+    return _compile(
+        "\n".join(lines) + "\n",
+        "rk4",
+        len=len,
+        isfinite=math.isfinite,
+        IntegrationError=IntegrationError,
+        length_error=_length_error,
+    )
 
 
 def _length_error(got: int, expected: int) -> ValueError:
@@ -450,28 +451,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "plant": {
-            "M": sc.plant.M,
-            "R": sc.plant.R,
-            "J": sc.plant.J,
-            "J_b": sc.plant.Jb,
-            "G": sc.plant.G,
-        },
-        "initial_state": list(sc.initial_state),
-        "reference": {
-            "amplitude": sc.reference.amplitude,
-            "period": sc.reference.period,
-        },
-        "thresholds": {"eps1": sc.thresholds.eps1, "eps4": sc.thresholds.eps4},
-        "poles": {"law1": sc.pole_law1, "law2": sc.pole_law2, "law3": sc.pole_law3},
-        "step": sc.step,
-        "duration": sc.duration,
-        "tail_window": sc.tail_window,
-    }
 
 
 def load_scenario(path) -> Scenario:

@@ -5,7 +5,6 @@ import pytest
 
 from switchlin.ballbeam import (
     PlantParams,
-    State,
     benchmark_plant,
     full_dynamics,
     reduced_dynamics,
@@ -105,12 +104,6 @@ def test_preliminary_feedback_composition(rng):
         reduced = reduced_dynamics(x, u, p)
         assert abs(full[3] - u) < 1e-12
         assert abs(full[1] - reduced[1]) < 1e-12
-
-
-def test_state_namedtuple_roundtrip():
-    s = State(0.1, 0.2, 0.3, 0.4)
-    assert s.x1 == 0.1 and s.x4 == 0.4
-    assert reduced_dynamics(s, 0.0, benchmark_plant())[0] == 0.2
 
 
 def test_symbolic_system_structure(plant):
