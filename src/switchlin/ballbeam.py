@@ -119,14 +119,11 @@ def full_dynamics(
 ) -> tuple[float, float, float, float]:
     """State derivative of the full two-degree-of-freedom model under torque tau.
 
-    The beam inertia M r^2 + J + Jb is strictly positive, so the equations
-    are defined everywhere.
+    The ball equation is the reduced model's.  The beam inertia M r^2 + J
+    + Jb is strictly positive, so the equations are defined everywhere.
     """
-    x1, x2, x3, x4 = x
     coriolis, gravity_moment, inertia = _beam_terms(x, p)
-    rdd = p.B * (x1 * x4 * x4 - p.G * math.sin(x3))
-    thetadd = (tau - coriolis - gravity_moment) / inertia
-    return (x2, rdd, x4, thetadd)
+    return reduced_dynamics(x, (tau - coriolis - gravity_moment) / inertia, p)
 
 
 def torque_from_u(x: Sequence[float], u: float, p: PlantParams) -> float:

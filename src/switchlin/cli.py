@@ -100,6 +100,8 @@ def _system_from_file(path: Path) -> ControlAffineSystem:
                 params[name] = float(value)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad parameter value {value!r}") from None
+            if not math.isfinite(params[name]):
+                raise UsageError(f"{path}:{lineno}: parameter {name!r} must be finite")
         elif key in entries:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         else:

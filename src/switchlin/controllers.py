@@ -203,9 +203,6 @@ class LawDescriptor:
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
 
-    def offset_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
-        return self.offset.evaluate(Bindings(params, tuple(x)))
-
     def coordinate_values(
         self, x: Sequence[float], params: Mapping[str, Real]
     ) -> tuple[float, ...]:
@@ -220,9 +217,9 @@ class LawDescriptor:
         )
 
     def control(self, x: Sequence[float], v: float, params: Mapping[str, Real]) -> float:
-        return _solve(
-            self.law_id, self.coefficient_value(x, params), self.offset_value(x, params), v
-        )
+        coefficient = self.coefficient_value(x, params)
+        offset = self.offset.evaluate(Bindings(params, tuple(x)))
+        return _solve(self.law_id, coefficient, offset, v)
 
 
 def _solve(law_id: int, coefficient: float, offset: float, v: float) -> float:
@@ -325,7 +322,10 @@ def outer_loop_v(
     _check_order(law, gains)
     coordinates = law.coordinate_values(x, p.symbol_values())
     targets = [ref.derivative(t, j) for j in range(gains.order + 1)]
-    return _virtual_input(coordinates, targets, gains.alphas)
+    feedback = 0.0
+    for alpha, coordinate, target in zip(gains.alphas, coordinates, targets):
+        feedback += alpha * (coordinate - target)
+    return targets[-1] - feedback
 
 
 def compile_control(
@@ -400,12 +400,3 @@ def _check_order(law: LawDescriptor, gains: GainSet) -> None:
             f"gain order {gains.order} does not match law order {law.order}"
         )
 
-
-def _virtual_input(
-    coordinates: Sequence[float], targets: Sequence[float], alphas: Sequence[float]
-) -> float:
-    """v = y_d^(order) - sum_j alpha_j (coordinates[j] - y_d^(j)); targets[j] = y_d^(j)."""
-    feedback = 0.0
-    for alpha, coordinate, target in zip(alphas, coordinates, targets):
-        feedback += alpha * (coordinate - target)
-    return targets[-1] - feedback

@@ -115,8 +115,7 @@ def factor_check(
     if not factors:
         raise ValueError("need at least one factor")
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
+    lows, highs = np.asarray(box, dtype=float).T
     quotients: list[np.ndarray] = []
     accepted = 0
     attempts = 0
@@ -162,13 +161,14 @@ def pure_part_sample(
     through the sampled point.  Raises SamplingError when 100 n attempts
     do not produce n admissible points.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
     if not 1 <= index <= len(factors):
         raise ValueError(f"factor index {index} out of range 1..{len(factors)}")
     target = factors[index - 1]
     others = [f for i, f in enumerate(factors, start=1) if i != index]
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
+    lows, highs = np.asarray(box, dtype=float).T
     dim = len(box)
     points = []
     attempts = 0
@@ -317,8 +317,7 @@ def coverage_check(
     if n < 0:
         raise ValueError("sample count must be non-negative")
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
+    lows, highs = np.asarray(box, dtype=float).T
     samples = rng.uniform(lows, highs, size=(n, len(box)))
     probes = _factor_probes([f for law in laws for f in law.factors], len(box))
     states = np.vstack([samples, probes]) if len(probes) else samples
@@ -326,12 +325,10 @@ def coverage_check(
     threshold = max(margin, ZERO_FLOOR)
     covered_any = np.zeros(len(states), dtype=bool)
     fractions = []
-    covered_by = {}
     for law in laws:
         covered = np.ones(len(states), dtype=bool)
         for factor in law.factors:
             covered &= np.abs(factor.field.evaluate_many(params, states)) > threshold
-        covered_by[law.name] = covered
         covered_any |= covered
         fractions.append((law.name, float(np.mean(covered)) if len(states) else 1.0))
 
@@ -424,9 +421,7 @@ def necessity_witness(
     declaration, so no witness can exist and the search is skipped.
     """
     laws = list(laws)
-    if not laws:
-        return None
-    if any(not law.factors for law in laws):
+    if not laws or any(not law.factors for law in laws):
         return None
     factors = _unique([f for law in laws for f in law.factors])
     dim = laws[0].coefficient.dim

@@ -525,30 +525,16 @@ def _diff(node: Expr, var: int) -> Expr:
 
 def simplify(expr: Expr) -> Expr:
     """Apply the module's fixed rewrite rules bottom-up (see module docs)."""
+    children = [simplify(child) for child in _children(expr)]
     match expr:
         case Constant() | Parameter() | StateVar():
             return expr
-        case Negate(operand=e):
-            node: Expr = Negate(simplify(e))
-        case Add(left=l, right=r):
-            node = Add(simplify(l), simplify(r))
-        case Sub(left=l, right=r):
-            node = Sub(simplify(l), simplify(r))
-        case Mul(left=l, right=r):
-            node = Mul(simplify(l), simplify(r))
-        case Div(left=l, right=r):
-            numerator, denominator = simplify(l), simplify(r)
-            if isinstance(denominator, Constant) and denominator.value == 0:
-                denominator = r  # keep: no syntactically zero denominators
-            node = Div(numerator, denominator)
-        case IntPow(base=b, exponent=n):
-            node = IntPow(simplify(b), n)
-        case Sin(argument=a):
-            node = Sin(simplify(a))
-        case Cos(argument=a):
-            node = Cos(simplify(a))
+        case IntPow(exponent=n):
+            node: Expr = IntPow(*children, n)
+        case Div(right=r) if _is_zero(children[1]):
+            node = Div(children[0], r)  # keep: no syntactically zero denominators
         case _:
-            raise TypeError(f"not an expression node: {expr!r}")
+            node = type(expr)(*children)
     while True:
         rewritten = _rewrite_step(node)
         if rewritten is None:

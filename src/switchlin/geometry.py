@@ -10,11 +10,13 @@ stacked-differential rank tests for transversality of hypersurface
 intersections.
 
 Everything here is a pure function over immutable symbolic inputs, so all
-operations are thread-safe and freely parallelisable.
+operations are thread-safe and freely parallelisable.  Each system derives
+its output chain and its bracket tower once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -86,6 +88,18 @@ class ControlAffineSystem:
 
     def bindings(self, x: Sequence[Real]) -> Bindings:
         return Bindings(self.params, tuple(x))
+
+    @functools.cached_property  # derived once per system, read at every probe point
+    def chain(self) -> DerivativeChain:
+        """The output derivative chain through order ``dim``."""
+        return derivative_chain(self, self.dim)
+
+    @functools.cached_property  # derived once per system, read at every probe point
+    def bracket_tower(self) -> tuple[VectorField, VectorField, VectorField]:
+        """(ad_f g, ad_f^2 g, [g, ad_f^2 g])."""
+        ad1 = lie_bracket(self.f, self.g)
+        ad2 = lie_bracket(self.f, ad1)
+        return ad1, ad2, lie_bracket(self.g, ad2)
 
 
 def lie_derivative(phi: ScalarField, v: VectorField) -> ScalarField:
@@ -170,12 +184,11 @@ def relative_degree_at(sys: ControlAffineSystem, x0: Sequence[float]) -> int | N
     otherwise by sampling points in a small ball around x0 (a heuristic
     fallback; the symbolic path is exact for the systems shipped here).
     """
-    chain = derivative_chain(sys, sys.dim)
     at_x0 = sys.bindings(x0)
     for gamma in range(1, sys.dim + 1):
-        if abs(chain.mixed[gamma - 1].evaluate(at_x0)) <= RELDEG_TOL:
+        if abs(sys.chain.mixed[gamma - 1].evaluate(at_x0)) <= RELDEG_TOL:
             continue
-        lower = chain.mixed[: gamma - 1]
+        lower = sys.chain.mixed[: gamma - 1]
         if all(_vanishes_near(m, x0, sys.params) for m in lower):
             return gamma
         return None
@@ -241,9 +254,7 @@ def involutivity_witness(sys: ControlAffineSystem, x0: Sequence[float]) -> Invol
     """
     if sys.dim != 4:
         raise ValueError("the involutivity witness is built for 4-dimensional systems")
-    ad1 = lie_bracket(sys.f, sys.g)
-    ad2 = lie_bracket(sys.f, ad1)
-    bracket = lie_bracket(sys.g, ad2)
+    ad1, ad2, bracket = sys.bracket_tower
     at_x0 = sys.bindings(x0)
     columns = [sys.g.evaluate(at_x0), ad1.evaluate(at_x0), ad2.evaluate(at_x0)]
     bracket_value = bracket.evaluate(at_x0)

@@ -104,6 +104,7 @@ def test_preliminary_feedback_composition(rng):
         reduced = reduced_dynamics(x, u, p)
         assert abs(full[3] - u) < 1e-12
         assert abs(full[1] - reduced[1]) < 1e-12
+        assert full[:3] == reduced[:3]
 
 
 def test_symbolic_system_structure(plant):

@@ -80,6 +80,19 @@ def test_derive_bad_system_file(tmp_path, capsys):
     assert "missing 'f2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_derive_rejects_non_finite_system_parameter(tmp_path, capsys, value):
+    system_file = tmp_path / "scaled.txt"
+    system_file.write_text(
+        f"n = 2\nf1 = x2\nf2 = 0\ng1 = 0\ng2 = B\nh = x1\nparam B = {value}\n"
+    )
+    assert main(["derive", "--system", f"file:{system_file}", "--order", "2",
+                 "--probe", "0.3,0.1"]) == 1
+    captured = capsys.readouterr()
+    assert "relative degree" not in captured.out
+    assert f"{system_file}:7: parameter 'B' must be finite" in captured.err
+
+
 def test_derive_usage_errors(capsys):
     assert main(["derive", "--system", "unknown", "--order", "3"]) == 1
     assert "unknown system" in capsys.readouterr().err

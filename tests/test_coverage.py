@@ -101,6 +101,12 @@ def test_pure_part_sample_validation(params):
         pure_part_sample(3, (F_X1, F_X4), BOX, 5, params)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_pure_part_sample_needs_a_sample(params, n):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        pure_part_sample(1, (F_X1, F_X4), BOX, n, params)
+
+
 def test_pure_part_sample_unbound_parameter_raises():
     # the line scan of a non-coordinate factor needs every parameter bound
     factor = SingularityFactor(parse("cos(x3) - B", 4), "cos(x3) - B")

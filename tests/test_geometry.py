@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from switchlin import geometry
+from switchlin.ballbeam import symbolic_system
 from switchlin.expr import (
     Bindings,
     Constant,
@@ -340,6 +342,33 @@ def test_involutivity_ranks_match_elimination_oracle(bb, params, rng):
 def test_involutivity_requires_dim_four():
     with pytest.raises(ValueError):
         involutivity_witness(_double_integrator(), (0, 0))
+
+
+def test_each_system_derives_its_chain_and_bracket_tower_once(plant, monkeypatch):
+    # the probes read one derivation per system instead of re-deriving per point
+    calls = {"derivative_chain": 0, "lie_bracket": 0}
+
+    def counting(name):
+        original = getattr(geometry, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counting(name))
+    system = symbolic_system(plant)
+    probes = [(1, 0, 0, 1), (0, 0, 0, 0), (0.3, 0.1, 0.2, -0.5)]
+    degrees = [relative_degree_at(system, x) for x in probes]
+    assert degrees == [3, None, 3]
+    assert calls == {"derivative_chain": 1, "lie_bracket": 0}
+    probes = [(1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0), (0.5, -0.2, 0.4, 0.3)]
+    witnesses = [involutivity_witness(system, x) for x in probes]
+    assert [w.rank_rises for w in witnesses] == [True, False, True, True]
+    assert calls == {"derivative_chain": 1, "lie_bracket": 3}
+    assert system.bracket_tower[2] == lie_bracket(system.g, ad_power(system.f, system.g, 2))
 
 
 # ---------------------------------------------------------------------------
