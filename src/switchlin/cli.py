@@ -164,7 +164,7 @@ def cmd_derive(args) -> int:
     system = _load_system(args.system)
     if not 1 <= args.order <= system.dim:
         raise UsageError(f"order must be in 1..{system.dim}")
-    chain = derivative_chain(system, args.order)
+    chain = system.chain if args.order == system.dim else derivative_chain(system, args.order)
     print(f"system {args.system} (n = {system.dim})")
     for j, output in enumerate(chain.outputs):
         print(f"L_f^{j} h = {output}")

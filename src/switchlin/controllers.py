@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 from .ballbeam import PlantParams
@@ -200,6 +200,14 @@ class LawDescriptor:
         if len(self.coordinates) != self.order:
             raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property  # every run looks its laws up in _control_factory's cache
+    def _hash(self) -> int:
+        """The field tuple's hash, which walks every expression tree, taken once."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
 
@@ -357,8 +365,8 @@ def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
     the operations of the exact path, in its order.  It returns (u, r_0).
     """
     order = law.order
-    fields = (law.coefficient, law.offset, *law.coordinates)
-    (coefficient, offset, *coordinates), names = _emit([f.expr for f in fields], 4)
+    exprs = [f.expr for f in (law.coefficient, law.offset, *law.coordinates)]
+    (coefficient, offset, *coordinates), names = _emit(exprs, 4)
     plant = [f"p{k}" for k in range(len(names))]
     constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
     lines = [

@@ -15,7 +15,7 @@ evidence machinery around that structure:
   at which no supplied law is valid;
 * one line-root finder serves both: a factor that is not a bare
   coordinate is solved along a random line (pure parts) or along its
-  axis (probes) by a vectorised scan refined by brentq;
+  axis (probes) by a vectorised scan refined by Brent's method (``_brent``);
 * ``necessity_witness`` deterministically searches the declared
   singularity sets for a state where every supplied law's coefficient
   vanishes, demonstrating that the given subset of laws cannot cover the
@@ -41,10 +41,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .controllers import LawDescriptor
 from .expr import Bindings, EvaluationError, Real, ScalarField, state_indices
@@ -212,10 +211,11 @@ def _roots_along(
     """Roots t of field along base + t * direction, t in [-span, span], in order.
 
     The scan is one vectorised evaluation; each sign change is refined by
-    brentq with exact evaluation, and an exact zero at a scan point is
-    yielded as is.  A non-finite scan value (a vanishing denominator on the
-    line) never brackets a root: the whole line yields nothing.  An unbound
-    parameter raises EvaluationError on the first ``next``.
+    Brent's method (``_brent``) with exact evaluation, and an exact zero at
+    a scan point is yielded as is.  A non-finite scan value (a vanishing
+    denominator on the line) never brackets a root: the whole line yields
+    nothing.  An unbound parameter raises EvaluationError on the first
+    ``next``.
     """
 
     def along(t: float) -> float:
@@ -229,9 +229,74 @@ def _roots_along(
         if f_left == 0.0:
             yield float(left)
         elif f_left * f_right < 0:
-            yield float(brentq(along, left, right, xtol=1e-15, rtol=8.9e-16))
+            yield _brent(along, left, right, xtol=1e-15, rtol=8.9e-16)
     if values[-1] == 0.0:
         yield float(ts[-1])
+
+
+def _brent(
+    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The iteration of ``brentq.c`` behind SciPy's ``optimize.brentq``, with
+    the same float operations in the same order, so its roots agree bit for
+    bit: f is called with Python floats and its value read with ``float``;
+    an endpoint with an exact zero value is returned at once; endpoint
+    values of one sign (by ``copysign``, so -0.0 is negative), or a NaN
+    value, raise ValueError; ``maxiter`` iterations without convergence
+    raise RuntimeError.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflowed slope: C's inf or nan, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ the parser or the simplifier can produce.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -395,11 +396,11 @@ def evaluate_many(
 
     Uses raw IEEE semantics throughout (a vanishing denominator yields
     inf/nan rather than an error); intended for sampling loops where the
-    expressions are known to be benign.  The expression is compiled to one
-    straight-line numpy function per call, which takes the parameters as
-    float arguments under generated names.  Trees nested beyond roughly 190
-    levels, where :func:`parse` also gives up, exceed what Python's parser
-    accepts.
+    expressions are known to be benign.  The expression is emitted as one
+    straight-line numpy function, which takes the parameters as float
+    arguments under generated names, and compiled once per distinct source
+    (see :func:`_kernel`).  Trees nested beyond roughly 190 levels, where
+    :func:`parse` also gives up, exceed what Python's parser accepts.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -407,11 +408,20 @@ def evaluate_many(
     dim = states.shape[1]
     (source,), names = _emit((expr,), dim)
     arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
-    code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
-    kernel = _compile(code, "kernel", sin=np.sin, cos=np.cos)
+    kernel = _kernel(f"def kernel({', '.join(arguments)}):\n    return {source}\n")
     with np.errstate(divide="ignore", invalid="ignore"):
         result = kernel(*states.T, *_bind(names, params))
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(code: str) -> Callable:
+    """The compiled ``kernel`` of :func:`evaluate_many`'s generated ``code``.
+
+    Keyed by the source, not the tree: trees compare equal when their
+    constants differ only in the sign of a zero, and their code does not.
+    """
+    return _compile(code, "kernel", sin=np.sin, cos=np.cos)
 
 
 def _compile(source: str, name: str, **names) -> Callable:

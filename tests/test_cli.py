@@ -41,6 +41,24 @@ def test_derive_ballbeam_order_three(capsys):
     assert "relative degree at (0, 0, 0, 0): undefined" in out
 
 
+def test_derive_at_full_order_derives_the_chain_once(capsys, monkeypatch):
+    from switchlin import cli, geometry
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return derive(*args)
+
+    derive = geometry.derivative_chain
+    monkeypatch.setattr(geometry, "derivative_chain", counting)
+    monkeypatch.setattr(cli, "derivative_chain", counting)
+    assert main(["derive", "--system", "ballbeam", "--order", "4",
+                 "--probe", "1,0,0,1", "--probe", "0,0,0,0"]) == 0
+    assert calls == [4]
+    assert "b(x) = L_f^4 h" in capsys.readouterr().out
+
+
 def test_derive_order_one_reports_zero_coefficient(capsys):
     assert main(["derive", "--system", "ballbeam", "--order", "1"]) == 0
     out = capsys.readouterr().out

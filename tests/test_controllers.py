@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -21,6 +22,7 @@ from switchlin.controllers import (
     supervisor,
     table_laws,
 )
+from switchlin.expr import ScalarField, parse
 from switchlin.geometry import derivative_chain
 from switchlin.sim import rk4_step
 
@@ -495,6 +497,39 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
         else:
             singular += 1
     assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
+
+
+def test_equal_descriptors_share_one_control_factory_entry():
+    from switchlin import controllers
+
+    law = law_descriptor(2)
+    twin = dataclasses.replace(
+        law, coefficient=parse(str(law.coefficient), 4), offset=parse(str(law.offset), 4)
+    )
+    assert twin == law and twin is not law and twin.coefficient is not law.coefficient
+    assert hash(twin) == hash(law)
+    controllers._control_factory.cache_clear()
+    assert controllers._control_factory(twin) is controllers._control_factory(law)
+    info = controllers._control_factory.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert twin != dataclasses.replace(law, name="other")
+
+
+def test_a_descriptor_walks_its_trees_for_one_hash_only(monkeypatch):
+    # each run looks its laws up by hash; the trees are hashed the first time only
+    law = dataclasses.replace(law_descriptor(1))  # a fresh descriptor, never hashed
+    walks = []
+
+    def counting(self):
+        walks.append(self)
+        return field_hash(self)
+
+    field_hash = ScalarField.__hash__
+    monkeypatch.setattr(ScalarField, "__hash__", counting)
+    first = hash(law)
+    assert len(walks) == 2 + law.order + len(law.factors)
+    assert [hash(law) for _ in range(3)] == [first] * 3
+    assert len(walks) == 2 + law.order + len(law.factors)
 
 
 def test_compiled_control_tells_signed_zero_plants_apart():

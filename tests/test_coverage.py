@@ -408,6 +408,95 @@ def test_vectorised_scans_match_exact_scans(params, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Brent's method against scipy's brentq
+
+XTOL, RTOL = 1e-15, 8.9e-16  # the tolerances _roots_along refines with
+
+
+def _refine(solver, f, a, b, **options):
+    """The root as float.hex, or the exception type: what the two must share."""
+    try:
+        return float(solver(f, a, b, xtol=XTOL, rtol=RTOL, **options)).hex()
+    except (ValueError, RuntimeError) as error:
+        return type(error)
+
+
+def _line(field, base, direction, params):
+    return lambda t: field.evaluate(Bindings(params, tuple(base + t * direction)))
+
+
+def _seeded_brackets(f, rng, count, low, high):
+    brackets = []
+    for _ in range(100 * count):
+        a, b = sorted(rng.uniform(low, high, size=2).tolist())
+        if (f(a) < 0 < f(b)) or (f(b) < 0 < f(a)):  # a product of subnormals underflows
+            brackets.append((f, a, b))
+            if len(brackets) == count:
+                return brackets
+    raise AssertionError(f"no {count} sign-changing brackets in [{low}, {high}]")
+
+
+def test_brent_matches_brentq_bit_for_bit(params):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(25):
+        c, r1, r2, r3 = rng.uniform(-0.9, 0.9), *rng.uniform(-3.0, 3.0, size=3)
+        base, direction = rng.uniform(-1.0, 1.0, size=4), rng.normal(size=4)
+        direction[2] = 1.0  # x3 sweeps past a zero of cos(x3) within the span
+        line = _line(F_COS.field, base, direction / np.linalg.norm(direction), params)
+        functions = [
+            (lambda t, c=c: math.cos(t) - c, -4.0, 4.0),
+            (lambda t, r=(r1, r2, r3): (t - r[0]) * (t - r[1]) * (t - r[2]), -4.0, 4.0),
+            (lambda t, c=c: math.exp(t) - 2.0 - c, -3.0, 3.0),
+            (line, -8.0, 8.0),
+            # values in the subnormal range, where an extrapolation slope can underflow
+            (lambda t, r=r1: 1e-320 * (t - r) * (1.0 + (t - r) ** 2), -4.0, 4.0),
+        ]
+        for f, low, high in functions:
+            cases += _seeded_brackets(f, rng, 10, low, high)
+    # the pole bracket of test_solve_on_line_drops_a_line_with_non_finite_values
+    pole = _line(parse("1/x1 - 2", 4), np.array([0.05, 0.3, 0.2, 0.1]), np.eye(4)[0], params)
+    cases += [(pole, -0.1, 0.0), (pole, 0.4, 0.5)]
+    assert len(cases) >= 1000 + 2
+    results = [_refine(coverage._brent, f, a, b) for f, a, b in cases]
+    assert results == [_refine(brentq, f, a, b) for f, a, b in cases]
+    assert all(isinstance(r, str) for r in results)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, options",
+    [
+        (math.sin, 0.0, 1.0, {}),  # exact zero at a
+        (math.sin, -1.0, -0.0, {}),  # exact zero at b, with its sign kept
+        (math.cos, 0.0, 1.0, {}),  # one sign at both ends
+        (lambda t: -math.cos(t) if t else -0.0, -0.0, 2.0, {}),  # -0.0 counts as zero first
+        (lambda t: math.nan if t > 1.0 else t - 1.5, 0.0, 2.0, {}),  # NaN value
+        (lambda t: math.cos(t) - 0.3, 0.0, 3.0, {"maxiter": 2}),  # iterations exhausted
+        (lambda t: t - 0.5, 0.0, 1.0, {"maxiter": 0}),
+    ],
+    ids=["zero-at-a", "zero-at-b", "same-sign", "negative-zero-at-a", "nan", "maxiter", "no-iter"],
+)
+def test_brent_matches_brentq_at_the_edges(f, a, b, options):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    assert _refine(coverage._brent, f, a, b, **options) == _refine(brentq, f, a, b, **options)
+
+
+def test_brent_edge_outcomes():
+    # the same cases, pinned without scipy
+    assert coverage._brent(math.sin, 0.0, 1.0, XTOL, RTOL).hex() == "0x0.0p+0"
+    assert coverage._brent(math.sin, -1.0, -0.0, XTOL, RTOL).hex() == "-0x0.0p+0"
+    with pytest.raises(ValueError, match="different signs"):
+        coverage._brent(math.cos, 0.0, 1.0, XTOL, RTOL)
+    with pytest.raises(ValueError, match="NaN"):
+        coverage._brent(lambda t: math.nan if t > 1.0 else t - 1.5, 0.0, 2.0, XTOL, RTOL)
+    with pytest.raises(RuntimeError, match="after 2 iterations"):
+        coverage._brent(lambda t: math.cos(t) - 0.3, 0.0, 3.0, XTOL, RTOL, maxiter=2)
+    root = coverage._brent(lambda t: math.cos(t) - 0.3, 0.0, 3.0, XTOL, RTOL)
+    assert abs(root - math.acos(0.3)) <= 2 * (XTOL + RTOL * abs(root))
+
+
+# ---------------------------------------------------------------------------
 # transversality report
 
 

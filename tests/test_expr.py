@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from switchlin.expr import (
     Sub,
     VectorField,
     evaluate,
+    evaluate_many,
     parse,
     simplify,
     to_text,
@@ -165,6 +167,35 @@ def test_evaluate_many_uses_ieee_division():
     values = field.evaluate_many({}, np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert values[0] == 0.5
     assert np.isinf(values[1])
+
+
+def test_evaluate_many_compiles_each_kernel_once(monkeypatch):
+    from switchlin import expr
+
+    compiled = []
+
+    def counting(source, name, **names):
+        compiled.append(name)
+        return compile_(source, name, **names)
+
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", counting)
+    expr._kernel.cache_clear()
+    states = np.array([[1.0, 2.0], [3.0, 4.0]])
+    field = parse("B*x1 + x2", 2)
+    first = field.evaluate_many({"B": 2.0}, states)
+    second = parse("B*x1 + x2", 2).evaluate_many({"B": -1.0}, states)  # an equal tree
+    assert compiled == ["kernel"]
+    assert first.tolist() == [4.0, 10.0] and second.tolist() == [1.0, 1.0]
+
+
+def test_evaluate_many_tells_signed_zero_constants_apart():
+    # the trees compare equal, but their kernels differ in the sign of zero
+    plus, minus = Mul(Constant(0.0), X1), Mul(Constant(-0.0), X1)
+    assert plus == minus
+    states = np.array([[1.0]])
+    assert math.copysign(1.0, evaluate_many(plus, {}, states)[0]) == 1.0
+    assert math.copysign(1.0, evaluate_many(minus, {}, states)[0]) == -1.0
 
 
 def test_walk_helpers():

@@ -577,6 +577,25 @@ def test_run_generates_each_control_once_per_law(monkeypatch):
     assert (info.misses, info.hits) == (3, 9)
 
 
+def test_runs_compile_the_a1_kernel_once(monkeypatch):
+    from switchlin import expr
+
+    compiled = []
+
+    def counting(source, name, **names):
+        compiled.append(name)
+        return compile_(source, name, **names)
+
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile", counting)
+    expr._kernel.cache_clear()
+    sc = load_scenario(SCENARIO_DIR / "regulation.json")
+    first, _ = run(sc)
+    second, _ = run(sc)
+    assert compiled.count("kernel") == 1
+    assert first.a1.tobytes() == second.a1.tobytes()
+
+
 def test_run_reports_a_failing_control_as_integration_error():
     # without gravity law 2's coefficient -B*G*cos(x3) is zero, and the
     # supervisor picks law 2 at the first sample (|x1| > eps1, x4 = 0)
