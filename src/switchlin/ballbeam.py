@@ -16,6 +16,10 @@ after the preliminary torque feedback tau = 2 M r rdot thetadot
 + M G r cos(theta) + (M r^2 + J + Jb) u, which turns the beam equation
 into thetaddot = u exactly.  For a rolling solid sphere Jb = (2/5) M R^2,
 so B = 5/7.
+
+The ball equation is written once, as :data:`BALL_ACCELERATION`:
+:func:`reduced_dynamics`, law 1's third output coordinate and the
+simulator's RK4 step are all generated from it.
 """
 
 from __future__ import annotations
@@ -23,15 +27,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .expr import Parameter, ScalarField, Sin, StateVar, VectorField
+from .expr import Parameter, ScalarField, Sin, StateVar, VectorField, _bind, _compile, _emit, parse
 from .geometry import ControlAffineSystem
 
 __all__ = [
+    "BALL_ACCELERATION",
     "PlantParams",
     "benchmark_plant",
     "full_dynamics",
+    "plant_code",
     "reduced_dynamics",
     "symbolic_system",
     "torque_from_u",
@@ -67,10 +73,15 @@ class PlantParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"plant parameter {name} must be finite")
 
-    @functools.cached_property  # read by every reduced_dynamics call
+    @functools.cached_property
     def B(self) -> float:
         """Reduced-mass ratio M / (M + Jb/R^2); 5/7 for a rolling solid sphere."""
         return self.M / (self.M + self.Jb / self.R**2)
+
+    @functools.cached_property  # read by every reduced_dynamics call
+    def field_values(self) -> tuple[float, ...]:
+        """The values of the parameters p0, p1, .. of :func:`plant_code`."""
+        return tuple(_bind(plant_code()[1], self.symbol_values()))
 
     def symbol_values(self) -> dict[str, float]:
         """Bindings for the symbolic parameters of the reduced model."""
@@ -96,12 +107,42 @@ def benchmark_plant() -> PlantParams:
     return PlantParams(M=0.05, R=0.01, J=0.02, Jb=2e-6, G=9.81)
 
 
+#: x2dot, the ball's acceleration along the beam.  ``x4*x4``, not ``x4^2``:
+#: the simulated trajectories round as this product does.
+BALL_ACCELERATION = parse("B*(x1*x4*x4 - G*sin(x3))", 4)
+
+
+@functools.cache  # generated on first use, not at import
+def plant_code() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The reduced model's derivative as Python source, one expression per component.
+
+    The sources are written by ``expr._emit`` over the state x1..x4, the
+    input x5 = u and parameters p0, p1, ..; the second tuple names the
+    plant parameter each p<k> stands for (:attr:`PlantParams.field_values`
+    binds them).
+    """
+    x2, x4, u = StateVar(2), StateVar(4), StateVar(5)
+    sources, names = _emit((x2, BALL_ACCELERATION.expr, x4, u), 5)
+    return tuple(sources), names
+
+
+@functools.cache
+def _derivative() -> Callable:
+    sources, names = plant_code()
+    code = (
+        "def derivative(x, x5, params):\n"
+        "    x1, x2, x3, x4 = x\n"
+        f"    ({''.join(f'p{k}, ' for k in range(len(names)))}) = params\n"
+        f"    return ({', '.join(sources)})\n"
+    )
+    return _compile(code, "derivative", sin=math.sin)
+
+
 def reduced_dynamics(
     x: Sequence[float], u: float, p: PlantParams
 ) -> tuple[float, float, float, float]:
     """State derivative of the reduced model under the input u = thetaddot."""
-    x1, x2, x3, x4 = x
-    return (x2, p.B * (x1 * x4 * x4 - p.G * math.sin(x3)), x4, u)
+    return _derivative()(x, u, p.field_values)
 
 
 def _beam_terms(x: Sequence[float], p: PlantParams) -> tuple[float, float, float]:

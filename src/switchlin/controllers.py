@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
-from .ballbeam import PlantParams
+from .ballbeam import BALL_ACCELERATION, PlantParams
 from .expr import Bindings, Real, ScalarField, _bind, _compile, _emit, parse
 from .geometry import SingularityFactor
 
@@ -203,7 +204,7 @@ class LawDescriptor:
     def __hash__(self) -> int:
         return self._hash
 
-    @functools.cached_property  # every run looks its laws up in _control_factory's cache
+    @functools.cached_property  # the trees are immutable: walk them for one hash only
     def _hash(self) -> int:
         """The field tuple's hash, which walks every expression tree, taken once."""
         return hash(tuple(getattr(self, f.name) for f in fields(self)))
@@ -261,7 +262,7 @@ def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
                 SingularityFactor(parse("x1", 4), "x1"),
                 SingularityFactor(parse("x4", 4), "x4"),
             ),
-            coordinates=_fields("x1", "x2", "B*(x1*x4*x4 - G*sin(x3))"),
+            coordinates=(*_fields("x1", "x2"), BALL_ACCELERATION),
         )
     if law_id == 2:
         return LawDescriptor(
@@ -352,13 +353,34 @@ def compile_control(
     return make(*_bind(names, p.symbol_values()), omega, *scales, *gains.alphas)
 
 
-@functools.cache  # unbounded: one entry per law descriptor, whatever the plant
 def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
-    """Generate ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
+    """``make`` and the plant parameter names it takes, for one law.
 
-    Returns ``make`` and the plant parameter names that ``p0, p1, ..``
-    stand for.  ``control(x, t)`` computes the law's coefficient, offset
-    and coordinates q_j as the expr emitter writes them, the targets
+    The code is cached by its source (:func:`_control_code`): descriptors
+    that compare equal share it, unless their trees differ in the sign of a
+    zero constant, which tree equality ignores and the code does not.  Each
+    descriptor object is emitted once and then found by identity, so a run's
+    lookup does not walk the trees.  ``cache_clear`` and ``cache_info``
+    act on both caches, counting one hit or miss of the code per call.
+    """
+    key = id(law)
+    code = _law_sources.get(key)
+    if code is None:
+        code = _law_sources[key] = _control_source(law)
+        weakref.finalize(law, _law_sources.pop, key, None)
+    return _control_code(*code)
+
+
+#: the _control_source of each descriptor object, by id while it lives
+_law_sources: dict[int, tuple[str, tuple[str, ...]]] = {}
+
+
+def _control_source(law: LawDescriptor) -> tuple[str, tuple[str, ...]]:
+    """The source of ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
+
+    Returned with the plant parameter names that ``p0, p1, ..`` stand for.
+    ``control(x, t)`` computes the law's coefficient, offset and
+    coordinates q_j as the expr emitter writes them, the targets
     r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
     v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
     the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
@@ -391,8 +413,13 @@ def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
         "        return (-offset + v) / coefficient, r0",
         "    return control",
     ]
+    return "\n".join(lines) + "\n", names
+
+
+@functools.cache  # unbounded: one entry per generated source, whatever the plant
+def _control_code(source: str, names: tuple[str, ...]) -> tuple[Callable, tuple[str, ...]]:
     make = _compile(
-        "\n".join(lines) + "\n",
+        source,
         "make",
         sin=math.sin,
         cos=math.cos,
@@ -400,6 +427,15 @@ def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
         SingularControlError=SingularControlError,
     )
     return make, names
+
+
+def _clear_control_caches() -> None:
+    _law_sources.clear()
+    _control_code.cache_clear()
+
+
+_control_factory.cache_clear = _clear_control_caches
+_control_factory.cache_info = _control_code.cache_info
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

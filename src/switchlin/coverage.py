@@ -212,10 +212,12 @@ def _roots_along(
 
     The scan is one vectorised evaluation; each sign change is refined by
     Brent's method (``_brent``) with exact evaluation, and an exact zero at
-    a scan point is yielded as is.  A non-finite scan value (a vanishing
-    denominator on the line) never brackets a root: the whole line yields
-    nothing.  An unbound parameter raises EvaluationError on the first
-    ``next``.
+    a scan point is yielded as is.  A refined point whose exact value is
+    non-finite or larger in magnitude than both ends of its bracket is a
+    pole the sign change straddled, not a root, and is dropped.  A
+    non-finite scan value (a vanishing denominator on the line) never
+    brackets a root: the whole line yields nothing.  An unbound parameter
+    raises EvaluationError on the first ``next``.
     """
 
     def along(t: float) -> float:
@@ -229,7 +231,9 @@ def _roots_along(
         if f_left == 0.0:
             yield float(left)
         elif f_left * f_right < 0:
-            yield _brent(along, left, right, xtol=1e-15, rtol=8.9e-16)
+            t = _brent(along, left, right, xtol=1e-15, rtol=8.9e-16)
+            if abs(along(t)) <= max(abs(f_left), abs(f_right)):  # False for inf and NaN
+                yield t
     if values[-1] == 0.0:
         yield float(ts[-1])
 

@@ -1,9 +1,11 @@
 """Deterministic closed-loop simulation of the supervised hybrid controller.
 
 Fixed-step classical Runge-Kutta integration of the reduced plant, by a
-straight-line step generated once per state length.  The supervisor and
-the selected law are evaluated once per step, at the step's start, and
-the resulting input is held constant across the step (zero-order hold).
+straight-line step with the plant inlined: it is generated once from the
+plant's field (``ballbeam.BALL_ACCELERATION``), and a run binds B and G
+(:class:`HeldPlant`).  The supervisor and the selected law are evaluated
+once per step, at the step's start, and the resulting input is held
+constant across the step (zero-order hold).
 Each law's whole control, outer loop included, is one straight-line
 function generated once per law; a run binds the plant, the reference
 and the gains.  Identical scenarios therefore produce bitwise-identical
@@ -25,7 +27,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .ballbeam import PlantParams, reduced_dynamics
+from .ballbeam import PlantParams, plant_code, reduced_dynamics
 from .controllers import (
     SwitchThresholds,
     TrackingReference,
@@ -39,6 +41,7 @@ from .expr import _compile, format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
+    "HeldPlant",
     "IntegrationError",
     "Metrics",
     "Scenario",
@@ -183,21 +186,50 @@ def rk4_step(
 
     ``deriv`` must already hold any input constant (zero-order hold is the
     caller's responsibility) and return one component per state component;
-    a derivative of another length raises ValueError.  Raises
-    IntegrationError if the update is not finite.
+    a derivative of another length raises ValueError.  A :class:`HeldPlant`
+    is not called: the step generated with the plant's derivative inlined
+    computes the same floats.  Raises IntegrationError if the update is not
+    finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
+    if type(deriv) is HeldPlant:
+        return deriv.rk4(deriv, x, h)
     return _rk4_kernel(len(x))(deriv, x, h)
 
 
-@functools.cache
-def _rk4_kernel(n: int) -> Callable:
+class HeldPlant:
+    """The reduced plant with its input ``u`` held across a step.
+
+    Calling it gives ``reduced_dynamics(s, u, plant)``; :func:`rk4_step`
+    runs the step generated from the plant's field instead, with B and G
+    bound here, once.  Set ``u`` before each step.
+    """
+
+    __slots__ = ("plant", "params", "rk4", "u")
+
+    def __init__(self, plant: PlantParams):
+        self.plant = plant
+        self.params = plant.field_values
+        self.rk4 = _rk4_kernel(4, plant_code())
+        self.u = 0.0
+
+    def __call__(self, s: Sequence[float]) -> tuple[float, float, float, float]:
+        return reduced_dynamics(s, self.u, self.plant)
+
+
+@functools.cache  # a field is keyed by its source, never by expression trees
+def _rk4_kernel(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> Callable:
     """Straight-line RK4 step for states of length n.
 
     Per component it computes ``x_i + half*k_i``, ``x_i + h*k_i`` and
     ``x_i + sixth*(a + 2.0*(b + c) + d)``, so the rounding is that of the
-    textbook per-component loop.
+    textbook per-component loop.  Each stage's derivative is
+    ``deriv(state)``, checked for length n.  With ``field``, the (sources,
+    names) that ``expr._emit`` returns for one expression per component,
+    the sources are inlined instead: each is computed at the stage state
+    x1..x<n>, with the input x<n+1> = ``deriv.u`` held across the step and
+    p0, p1, .. = ``deriv.params``.
     """
     if n < 1:
         raise ValueError("the state must have at least one component")
@@ -205,27 +237,40 @@ def _rk4_kernel(n: int) -> Callable:
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in range(n))
 
-    def stage(k: str, state: str) -> list[str]:
+    start = [f"s{i}" for i in range(n)]
+
+    def stage(k: str, state: list[str]) -> list[str]:
+        if field is not None:
+            return [
+                *(f"    x{i + 1} = {v}" for i, v in enumerate(state)),
+                *(f"    {k}{i} = {source}" for i, source in enumerate(field[0])),
+            ]
+        argument = "x" if state is start else "(" + "".join(f"{v}, " for v in state) + ")"
         return [
-            f"    {k} = deriv({state})",
+            f"    {k} = deriv({argument})",
             f"    if len({k}) != {n}:",
             f"        raise length_error(len({k}), {n})",
             f"    {names(k)}= {k}",
         ]
 
-    def shifted(step: str, k: str) -> str:
-        return "(" + "".join(f"x{i} + {step} * {k}{i}, " for i in range(n)) + ")"
+    def shifted(step: str, k: str) -> list[str]:
+        return [f"s{i} + {step} * {k}{i}" for i in range(n)]
 
+    held = []
+    if field is not None:
+        parameters = "".join(f"p{j}, " for j in range(len(field[1])))
+        held = [f"    x{n + 1} = deriv.u", f"    ({parameters}) = deriv.params"]
     lines = [
         "def rk4(deriv, x, h):",
-        f"    {names('x')}= x",
+        f"    {names('s')}= x",
+        *held,
         "    half = 0.5 * h",
-        *stage("a", "x"),
+        *stage("a", start),
         *stage("b", shifted("half", "a")),
         *stage("c", shifted("half", "b")),
         *stage("d", shifted("h", "c")),
         "    sixth = h / 6.0",
-        *(f"    y{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(n)),
+        *(f"    y{i} = s{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(n)),
         "    if not (" + " and ".join(f"isfinite(y{i})" for i in range(n)) + "):",
         "        raise IntegrationError('integration produced a non-finite state')",
         f"    return ({names('y')})",
@@ -234,6 +279,8 @@ def _rk4_kernel(n: int) -> Callable:
         "\n".join(lines) + "\n",
         "rk4",
         len=len,
+        sin=math.sin,
+        cos=math.cos,
         isfinite=math.isfinite,
         IntegrationError=IntegrationError,
         length_error=_length_error,
@@ -260,6 +307,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         compile_control(law, pole_gains(pole, law.order), sc.reference, p)
         for law, pole in zip(table_laws(), poles)
     )
+    plant = HeldPlant(p)
     n = sc.sample_count
     h = sc.step
 
@@ -297,7 +345,8 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
 
         if k + 1 < n:
             try:
-                x = rk4_step(lambda s: reduced_dynamics(s, u, p), x, h)
+                plant.u = u
+                x = rk4_step(plant, x, h)
             except IntegrationError as exc:
                 raise IntegrationError(f"{exc} at t={t + h:.6f}", t + h) from exc
             except (ValueError, OverflowError) as exc:

@@ -144,3 +144,24 @@ def test_symbolic_system_matches_reduced_dynamics(plant, rng):
 def test_symbolic_system_without_plant_keeps_parameters_free():
     system = symbolic_system()
     assert system.params == {}
+
+
+def test_ball_equation_is_written_once(rng):
+    # law 1's third coordinate is the field reduced_dynamics is generated
+    # from, and the generated derivative rounds as the hand-written formula
+    from switchlin.ballbeam import BALL_ACCELERATION, plant_code
+    from switchlin.controllers import law_descriptor
+
+    assert law_descriptor(1).coordinates[2] is BALL_ACCELERATION
+    sources, names = plant_code()
+    assert sources == ("x2", "(p0 * (((x1 * x4) * x4) - (p1 * sin(x3))))", "x4", "x5")
+    assert names == ("B", "G")
+    states = rng.uniform(-3.0, 3.0, size=(500, 4))
+    states[::50] = -0.0
+    inputs = rng.uniform(-50.0, 50.0, size=500)
+    for g in (9.81, 0.0, -0.0):
+        p = PlantParams(M=0.05, R=0.01, J=0.02, Jb=2e-6, G=g)
+        for (x1, x2, x3, x4), u in zip(states.tolist(), inputs.tolist()):
+            expected = (x2, p.B * (x1 * x4 * x4 - p.G * math.sin(x3)), x4, u)
+            got = reduced_dynamics((x1, x2, x3, x4), u, p)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]

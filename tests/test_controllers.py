@@ -22,7 +22,7 @@ from switchlin.controllers import (
     supervisor,
     table_laws,
 )
-from switchlin.expr import ScalarField, parse
+from switchlin.expr import Constant, ScalarField, parse
 from switchlin.geometry import derivative_chain
 from switchlin.sim import rk4_step
 
@@ -513,6 +513,32 @@ def test_equal_descriptors_share_one_control_factory_entry():
     info = controllers._control_factory.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert twin != dataclasses.replace(law, name="other")
+
+
+def test_signed_zero_descriptors_get_their_own_control_code(plant):
+    # tree equality ignores the sign of a zero constant; the compiled code
+    # does not, so the cache is keyed by the source
+    from switchlin import controllers
+
+    law = law_descriptor(3)
+    negative = dataclasses.replace(law, offset=ScalarField(Constant(-0.0), 4))
+    assert negative == law
+    controllers._control_factory.cache_clear()
+    for _ in range(2):
+        for shipped in table_laws():
+            controllers._control_factory(shipped)
+    assert controllers._control_factory.cache_info().currsize == 3  # one per shipped law
+    assert controllers._control_factory(negative)[0] is not controllers._control_factory(law)[0]
+    assert controllers._control_factory.cache_info().currsize == 4
+    gains, ref, x = pole_gains(-3.0, 4), TrackingReference(0.0, 3.0), (0.0, 0.0, 0.0, 0.0)
+    times = [0.1 * k for k in range(30)]
+    compiled = []
+    for descriptor in (law, negative):
+        control = compile_control(descriptor, gains, ref, plant)
+        outcomes = [_outcome(lambda: control(x, t)[0]) for t in times]
+        assert outcomes == [_outcome(_exact_control, descriptor, gains, ref, plant, x, t) for t in times]
+        compiled.append(outcomes)
+    assert compiled[0] != compiled[1]
 
 
 def test_a_descriptor_walks_its_trees_for_one_hash_only(monkeypatch):

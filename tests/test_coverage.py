@@ -363,6 +363,22 @@ def test_solve_on_line_drops_a_line_with_non_finite_values(params, text):
     assert list(coverage._roots_along(field, shifted, direction, params, 8.0, 161)) != []
 
 
+def test_roots_along_drops_the_poles_a_scan_straddles(params):
+    # the values change sign across the pole at x1 = 0 (t = -0.05); the
+    # point refined there is larger than its bracket's ends, or not finite
+    base = np.array([0.05, 0.3, 0.2, 0.1])
+    direction = np.array([1.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        for text, root in [("1/x1 - 2", 0.45), ("1e300/x1 - 1e300", 0.95)]:
+            roots = list(coverage._roots_along(parse(text, 4), base, direction, params, 8.0, 161))
+            assert roots == [pytest.approx(root, abs=1e-15)]
+    # every probe on the zero set x3 = 0.55, none on the pole x3 = 0.05
+    pole = parse("1/(x3 - 0.05) - 2", 4)
+    probes = coverage._factor_probes([SingularityFactor(pole, str(pole))], 4)
+    assert len(probes) == 27
+    assert np.all(np.abs(probes[:, 2] - 0.55) < 1e-15)
+
+
 def _axis_roots(text):
     axis = np.array([0.0, 0.0, 1.0, 0.0])
     return list(coverage._roots_along(parse(text, 4), np.zeros(4), axis, {}, math.pi, 257))

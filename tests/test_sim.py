@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,78 @@ def test_rk4_kernel_matches_textbook_loop(rng):
     info = sim._rk4_kernel.cache_info()
     assert (info.misses, info.currsize) == (len(lengths), len(lengths))
     assert info.hits == steps - len(lengths)
+
+
+def _step_outcome(deriv, x, h):
+    try:
+        return [v.hex() for v in rk4_step(deriv, x, h)]
+    except (IntegrationError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("g", [9.81, 0.0, -0.0])
+def test_held_plant_step_matches_the_called_plant_bit_for_bit(rng, g):
+    # the step with the plant inlined computes the floats, and raises the
+    # errors, of rk4_step on a called reduced_dynamics
+    from switchlin.ballbeam import reduced_dynamics
+
+    p = PlantParams(M=0.05, R=0.01, J=0.02, Jb=2e-6, G=g)
+    held = sim.HeldPlant(p)
+    rows = 1200
+    states = rng.uniform(-2.0, 2.0, size=(rows, 4))
+    inputs = rng.uniform(-50.0, 50.0, size=rows)
+    steps = rng.choice([1e-3, 0.05], size=rows)
+    states[::40] = 0.0
+    states[1::40] = -0.0
+    inputs[1::20] = -0.0  # with the -0.0 states too
+    states[2::40, 3] = 1e160  # x1*x4*x4 overflows: a non-finite update
+    states[3::40, 3], steps[3::40] = 1e308, 4.0  # a stage's x3 is inf: sin raises
+    outcomes = []
+    for x, u, h in zip(states.tolist(), inputs.tolist(), steps.tolist()):
+        held.u = u
+        outcome = _step_outcome(held, tuple(x), h)
+        assert outcome == _step_outcome(lambda s: reduced_dynamics(s, u, p), tuple(x), h)
+        outcomes.append(outcome)
+    failures = [o for o in outcomes if isinstance(o, tuple)]
+    assert ("IntegrationError", "integration produced a non-finite state") in failures
+    assert ("ValueError", "math domain error") in failures
+    assert len(failures) < rows // 10
+
+
+def _run_outcome(sc):
+    try:
+        trajectory, metrics = run(sc)
+    except IntegrationError as exc:
+        return str(exc), exc.time
+    columns = (trajectory.t, trajectory.states, trajectory.u, trajectory.law, trajectory.error)
+    return [column.tobytes() for column in columns], metrics
+
+
+def test_run_with_the_held_plant_matches_the_called_plant(monkeypatch):
+    from switchlin.ballbeam import reduced_dynamics
+
+    scenarios = [
+        load_scenario(SCENARIO_DIR / "regulation.json"),
+        load_scenario(SCENARIO_DIR / "near_pivot.json"),
+        load_scenario(SCENARIO_DIR / "benchmark.json"),
+        _scenario(plant=PlantParams.solid_sphere(G=-0.0), initial_state=(0.3, 0.1, 0.1, 0.2)),
+        # one step whose second stage takes sin(inf)
+        _scenario(initial_state=(0.3, 0.0, 0.1, 1e308), step=4.0, duration=4.0, tail_window=1.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inlined = [_run_outcome(sc) for sc in scenarios]
+        monkeypatch.setattr(
+            sim,
+            "rk4_step",
+            lambda deriv, x, h: rk4_step(lambda s: reduced_dynamics(s, deriv.u, deriv.plant), x, h),
+        )
+        called = [_run_outcome(sc) for sc in scenarios]
+    assert inlined == called
+    message, time = inlined[2]
+    assert message == "integration produced a non-finite state at t=11.767000"
+    assert round(time / 1e-3) == 11767
+    assert inlined[4] == ("integration failed at t=4.000000: math domain error", 4.0)
 
 
 # ---------------------------------------------------------------------------
