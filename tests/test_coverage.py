@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +187,132 @@ def test_coverage_witness_csv_format(params):
     assert lines[0] == "x1,x2,x3,x4,failed_laws"
     assert len(lines) == len(report.witnesses) + 1
     assert all(line.endswith("law1") for line in lines[1:])
+
+
+def _one_shot_coverage(laws, box, n, margin, params, seed=0):
+    """The reference coverage_check: all n samples in one ``uniform`` draw, probes stacked on."""
+    rng = np.random.default_rng(seed)
+    lows, highs = np.asarray(box, dtype=float).T
+    samples = rng.uniform(lows, highs, size=(n, len(box)))
+    probes = coverage._factor_probes([f for law in laws for f in law.factors], len(box))
+    states = np.vstack([samples, probes]) if len(probes) else samples
+    threshold = max(margin, coverage.ZERO_FLOOR)
+    covered_any = np.zeros(len(states), dtype=bool)
+    fractions = []
+    for law in laws:
+        covered = np.ones(len(states), dtype=bool)
+        for factor in law.factors:
+            covered &= np.abs(factor.field.evaluate_many(params, states)) > threshold
+        covered_any |= covered
+        fractions.append((law.name, float(np.mean(covered)) if len(states) else 1.0))
+    witness_states = states[~covered_any]
+    witnesses = []
+    for state in witness_states[: coverage._WITNESS_CAP]:
+        at_state = tuple(float(v) for v in state)
+        coeffs = tuple((law.name, law.coefficient_value(at_state, params)) for law in laws)
+        witnesses.append(coverage.Witness(state=at_state, coefficients=coeffs))
+    return coverage.CoverageReport(
+        sample_count=n,
+        probe_count=len(probes),
+        margin=margin,
+        witnesses=tuple(witnesses),
+        witness_total=len(witness_states),
+        law_fractions=tuple(fractions),
+    )
+
+
+def _assert_same_report(report, reference):
+    assert report == reference
+    assert [f.hex() for _, f in report.law_fractions] == [
+        f.hex() for _, f in reference.law_fractions
+    ]
+
+
+_BLOCK = coverage._BLOCK_ROWS
+_LAW_SETS = {
+    "1,2,3": table_laws,
+    "1,2": lambda: [law_descriptor(1), law_descriptor(2)],
+    "1,3g": lambda: [law_descriptor(1), law_descriptor(3, g_modified=True)],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("law_set", list(_LAW_SETS))
+def test_blocked_coverage_matches_one_shot_reference(params, law_set, n):
+    laws = _LAW_SETS[law_set]()
+    _assert_same_report(
+        coverage_check(laws, BOX, n, 0.0, params, seed=3),
+        _one_shot_coverage(laws, BOX, n, 0.0, params, seed=3),
+    )
+
+
+def test_blocked_coverage_caps_witnesses_in_a_later_block(params):
+    laws, margin, n = [law_descriptor(1)], 0.05, 4 * _BLOCK + 3
+    # the cap is reached after the first block, which alone holds fewer witnesses
+    assert coverage_check(laws, BOX, _BLOCK, margin, params).witness_total < coverage._WITNESS_CAP
+    report = coverage_check(laws, BOX, n, margin, params)
+    assert report.witness_total > len(report.witnesses) == coverage._WITNESS_CAP
+    _assert_same_report(report, _one_shot_coverage(laws, BOX, n, margin, params))
+
+
+def test_coverage_memory_is_bounded(params):
+    # one draw of 10^6 x 4 samples, stacked with the probes, peaked near 78 MB
+    tracemalloc.start()
+    try:
+        coverage_check(table_laws(), [(-1, 1)] * 4, 10**6, 0.0, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+_SAMPLER_BOXES = {
+    "unit": [(0.0, 1.0)] * 4,
+    "mixed": [(-1.0, 1.0), (-3.5, -0.25), (0.0, 2.0 * math.pi), (1e-3, 7.0)],
+    "huge": [(-1e300, 1e300), (0.0, 1e300), (-1e300, 0.0), (1.0, 2.0)],
+    "tiny": [
+        (1.0, 1.0 + 2**-52), (-1e-300, 1e-300), (0.1, math.nextafter(0.1, 1.0)), (-5e-324, 5e-324)
+    ],
+    "zero width": [(0.5, 0.5), (-0.0, 0.0), (0.0, 0.0), (-2.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("box", list(_SAMPLER_BOXES.values()), ids=list(_SAMPLER_BOXES))
+def test_box_sampler_draws_what_uniform_draws(box):
+    lows, highs = np.asarray(box, dtype=float).T
+    draw = coverage._box_sampler(box, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for shape in [(5, 4), (0, 4), (4,), (1000, 4)]:
+        assert draw(*shape).tobytes() == rng.uniform(lows, highs, size=shape).tobytes()
+
+
+def _first_draw(sampler):
+    try:
+        return sampler().tobytes()
+    except (OverflowError, ValueError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize(
+    "box",
+    [
+        [(0.0, 1.0), (0.0, math.inf)],
+        [(0.0, 1.0), (-1e308, 1e308)],  # a finite box whose width overflows
+        [(math.nan, 1.0), (0.0, 1.0)],
+        [(0.0, 1.0), (1.0, 0.5)],
+        [(0.0, 1.0), (0.0, -0.0)],  # a width of -0.0
+        [(2.0, 1.0), (0.0, math.inf)],  # reversed and infinite: the overflow is raised
+    ],
+    ids=["infinite", "overflowing", "nan", "reversed", "negative-zero", "reversed-infinite"],
+)
+def test_box_sampler_rejects_what_uniform_rejects(box, n):
+    lows, highs = np.asarray(box, dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _first_draw(lambda: np.random.default_rng(0).uniform(lows, highs, size=(n, 2)))
+        assert isinstance(expected, tuple)
+        sampled = _first_draw(lambda: coverage._box_sampler(box, np.random.default_rng(0))(n, 2))
+        assert sampled == expected
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +505,32 @@ def test_roots_along_drops_the_poles_a_scan_straddles(params):
     probes = coverage._factor_probes([SingularityFactor(pole, str(pole))], 4)
     assert len(probes) == 27
     assert np.all(np.abs(probes[:, 2] - 0.55) < 1e-15)
+
+
+def test_roots_along_drops_a_pole_within_rounding_of_a_scan_point(params):
+    # the scan point t = -0.05 sits within rounding of the pole at x1 = 0, so
+    # one end of the bracket that straddles it is itself about 1.4e16
+    base = np.array([0.05, 0.3, 0.2, 0.1])
+    direction = np.array([1.0, 0.0, 0.0, 0.0])
+    roots = list(coverage._roots_along(parse("1/x1 - 2", 4), base, direction, params, 1.0, 161))
+    assert [t.hex() for t in roots] == [(0.4500000000000002).hex()]
+
+
+@pytest.mark.parametrize(
+    "text, roots",
+    [
+        ("1e300/x1 - 1e300", [0.95]),
+        ("(1e100/x1)^3 - 1", []),  # a Python float power past the range raises OverflowError
+    ],
+)
+def test_roots_along_evaluates_on_python_floats(params, text, roots):
+    # near the pole at x1 = 0 the values overflow; on numpy scalars that warns
+    base = np.array([0.05, 0.3, 0.2, 0.1])
+    direction = np.array([1.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = list(coverage._roots_along(parse(text, 4), base, direction, params, 1.0, 160))
+    assert [t.hex() for t in found] == [t.hex() for t in roots]
 
 
 def _axis_roots(text):
