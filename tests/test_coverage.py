@@ -520,11 +520,11 @@ def test_roots_along_drops_a_pole_within_rounding_of_a_scan_point(params):
     "text, roots",
     [
         ("1e300/x1 - 1e300", [0.95]),
-        ("(1e100/x1)^3 - 1", []),  # a Python float power past the range raises OverflowError
+        ("(1e100/x1)^3 - 1", []),  # a power past the float range
     ],
 )
-def test_roots_along_evaluates_on_python_floats(params, text, roots):
-    # near the pole at x1 = 0 the values overflow; on numpy scalars that warns
+def test_roots_along_overflow_near_a_pole_gives_no_warnings(params, text, roots):
+    # near the pole at x1 = 0 the values overflow to +-inf, silently
     base = np.array([0.05, 0.3, 0.2, 0.1])
     direction = np.array([1.0, 0.0, 0.0, 0.0])
     with warnings.catch_warnings():
