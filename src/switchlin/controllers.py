@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
@@ -201,13 +200,46 @@ class LawDescriptor:
         if len(self.coordinates) != self.order:
             raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
-    def __hash__(self) -> int:
-        return self._hash
+    @functools.cached_property  # emitted once per descriptor; every run reads it
+    def _control_source(self) -> tuple[str, tuple[str, ...]]:
+        """The source of ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
 
-    @functools.cached_property  # the trees are immutable: walk them for one hash only
-    def _hash(self) -> int:
-        """The field tuple's hash, which walks every expression tree, taken once."""
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+        Returned with the plant parameter names that ``p0, p1, ..`` stand for.
+        ``control(x, t)`` computes the law's coefficient, offset and
+        coordinates q_j as the expr emitter writes them, the targets
+        r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
+        v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
+        the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
+        the operations of the exact path, in its order.  It returns (u, r_0).
+        """
+        order = self.order
+        exprs = [f.expr for f in (self.coefficient, self.offset, *self.coordinates)]
+        (coefficient, offset, *coordinates), names = _emit(exprs, 4)
+        plant = [f"p{k}" for k in range(len(names))]
+        constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
+        lines = [
+            f"def make({', '.join(plant + ['omega'] + constants)}):",
+            "    def control(x, t):",
+            "        x1, x2, x3, x4 = x",
+            f"        coefficient = {coefficient}",
+            f"        offset = {offset}",
+            *(f"        q{j} = {source}" for j, source in enumerate(coordinates)),
+            "        phase = omega * t",
+            "        wave_cos = cos(phase)",
+            "        wave_sin = sin(phase)",
+            *(
+                f"        r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
+                for j in range(order + 1)
+            ),
+            "        feedback = 0.0",
+            *(f"        feedback += alpha{j} * (q{j} - r{j})" for j in range(order)),
+            f"        v = r{order} - feedback",
+            f"        if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
+            f"            raise SingularControlError({self.law_id!r}, coefficient)",
+            "        return (-offset + v) / coefficient, r0",
+            "    return control",
+        ]
+        return "\n".join(lines) + "\n", names
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
@@ -344,80 +376,12 @@ def compile_control(
 
     u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains,
     p), p.symbol_values())`` and y_d bit for bit ``ref.value(t)``.  The
-    code is generated once per law; the plant values, the reference
-    constants and the gains are bound here, so a new call generates nothing.
+    code is generated once per descriptor and compiled once per distinct
+    source; the plant values, the reference constants and the gains are
+    bound here, so a new call generates nothing.
     """
     _check_order(law, gains)
-    make, names = _control_factory(law)
-    omega, scales = _reference_scales(ref, law.order)
-    return make(*_bind(names, p.symbol_values()), omega, *scales, *gains.alphas)
-
-
-def _control_factory(law: LawDescriptor) -> tuple[Callable, tuple[str, ...]]:
-    """``make`` and the plant parameter names it takes, for one law.
-
-    The code is cached by its source (:func:`_control_code`): descriptors
-    that compare equal share it, unless their trees differ in the sign of a
-    zero constant, which tree equality ignores and the code does not.  Each
-    descriptor object is emitted once and then found by identity, so a run's
-    lookup does not walk the trees.  ``cache_clear`` and ``cache_info``
-    act on both caches, counting one hit or miss of the code per call.
-    """
-    key = id(law)
-    code = _law_sources.get(key)
-    if code is None:
-        code = _law_sources[key] = _control_source(law)
-        weakref.finalize(law, _law_sources.pop, key, None)
-    return _control_code(*code)
-
-
-#: the _control_source of each descriptor object, by id while it lives
-_law_sources: dict[int, tuple[str, tuple[str, ...]]] = {}
-
-
-def _control_source(law: LawDescriptor) -> tuple[str, tuple[str, ...]]:
-    """The source of ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
-
-    Returned with the plant parameter names that ``p0, p1, ..`` stand for.
-    ``control(x, t)`` computes the law's coefficient, offset and
-    coordinates q_j as the expr emitter writes them, the targets
-    r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
-    v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
-    the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
-    the operations of the exact path, in its order.  It returns (u, r_0).
-    """
-    order = law.order
-    exprs = [f.expr for f in (law.coefficient, law.offset, *law.coordinates)]
-    (coefficient, offset, *coordinates), names = _emit(exprs, 4)
-    plant = [f"p{k}" for k in range(len(names))]
-    constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
-    lines = [
-        f"def make({', '.join(plant + ['omega'] + constants)}):",
-        "    def control(x, t):",
-        "        x1, x2, x3, x4 = x",
-        f"        coefficient = {coefficient}",
-        f"        offset = {offset}",
-        *(f"        q{j} = {source}" for j, source in enumerate(coordinates)),
-        "        phase = omega * t",
-        "        wave_cos = cos(phase)",
-        "        wave_sin = sin(phase)",
-        *(
-            f"        r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
-            for j in range(order + 1)
-        ),
-        "        feedback = 0.0",
-        *(f"        feedback += alpha{j} * (q{j} - r{j})" for j in range(order)),
-        f"        v = r{order} - feedback",
-        f"        if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
-        f"            raise SingularControlError({law.law_id!r}, coefficient)",
-        "        return (-offset + v) / coefficient, r0",
-        "    return control",
-    ]
-    return "\n".join(lines) + "\n", names
-
-
-@functools.cache  # unbounded: one entry per generated source, whatever the plant
-def _control_code(source: str, names: tuple[str, ...]) -> tuple[Callable, tuple[str, ...]]:
+    source, names = law._control_source
     make = _compile(
         source,
         "make",
@@ -426,16 +390,8 @@ def _control_code(source: str, names: tuple[str, ...]) -> tuple[Callable, tuple[
         abs=abs,
         SingularControlError=SingularControlError,
     )
-    return make, names
-
-
-def _clear_control_caches() -> None:
-    _law_sources.clear()
-    _control_code.cache_clear()
-
-
-_control_factory.cache_clear = _clear_control_caches
-_control_factory.cache_info = _control_code.cache_info
+    omega, scales = _reference_scales(ref, law.order)
+    return make(*_bind(names, p.symbol_values()), omega, *scales, *gains.alphas)
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

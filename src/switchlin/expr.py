@@ -399,7 +399,7 @@ def evaluate_many(
     expressions are known to be benign.  The expression is emitted as one
     straight-line numpy function, which takes the parameters as float
     arguments under generated names, and compiled once per distinct source
-    (see :func:`_kernel`).  Trees nested beyond roughly 190 levels, where
+    (see :func:`_compile`).  Trees nested beyond roughly 190 levels, where
     :func:`parse` also gives up, exceed what Python's parser accepts.
     """
     states = np.asarray(states, dtype=float)
@@ -408,26 +408,22 @@ def evaluate_many(
     dim = states.shape[1]
     (source,), names = _emit((expr,), dim)
     arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
-    kernel = _kernel(f"def kernel({', '.join(arguments)}):\n    return {source}\n")
+    code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
+    kernel = _compile(code, "kernel", sin=np.sin, cos=np.cos)
     with np.errstate(divide="ignore", invalid="ignore"):
         result = kernel(*states.T, *_bind(names, params))
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel(code: str) -> Callable:
-    """The compiled ``kernel`` of :func:`evaluate_many`'s generated ``code``.
-
-    Keyed by the source, not the tree: trees compare equal when their
-    constants differ only in the sign of a zero, and their code does not.
-    """
-    return _compile(code, "kernel", sin=np.sin, cos=np.cos)
-
-
 def _compile(source: str, name: str, **names) -> Callable:
     """Run ``source`` with only ``names`` and no builtins in scope; return its ``name``.
 
-    This is the package's only ``exec``: all generated code is compiled here.
+    This is the package's only ``exec``: all generated code is compiled
+    here, once per distinct (source, name, namespace).  The cache is keyed
+    by the source, never by expression trees: trees compare equal when
+    their constants differ only in the sign of a zero, and their code does
+    not.
     """
     namespace = {"__builtins__": {}, **names}
     exec(source, namespace)

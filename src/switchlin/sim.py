@@ -195,7 +195,7 @@ def rk4_step(
         raise ValueError("step size must be positive")
     if type(deriv) is HeldPlant:
         return deriv.rk4(deriv, x, h)
-    return _rk4_kernel(len(x))(deriv, x, h)
+    return _compiled_rk4(len(x))(deriv, x, h)
 
 
 class HeldPlant:
@@ -211,15 +211,15 @@ class HeldPlant:
     def __init__(self, plant: PlantParams):
         self.plant = plant
         self.params = plant.field_values
-        self.rk4 = _rk4_kernel(4, plant_code())
+        self.rk4 = _compiled_rk4(4, plant_code())
         self.u = 0.0
 
     def __call__(self, s: Sequence[float]) -> tuple[float, float, float, float]:
         return reduced_dynamics(s, self.u, self.plant)
 
 
-@functools.cache  # a field is keyed by its source, never by expression trees
-def _rk4_kernel(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> Callable:
+@functools.cache  # rk4_step looks its step up on every call
+def _compiled_rk4(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> Callable:
     """Straight-line RK4 step for states of length n.
 
     Per component it computes ``x_i + half*k_i``, ``x_i + h*k_i`` and

@@ -111,6 +111,28 @@ def test_derive_rejects_non_finite_system_parameter(tmp_path, capsys, value):
     assert f"{system_file}:7: parameter 'B' must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("param B = 3", "duplicate parameter 'B'"),
+        ("param 1B = 2", "no expression can refer to parameter '1B'"),
+        ("param sin = 3", "no expression can refer to parameter 'sin'"),
+        ("param x1 = 3", "no expression can refer to parameter 'x1'"),
+        ("param x7 = 3", "no expression can refer to parameter 'x7'"),
+        ("param B C = 3", "no expression can refer to parameter 'B C'"),
+    ],
+)
+def test_derive_rejects_bad_system_parameter_names(tmp_path, capsys, line, message):
+    system_file = tmp_path / "scaled.txt"
+    system_file.write_text(
+        f"n = 2\nf1 = x2\nf2 = 0\ng1 = 0\ng2 = B\nh = x1\nparam B = 2\n{line}\n"
+    )
+    assert main(["derive", "--system", f"file:{system_file}", "--order", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "relative degree" not in captured.out
+    assert f"{system_file}:8: {message}" in captured.err
+
+
 def test_derive_usage_errors(capsys):
     assert main(["derive", "--system", "unknown", "--order", "3"]) == 1
     assert "unknown system" in capsys.readouterr().err

@@ -499,8 +499,8 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
     assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
 
 
-def test_equal_descriptors_share_one_control_factory_entry():
-    from switchlin import controllers
+def test_equal_descriptors_share_one_control_factory_entry(plant):
+    from switchlin import expr
 
     law = law_descriptor(2)
     twin = dataclasses.replace(
@@ -508,9 +508,11 @@ def test_equal_descriptors_share_one_control_factory_entry():
     )
     assert twin == law and twin is not law and twin.coefficient is not law.coefficient
     assert hash(twin) == hash(law)
-    controllers._control_factory.cache_clear()
-    assert controllers._control_factory(twin) is controllers._control_factory(law)
-    info = controllers._control_factory.cache_info()
+    gains, ref = pole_gains(-3.0, 4), TrackingReference(0.4, 3.0)
+    expr._compile.cache_clear()
+    first = compile_control(twin, gains, ref, plant)
+    assert compile_control(law, gains, ref, plant).__code__ is first.__code__
+    info = expr._compile.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert twin != dataclasses.replace(law, name="other")
 
@@ -518,19 +520,20 @@ def test_equal_descriptors_share_one_control_factory_entry():
 def test_signed_zero_descriptors_get_their_own_control_code(plant):
     # tree equality ignores the sign of a zero constant; the compiled code
     # does not, so the cache is keyed by the source
-    from switchlin import controllers
+    from switchlin import expr
 
     law = law_descriptor(3)
     negative = dataclasses.replace(law, offset=ScalarField(Constant(-0.0), 4))
     assert negative == law
-    controllers._control_factory.cache_clear()
+    gains, ref, x = pole_gains(-3.0, 4), TrackingReference(0.0, 3.0), (0.0, 0.0, 0.0, 0.0)
+    expr._compile.cache_clear()
     for _ in range(2):
         for shipped in table_laws():
-            controllers._control_factory(shipped)
-    assert controllers._control_factory.cache_info().currsize == 3  # one per shipped law
-    assert controllers._control_factory(negative)[0] is not controllers._control_factory(law)[0]
-    assert controllers._control_factory.cache_info().currsize == 4
-    gains, ref, x = pole_gains(-3.0, 4), TrackingReference(0.0, 3.0), (0.0, 0.0, 0.0, 0.0)
+            compile_control(shipped, pole_gains(-3.0, shipped.order), ref, plant)
+    assert expr._compile.cache_info().currsize == 3  # one per shipped law
+    own = compile_control(negative, gains, ref, plant).__code__
+    assert own is not compile_control(law, gains, ref, plant).__code__
+    assert expr._compile.cache_info().currsize == 4
     times = [0.1 * k for k in range(30)]
     compiled = []
     for descriptor in (law, negative):
@@ -541,21 +544,23 @@ def test_signed_zero_descriptors_get_their_own_control_code(plant):
     assert compiled[0] != compiled[1]
 
 
-def test_a_descriptor_walks_its_trees_for_one_hash_only(monkeypatch):
-    # each run looks its laws up by hash; the trees are hashed the first time only
-    law = dataclasses.replace(law_descriptor(1))  # a fresh descriptor, never hashed
-    walks = []
+def test_a_descriptor_emits_its_control_once(monkeypatch, plant):
+    # every run compiles its laws; each descriptor writes its source the first time only
+    from switchlin import controllers
 
-    def counting(self):
-        walks.append(self)
-        return field_hash(self)
+    law = dataclasses.replace(law_descriptor(1))  # a fresh descriptor, never emitted
+    emitted = []
 
-    field_hash = ScalarField.__hash__
-    monkeypatch.setattr(ScalarField, "__hash__", counting)
-    first = hash(law)
-    assert len(walks) == 2 + law.order + len(law.factors)
-    assert [hash(law) for _ in range(3)] == [first] * 3
-    assert len(walks) == 2 + law.order + len(law.factors)
+    def counting_emit(exprs, *args):
+        emitted.append(len(exprs))
+        return emit(exprs, *args)
+
+    emit = controllers._emit
+    monkeypatch.setattr(controllers, "_emit", counting_emit)
+    gains, ref = pole_gains(-3.0, law.order), TrackingReference(0.4, 3.0)
+    for _ in range(3):
+        compile_control(law, gains, ref, plant)
+    assert emitted == [2 + law.order]  # coefficient, offset and coordinates, once
 
 
 def test_compiled_control_tells_signed_zero_plants_apart():

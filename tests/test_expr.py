@@ -169,23 +169,16 @@ def test_evaluate_many_uses_ieee_division():
     assert np.isinf(values[1])
 
 
-def test_evaluate_many_compiles_each_kernel_once(monkeypatch):
+def test_evaluate_many_compiles_each_kernel_once():
     from switchlin import expr
 
-    compiled = []
-
-    def counting(source, name, **names):
-        compiled.append(name)
-        return compile_(source, name, **names)
-
-    compile_ = expr._compile
-    monkeypatch.setattr(expr, "_compile", counting)
-    expr._kernel.cache_clear()
+    expr._compile.cache_clear()
     states = np.array([[1.0, 2.0], [3.0, 4.0]])
     field = parse("B*x1 + x2", 2)
     first = field.evaluate_many({"B": 2.0}, states)
     second = parse("B*x1 + x2", 2).evaluate_many({"B": -1.0}, states)  # an equal tree
-    assert compiled == ["kernel"]
+    info = expr._compile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert first.tolist() == [4.0, 10.0] and second.tolist() == [1.0, 1.0]
 
 

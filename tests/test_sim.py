@@ -121,7 +121,7 @@ def _fields(n, rng):
 def test_rk4_kernel_matches_textbook_loop(rng):
     # the generated straight-line kernel rounds exactly as the per-component
     # loop does, and is generated once per state length
-    sim._rk4_kernel.cache_clear()
+    sim._compiled_rk4.cache_clear()
     lengths = (1, 2, 4, 5)
     steps = 0
     for n in lengths:
@@ -133,7 +133,7 @@ def test_rk4_kernel_matches_textbook_loop(rng):
                     expected = _textbook_rk4(field, expected, h)
                     assert x == expected
                     steps += 1
-    info = sim._rk4_kernel.cache_info()
+    info = sim._compiled_rk4.cache_info()
     assert (info.misses, info.currsize) == (len(lengths), len(lengths))
     assert info.hits == steps - len(lengths)
 
@@ -629,7 +629,9 @@ def test_run_error_column_is_x1_minus_reference():
 
 
 def test_run_generates_each_control_once_per_law(monkeypatch):
-    from switchlin import controllers
+    import dataclasses
+
+    from switchlin import controllers, expr
 
     emitted = []
 
@@ -639,33 +641,32 @@ def test_run_generates_each_control_once_per_law(monkeypatch):
 
     emit = controllers._emit
     monkeypatch.setattr(controllers, "_emit", counting_emit)
-    controllers._control_factory.cache_clear()
+    laws = tuple(dataclasses.replace(law) for law in controllers.table_laws())  # never emitted
+    monkeypatch.setattr(sim, "table_laws", lambda: laws)
     sc = _scenario(duration=0.05)
-    for _ in range(3):
+    run(sc)
+    before = expr._compile.cache_info()
+    for _ in range(2):
         run(sc)
     assert len(emitted) == 3  # laws 1, 2 and 3
     run(_scenario(duration=0.05, plant=PlantParams.solid_sphere(G=9.0)))
     assert len(emitted) == 3  # the plant is bound, not generated
-    info = controllers._control_factory.cache_info()
-    assert (info.misses, info.hits) == (3, 9)
+    info = expr._compile.cache_info()
+    assert info.misses == before.misses
+    assert info.hits - before.hits == 3 * 4  # three controls and the a1 kernel per run
 
 
-def test_runs_compile_the_a1_kernel_once(monkeypatch):
+def test_runs_compile_the_a1_kernel_once():
     from switchlin import expr
+    from switchlin.controllers import law_descriptor
 
-    compiled = []
-
-    def counting(source, name, **names):
-        compiled.append(name)
-        return compile_(source, name, **names)
-
-    compile_ = expr._compile
-    monkeypatch.setattr(expr, "_compile", counting)
-    expr._kernel.cache_clear()
     sc = load_scenario(SCENARIO_DIR / "regulation.json")
+    expr._compile.cache_clear()
     first, _ = run(sc)
+    misses = expr._compile.cache_info().misses
     second, _ = run(sc)
-    assert compiled.count("kernel") == 1
+    law_descriptor(1).coefficient.evaluate_many(sc.plant.symbol_values(), second.states)
+    assert expr._compile.cache_info().misses == misses  # the a1 kernel is one of them
     assert first.a1.tobytes() == second.a1.tobytes()
 
 
