@@ -27,7 +27,7 @@ import numpy as np
 from .ballbeam import benchmark_plant, symbolic_system
 from .controllers import law_descriptor
 from .coverage import coverage_check, necessity_witness
-from .expr import EvaluationError, ExprError, Parameter, ParseError, VectorField, parse
+from .expr import EvaluationError, ExprError, Parameter, VectorField, parse
 from .expr import format_number as _fmt, format_vector as _fmt_vec
 from .geometry import (
     ControlAffineSystem,
@@ -98,12 +98,12 @@ def _system_from_file(path: Path) -> ControlAffineSystem:
             name = key[len("param "):].strip()
             if name in params:
                 raise UsageError(f"{path}:{lineno}: duplicate parameter {name!r}")
-            try:  # a name that does not parse as itself is a number, a function or an x<i>
-                nameable = parse(name, 1).expr == Parameter(name)
-            except (ExprError, ParseError):
-                nameable = False
-            if not nameable:
-                raise UsageError(f"{path}:{lineno}: no expression can refer to parameter {name!r}")
+            try:  # Parameter rejects a name that does not parse back as itself
+                Parameter(name)
+            except ExprError:
+                raise UsageError(
+                    f"{path}:{lineno}: no expression can refer to parameter {name!r}"
+                ) from None
             try:
                 params[name] = float(value)
             except ValueError:

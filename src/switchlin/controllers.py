@@ -4,10 +4,11 @@ Every law has the form u = (-b_i(x) + v) / a_i(x) and is written once, as
 a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
-evaluate the descriptors exactly.  For simulation, :func:`compile_control`
-generates each law's whole control, outer loop included, as one
-straight-line function, once per law, and binds the plant, the reference
-and the gains per run.
+evaluate the descriptors exactly.  For simulation, each law's control,
+outer loop included, is emitted once as straight-line statements, made one
+function by :func:`compile_control` or one arm of the supervisor's branch
+by :func:`compile_supervised_control`, with the plant, the reference and
+the gains bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -52,6 +54,7 @@ __all__ = [
     "TrackingReference",
     "apply_law",
     "compile_control",
+    "compile_supervised_control",
     "law_descriptor",
     "outer_loop_v",
     "pole_gains",
@@ -201,45 +204,43 @@ class LawDescriptor:
             raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
     @functools.cached_property  # emitted once per descriptor; every run reads it
-    def _control_source(self) -> tuple[str, tuple[str, ...]]:
-        """The source of ``make(p.., omega, c0..c<order>, alpha0..alpha<order-1>) -> control``.
+    def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """This law's statements at x1..x4 and t, leaving u and r0, and its plant names.
 
-        Returned with the plant parameter names that ``p0, p1, ..`` stand for.
-        ``control(x, t)`` computes the law's coefficient, offset and
-        coordinates q_j as the expr emitter writes them, the targets
-        r_j = c_j * (cos or sin)(omega t) with one cos and one sin,
-        v = r_order - sum_j alpha_j (q_j - r_j) summed from 0.0 in j order,
-        the floor check of :func:`_solve` and u = (-offset + v) / coefficient:
-        the operations of the exact path, in its order.  It returns (u, r_0).
+        They read the plant as ``p<id>_<k>`` and the gains as ``alpha<id>_<j>``
+        (<id> is ``law_id``, so laws can share a function), and the reference
+        as ``omega``, ``c<j>``.  They compute the coefficient, offset and
+        coordinates q_j as the expr emitter writes them, r_j = c_j * (cos or
+        sin)(omega t) with one cos and one sin, v = r_order - sum_j alpha_j
+        (q_j - r_j) summed from 0.0 in j order, the floor check of
+        :func:`_solve` and u = (-offset + v) / coefficient: the operations of
+        the exact path, in its order.
         """
-        order = self.order
+        order, tag = self.order, self.law_id
         exprs = [f.expr for f in (self.coefficient, self.offset, *self.coordinates)]
-        (coefficient, offset, *coordinates), names = _emit(exprs, 4)
-        plant = [f"p{k}" for k in range(len(names))]
-        constants = [f"c{j}" for j in range(order + 1)] + [f"alpha{j}" for j in range(order)]
+        sources, names = _emit(exprs, 4)
+        # _emit writes the k-th parameter p<k>, and nothing else it writes has a "p"
+        tagged = (re.sub(r"\bp(?=\d)", f"p{tag}_", source) for source in sources)
+        coefficient, offset, *coordinates = tagged
         lines = [
-            f"def make({', '.join(plant + ['omega'] + constants)}):",
-            "    def control(x, t):",
-            "        x1, x2, x3, x4 = x",
-            f"        coefficient = {coefficient}",
-            f"        offset = {offset}",
-            *(f"        q{j} = {source}" for j, source in enumerate(coordinates)),
-            "        phase = omega * t",
-            "        wave_cos = cos(phase)",
-            "        wave_sin = sin(phase)",
+            f"coefficient = {coefficient}",
+            f"offset = {offset}",
+            *(f"q{j} = {source}" for j, source in enumerate(coordinates)),
+            "phase = omega * t",
+            "wave_cos = cos(phase)",
+            "wave_sin = sin(phase)",
             *(
-                f"        r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
+                f"r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
                 for j in range(order + 1)
             ),
-            "        feedback = 0.0",
-            *(f"        feedback += alpha{j} * (q{j} - r{j})" for j in range(order)),
-            f"        v = r{order} - feedback",
-            f"        if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
-            f"            raise SingularControlError({self.law_id!r}, coefficient)",
-            "        return (-offset + v) / coefficient, r0",
-            "    return control",
+            "feedback = 0.0",
+            *(f"feedback += alpha{tag}_{j} * (q{j} - r{j})" for j in range(order)),
+            f"v = r{order} - feedback",
+            f"if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
+            f"    raise SingularControlError({tag!r}, coefficient)",
+            "u = (-offset + v) / coefficient",
         ]
-        return "\n".join(lines) + "\n", names
+        return tuple(lines), names
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
@@ -376,22 +377,69 @@ def compile_control(
 
     u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains,
     p), p.symbol_values())`` and y_d bit for bit ``ref.value(t)``.  The
-    code is generated once per descriptor and compiled once per distinct
-    source; the plant values, the reference constants and the gains are
-    bound here, so a new call generates nothing.
+    law's statements are emitted once per descriptor and compiled once per
+    distinct source; the plant values, the reference constants and the
+    gains are bound here, so a new call generates nothing.
     """
+    bound, body = _law_code(law, gains, p)
+    return _generate([*body, "return u, r0"], bound, ref, law.order)
+
+
+def compile_supervised_control(
+    laws: Sequence[LawDescriptor],
+    gains: Sequence[GainSet],
+    ref: TrackingReference,
+    thresholds: SwitchThresholds,
+    p: PlantParams,
+) -> Callable[[Sequence[float], float], tuple[int, float, float]]:
+    """(law_id, u, y_d)(x, t): the supervisor over laws 1, 2, 3 as one generated function.
+
+    law_id is ``supervisor(x, thresholds)``, whose branch it transcribes,
+    and (u, y_d) bit for bit what ``compile_control(laws[law_id - 1],
+    gains[law_id - 1], ref, p)`` gives: each arm holds that law's
+    statements.  As in :func:`compile_control`, everything a run chooses
+    is bound here, so no run generates new code.
+    """
+    if [law.law_id for law in laws] != [1, 2, 3]:
+        raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
+    bound, arms = {"eps1": thresholds.eps1, "eps4": thresholds.eps4}, {}
+    for law, law_gains in zip(laws, gains, strict=True):
+        law_bound, body = _law_code(law, law_gains, p)
+        bound.update(law_bound)
+        arms[law.law_id] = [*(f"    {line}" for line in body), f"    return {law.law_id}, u, r0"]
+    lines = [
+        "ball_out = abs(x1) > eps1",
+        "beam_moving = abs(x4) > eps4",
+        "if ball_out and beam_moving:",
+        *arms[1],
+        "elif not ball_out and not beam_moving:",
+        *arms[3],
+        "else:",
+        *arms[2],
+    ]
+    return _generate(lines, bound, ref, max(law.order for law in laws))
+
+
+def _law_code(law: LawDescriptor, gains: GainSet, p: PlantParams) -> tuple[dict, tuple]:
+    """The values a law's statements read, by name, for this plant and gains; the statements."""
     _check_order(law, gains)
-    source, names = law._control_source
-    make = _compile(
-        source,
-        "make",
-        sin=math.sin,
-        cos=math.cos,
-        abs=abs,
-        SingularControlError=SingularControlError,
+    body, names = law._control_body
+    arguments = [f"p{law.law_id}_{k}" for k in range(len(names))]
+    arguments += [f"alpha{law.law_id}_{j}" for j in range(law.order)]
+    return dict(zip(arguments, [*_bind(names, p.symbol_values()), *gains.alphas])), body
+
+
+def _generate(lines: list[str], bound: dict, ref: TrackingReference, order: int) -> Callable:
+    """``control(x, t)`` running ``lines``, with ``bound`` and the reference's scales bound."""
+    omega, scales = _reference_scales(ref, order)
+    arguments = ", ".join(["omega", *(f"c{j}" for j in range(order + 1)), *bound])
+    source = "".join(
+        [f"def make({arguments}):\n    def control(x, t):\n        x1, x2, x3, x4 = x\n"]
+        + [f"        {line}\n" for line in lines]
+        + ["    return control\n"]
     )
-    omega, scales = _reference_scales(ref, law.order)
-    return make(*_bind(names, p.symbol_values()), omega, *scales, *gains.alphas)
+    namespace = dict(sin=math.sin, cos=math.cos, abs=abs, SingularControlError=SingularControlError)
+    return _compile(source, "make", **namespace)(omega, *scales, *bound.values())
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

@@ -182,9 +182,11 @@ class Parameter(Expr):
     name: str
 
     def __post_init__(self):
+        # the printed name must parse back as this parameter
         if (
             not isinstance(self.name, str)
-            or not self.name.isidentifier()
+            or not _IDENT_RE.fullmatch(self.name)
+            or _STATEVAR_RE.match(self.name)
             or self.name in _FUNCTION_NODES
         ):
             raise ExprError(f"invalid parameter name {self.name!r}")
@@ -649,9 +651,10 @@ def format_vector(values) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
     r"|(?P<symbol>[-+*/^()])"
 )
 _INT_RE = re.compile(r"\d+\Z")

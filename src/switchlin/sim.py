@@ -5,11 +5,12 @@ straight-line step with the plant inlined: it is generated once from the
 plant's field (``ballbeam.BALL_ACCELERATION``), and a run binds B and G
 (:class:`HeldPlant`).  The supervisor and the selected law are evaluated
 once per step, at the step's start, and the resulting input is held
-constant across the step (zero-order hold).
-Each law's whole control, outer loop included, is one straight-line
-function generated once per law; a run binds the plant, the reference
-and the gains.  Identical scenarios therefore produce bitwise-identical
-trajectories.
+constant across the step (zero-order hold).  Both are one generated
+function (``controllers.compile_supervised_control``), the supervisor's
+branch with each law's control, outer loop included, in its arms; a run
+binds the thresholds, the plant, the reference and the gains.  RK4 stays
+a call of :func:`rk4_step` per step, where a run's steps are counted.
+Identical scenarios produce bitwise-identical trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -31,10 +32,9 @@ from .ballbeam import PlantParams, plant_code, reduced_dynamics
 from .controllers import (
     SwitchThresholds,
     TrackingReference,
-    compile_control,
+    compile_supervised_control,
     law_descriptor,
     pole_gains,
-    supervisor,
     table_laws,
 )
 from .expr import _compile, format_number as _fmt
@@ -294,19 +294,18 @@ def _length_error(got: int, expected: int) -> ValueError:
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
-    At each step: select the law with the supervisor, compute u and y_d
-    from that law's compiled control, record the sample (the error column
-    is x1 - y_d), then advance one RK4 step with u held constant.  A beam
-    angle beyond pi in magnitude means the model has left its meaningful
-    regime; that is reported as a warning, not an error.
+    At each step: the supervised controller selects the law and computes u
+    and y_d, the sample is stored through memoryviews (the error column is
+    x1 - y_d), then one :func:`rk4_step` call, where steps are counted,
+    advances the state with u held constant.  A beam angle beyond pi in
+    magnitude means the model has left its meaningful regime; that is
+    reported as a warning, not an error.
     """
     p = sc.plant
-    thresholds = sc.thresholds
     poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
-    controls = (None,) + tuple(  # indexed by law id
-        compile_control(law, pole_gains(pole, law.order), sc.reference, p)
-        for law, pole in zip(table_laws(), poles)
-    )
+    laws = table_laws()
+    gains = [pole_gains(pole, law.order) for law, pole in zip(laws, poles)]
+    controller = compile_supervised_control(laws, gains, sc.reference, sc.thresholds, p)
     plant = HeldPlant(p)
     n = sc.sample_count
     h = sc.step
@@ -317,23 +316,23 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     law_out = np.empty(n, dtype=np.int64)
     err_out = np.empty(n)
     abscos_out = np.empty(n)
+    t_col, x1_col, x2_col, x3_col, x4_col, u_col, law_col, err_col, abscos_col = map(
+        memoryview, (t_out, *states.T, u_out, law_out, err_out, abscos_out)
+    )
 
     x = tuple(sc.initial_state)
     warned_regime = False
     for k in range(n):
         t = k * h
-        law_id = supervisor(x, thresholds)
         try:
-            u, y_d = controls[law_id](x, t)
+            law_id, u, y_d = controller(x, t)
         except ArithmeticError as exc:
             raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t) from exc
 
-        t_out[k] = t
-        states[k] = x
-        u_out[k] = u
-        law_out[k] = law_id
-        err_out[k] = x[0] - y_d
-        abscos_out[k] = abs(math.cos(x[2]))
+        t_col[k], u_col[k], law_col[k] = t, u, law_id
+        x1_col[k], x2_col[k], x3_col[k], x4_col[k] = x
+        err_col[k] = x[0] - y_d
+        abscos_col[k] = abs(math.cos(x[2]))
 
         if not warned_regime and abs(x[2]) > math.pi:
             warnings.warn(

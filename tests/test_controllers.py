@@ -16,6 +16,7 @@ from switchlin.controllers import (
     _reference_scales,
     apply_law,
     compile_control,
+    compile_supervised_control,
     law_descriptor,
     outer_loop_v,
     pole_gains,
@@ -577,3 +578,47 @@ def test_compiled_control_tells_signed_zero_plants_apart():
         assert _outcome(lambda: compile_control(law, gains, ref, plant)(x, 0.5)[0]) == expected
         messages.append(expected[1])
     assert messages[0] == messages[2] != messages[1]
+
+
+def _law_outcome(function, x, t):
+    try:
+        law_id, *values = function(x, t)
+    except ArithmeticError as exc:
+        return (type(exc), str(exc))
+    return (law_id, *_bits(values))
+
+
+@pytest.mark.parametrize("gravity", [9.81, 0.0], ids=["plant", "no-gravity"])
+def test_supervised_control_is_the_supervisor_over_the_compiled_laws(gravity):
+    # seeded states around the operating point, and every pair of edge values
+    # of x1 and x4: signed zeros, the thresholds themselves, NaN and infinities
+    plant = PlantParams.solid_sphere(G=gravity)
+    ref = TrackingReference(0.4, 3.0)
+    laws = table_laws()
+    gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
+    controller = compile_supervised_control(laws, gains, ref, TH, plant)
+    controls = [compile_control(law, g, ref, plant) for law, g in zip(laws, gains)]
+    rng = np.random.default_rng(62)
+    states = rng.uniform(-0.2, 0.2, size=(400, 4)).tolist()
+    edges = [0.0, -0.0, TH.eps1, -TH.eps1, TH.eps4, -TH.eps4, math.nan, math.inf, -math.inf]
+    states += [[x1, 0.1, 0.05, x4] for x1 in edges for x4 in edges]
+    times = rng.uniform(0.0, 30.0, size=len(states)).tolist()
+    seen = set()
+    for x, t in zip(states, times):
+        law_id = supervisor(x, TH)
+        seen.add(law_id)
+        expected = _law_outcome(lambda x, t: (law_id, *controls[law_id - 1](x, t)), x, t)
+        assert _law_outcome(controller, x, t) == expected
+        if gravity == 0.0 and law_id != 1:  # both coefficients carry G
+            assert expected[0] is SingularControlError
+    assert seen == {1, 2, 3}
+
+
+def test_supervised_control_checks_its_laws(plant):
+    laws = table_laws()
+    gains = [pole_gains(-3.0, law.order) for law in laws]
+    ref = TrackingReference(0.4, 3.0)
+    with pytest.raises(ValueError, match="laws 1, 2 and 3"):
+        compile_supervised_control(laws[::-1], gains[::-1], ref, TH, plant)
+    with pytest.raises(ValueError, match="gain order"):
+        compile_supervised_control(laws, gains[::-1], ref, TH, plant)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,32 @@ def test_parse_scientific_notation():
 def test_parse_functions_and_parameters():
     assert parse("sin(x3)", 4).expr == Sin(X3)
     assert parse("cos(theta)", 4).expr == Cos(Parameter("theta"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["x1", "x0", "x01", "x12", "\u00e9", "B\u00e9", "1B", "B C", "B-1", "B\n", "", "sin", "cos", 7],
+)
+def test_parameter_rejects_names_that_do_not_print_back(name):
+    # x1 would print as the state variable, the others as text parse rejects
+    with pytest.raises(ExprError, match="invalid parameter name"):
+        Parameter(name)
+
+
+def test_parameter_names_round_trip_through_printing(rng):
+    letters = list("x1_0aBs")
+    accepted = 0
+    for _ in range(400):
+        name = "".join(rng.choice(letters, size=int(rng.integers(1, 5))))
+        try:
+            p = Parameter(name)
+        except ExprError:
+            assert name[0].isdigit() or re.fullmatch(r"x\d+", name)
+            continue
+        accepted += 1
+        e = Add(Mul(p, X1), Sin(Div(p, Negate(p))))
+        assert parse(str(e), 4).expr == e
+    assert accepted > 100
 
 
 @pytest.mark.parametrize(

@@ -344,6 +344,21 @@ def test_run_warns_when_beam_leaves_regime():
         run(sc)
 
 
+def test_run_regime_warning_names_the_caller():
+    sc = _scenario(
+        initial_state=(0.0, 0.0, 0.0, 0.0),
+        reference=TrackingReference(amplitude=0.4, period=3.0),
+        duration=3.0,
+        tail_window=1.0,
+    )
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        run(sc)
+    assert len(record) == 1
+    assert "beam angle |x3| exceeded pi" in str(record[0].message)
+    assert record[0].filename == __file__
+
+
 def test_law2_only_tracking_converges():
     # the approximate-linearisation law alone holds full-amplitude
     # tracking; this pins down that the divergence of the supervised
@@ -653,7 +668,7 @@ def test_run_generates_each_control_once_per_law(monkeypatch):
     assert len(emitted) == 3  # the plant is bound, not generated
     info = expr._compile.cache_info()
     assert info.misses == before.misses
-    assert info.hits - before.hits == 3 * 4  # three controls and the a1 kernel per run
+    assert info.hits - before.hits == 3 * 2  # one supervised controller and the a1 kernel per run
 
 
 def test_runs_compile_the_a1_kernel_once():
