@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +46,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like a number, so "-2:2" and "-1,0,0,1" are option values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with code 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         raise UsageError(message)

@@ -5,10 +5,10 @@ a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, each law's control,
-outer loop included, is emitted once as straight-line statements, made one
-function by :func:`compile_control` or one arm of the supervisor's branch
-by :func:`compile_supervised_control`, with the plant, the reference and
-the gains bound per run.
+outer loop included, is emitted once as straight-line statements, one arm
+of the supervisor's branch in the function that
+:func:`compile_supervised_control` generates, with the thresholds, the
+plant, the reference and the gains bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -53,7 +53,6 @@ __all__ = [
     "SwitchThresholds",
     "TrackingReference",
     "apply_law",
-    "compile_control",
     "compile_supervised_control",
     "law_descriptor",
     "outer_loop_v",
@@ -370,21 +369,6 @@ def outer_loop_v(
     return targets[-1] - feedback
 
 
-def compile_control(
-    law: LawDescriptor, gains: GainSet, ref: TrackingReference, p: PlantParams
-) -> Callable[[Sequence[float], float], tuple[float, float]]:
-    """(u, y_d)(x, t) for one law under its outer loop, as one generated function.
-
-    u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, gains,
-    p), p.symbol_values())`` and y_d bit for bit ``ref.value(t)``.  The
-    law's statements are emitted once per descriptor and compiled once per
-    distinct source; the plant values, the reference constants and the
-    gains are bound here, so a new call generates nothing.
-    """
-    bound, body = _law_code(law, gains, p)
-    return _generate([*body, "return u, r0"], bound, ref, law.order)
-
-
 def compile_supervised_control(
     laws: Sequence[LawDescriptor],
     gains: Sequence[GainSet],
@@ -394,19 +378,25 @@ def compile_supervised_control(
 ) -> Callable[[Sequence[float], float], tuple[int, float, float]]:
     """(law_id, u, y_d)(x, t): the supervisor over laws 1, 2, 3 as one generated function.
 
-    law_id is ``supervisor(x, thresholds)``, whose branch it transcribes,
-    and (u, y_d) bit for bit what ``compile_control(laws[law_id - 1],
-    gains[law_id - 1], ref, p)`` gives: each arm holds that law's
-    statements.  As in :func:`compile_control`, everything a run chooses
-    is bound here, so no run generates new code.
+    law_id is ``supervisor(x, thresholds)``, whose branch it transcribes;
+    u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, g, p),
+    p.symbol_values())`` for that law and its gains, and y_d bit for bit
+    ``ref.value(t)``: each arm holds the law's statements.  They are
+    emitted once per descriptor and compiled once per distinct source; the
+    thresholds, the plant values, the reference constants and the gains
+    are bound here, so no run generates new code.
     """
     if [law.law_id for law in laws] != [1, 2, 3]:
         raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
     bound, arms = {"eps1": thresholds.eps1, "eps4": thresholds.eps4}, {}
     for law, law_gains in zip(laws, gains, strict=True):
-        law_bound, body = _law_code(law, law_gains, p)
-        bound.update(law_bound)
-        arms[law.law_id] = [*(f"    {line}" for line in body), f"    return {law.law_id}, u, r0"]
+        _check_order(law, law_gains)
+        body, names = law._control_body
+        tag = law.law_id
+        plant_names = [f"p{tag}_{k}" for k in range(len(names))]
+        bound.update(zip(plant_names, _bind(names, p.symbol_values())))
+        bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
+        arms[tag] = [*(f"    {line}" for line in body), f"    return {tag}, u, r0"]
     lines = [
         "ball_out = abs(x1) > eps1",
         "beam_moving = abs(x4) > eps4",
@@ -417,22 +407,8 @@ def compile_supervised_control(
         "else:",
         *arms[2],
     ]
-    return _generate(lines, bound, ref, max(law.order for law in laws))
-
-
-def _law_code(law: LawDescriptor, gains: GainSet, p: PlantParams) -> tuple[dict, tuple]:
-    """The values a law's statements read, by name, for this plant and gains; the statements."""
-    _check_order(law, gains)
-    body, names = law._control_body
-    arguments = [f"p{law.law_id}_{k}" for k in range(len(names))]
-    arguments += [f"alpha{law.law_id}_{j}" for j in range(law.order)]
-    return dict(zip(arguments, [*_bind(names, p.symbol_values()), *gains.alphas])), body
-
-
-def _generate(lines: list[str], bound: dict, ref: TrackingReference, order: int) -> Callable:
-    """``control(x, t)`` running ``lines``, with ``bound`` and the reference's scales bound."""
-    omega, scales = _reference_scales(ref, order)
-    arguments = ", ".join(["omega", *(f"c{j}" for j in range(order + 1)), *bound])
+    omega, scales = _reference_scales(ref, max(law.order for law in laws))
+    arguments = ", ".join(["omega", *(f"c{j}" for j in range(len(scales))), *bound])
     source = "".join(
         [f"def make({arguments}):\n    def control(x, t):\n        x1, x2, x3, x4 = x\n"]
         + [f"        {line}\n" for line in lines]

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .ballbeam import PlantParams, plant_code, reduced_dynamics
+from .ballbeam import PlantParams, plant_code
 from .controllers import (
     SwitchThresholds,
     TrackingReference,
@@ -41,7 +41,6 @@ from .expr import _compile, format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
-    "HeldPlant",
     "IntegrationError",
     "Metrics",
     "Scenario",
@@ -69,11 +68,18 @@ class SimulationError(RuntimeError):
 
 
 class IntegrationError(SimulationError):
-    """The integrated state became non-finite."""
+    """The integrated state became non-finite.
 
-    def __init__(self, message: str, time: float | None = None):
+    Raised by :func:`run`, it carries the samples recorded before the
+    failure as ``trajectory``.
+    """
+
+    def __init__(
+        self, message: str, time: float | None = None, trajectory: Trajectory | None = None
+    ):
         super().__init__(message)
         self.time = time
+        self.trajectory = trajectory
 
 
 class ScenarioError(ValueError):
@@ -187,9 +193,8 @@ def rk4_step(
     ``deriv`` must already hold any input constant (zero-order hold is the
     caller's responsibility) and return one component per state component;
     a derivative of another length raises ValueError.  A :class:`HeldPlant`
-    is not called: the step generated with the plant's derivative inlined
-    computes the same floats.  Raises IntegrationError if the update is not
-    finite.
+    brings its own step, generated with the plant's derivative inlined.
+    Raises IntegrationError if the update is not finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -201,21 +206,16 @@ def rk4_step(
 class HeldPlant:
     """The reduced plant with its input ``u`` held across a step.
 
-    Calling it gives ``reduced_dynamics(s, u, plant)``; :func:`rk4_step`
-    runs the step generated from the plant's field instead, with B and G
-    bound here, once.  Set ``u`` before each step.
+    :func:`rk4_step` runs the step generated from the plant's field, with
+    B and G bound here, once.  Set ``u`` before each step.
     """
 
-    __slots__ = ("plant", "params", "rk4", "u")
+    __slots__ = ("params", "rk4", "u")
 
     def __init__(self, plant: PlantParams):
-        self.plant = plant
         self.params = plant.field_values
         self.rk4 = _compiled_rk4(4, plant_code())
         self.u = 0.0
-
-    def __call__(self, s: Sequence[float]) -> tuple[float, float, float, float]:
-        return reduced_dynamics(s, self.u, self.plant)
 
 
 @functools.cache  # rk4_step looks its step up on every call
@@ -320,6 +320,13 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         memoryview, (t_out, *states.T, u_out, law_out, err_out, abscos_out)
     )
 
+    def recorded(rows: int) -> Trajectory:
+        # samples 0 .. rows - 1, with a1 evaluated over their states in one batch
+        columns = (t_out, states, u_out, law_out, err_out, abscos_out)
+        t, x, u, law, err, abscos = (column[:rows] for column in columns)
+        a1 = law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), x)
+        return Trajectory(t=t, states=x, u=u, law=law, a1=a1, error=err, abscos3=abscos)
+
     x = tuple(sc.initial_state)
     warned_regime = False
     for k in range(n):
@@ -327,7 +334,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         try:
             law_id, u, y_d = controller(x, t)
         except ArithmeticError as exc:
-            raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t) from exc
+            raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t, recorded(k)) from exc
 
         t_col[k], u_col[k], law_col[k] = t, u, law_id
         x1_col[k], x2_col[k], x3_col[k], x4_col[k] = x
@@ -347,22 +354,14 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
                 plant.u = u
                 x = rk4_step(plant, x, h)
             except IntegrationError as exc:
-                raise IntegrationError(f"{exc} at t={t + h:.6f}", t + h) from exc
+                raise IntegrationError(f"{exc} at t={t + h:.6f}", t + h, recorded(k + 1)) from exc
             except (ValueError, OverflowError) as exc:
                 # a stage state overflowed before the finiteness check
                 raise IntegrationError(
-                    f"integration failed at t={t + h:.6f}: {exc}", t + h
+                    f"integration failed at t={t + h:.6f}: {exc}", t + h, recorded(k + 1)
                 ) from exc
 
-    trajectory = Trajectory(
-        t=t_out,
-        states=states,
-        u=u_out,
-        law=law_out,
-        a1=law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), states),
-        error=err_out,
-        abscos3=abscos_out,
-    )
+    trajectory = recorded(n)
     return trajectory, _metrics(trajectory, sc)
 
 

@@ -268,6 +268,26 @@ def test_coverage_rejects_nan_margin(tmp_path, capsys):
     assert not (tmp_path / "coverage_report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["coverage", "--laws", "1,2", "--samples", "1000", "--box"], "-2:2"),
+        (["derive", "--order", "3", "--probe"], "-1,0,0,1"),
+    ],
+    ids=["box", "probe"],
+)
+def test_option_values_may_start_with_a_minus(tmp_path, capsys, argv, value):
+    # "--box -2:2" reads as "--box=-2:2": no option looks like a number
+    outputs = []
+    for spelling in ([*argv[:-1], f"{argv[-1]}={value}"], [*argv, value]):
+        assert main(["--output-dir", str(tmp_path), *spelling]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        outputs.append((capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
+    assert main(["coverage", "--laws", "1", "--box", "-1:-2"]) == 1
+    assert capsys.readouterr().err == "switchlin: box must satisfy LO < HI\n"
+
+
 @pytest.mark.parametrize("box", ["0:inf", "-inf:inf", "-1e308:1e308"])
 def test_coverage_rejects_box_without_finite_width(tmp_path, capsys, box):
     assert main(["--output-dir", str(tmp_path), "coverage", "--laws", "1,2",

@@ -15,7 +15,6 @@ from switchlin.controllers import (
     _CYCLE,
     _reference_scales,
     apply_law,
-    compile_control,
     compile_supervised_control,
     law_descriptor,
     outer_loop_v,
@@ -450,134 +449,43 @@ def test_descriptor_needs_one_coordinate_per_order():
         dataclasses.replace(law, order=3)
 
 
-def test_compile_control_checks_gain_order_once(plant):
-    ref = TrackingReference(0.4, 3.0)
+#: thresholds that force one arm of the supervised controller: law 1 wherever
+#: x1 != 0 and x4 != 0, law 2 wherever x4 != 0, law 3 on every finite state
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+_FORCING = {
+    1: SwitchThresholds(_TINY, _TINY),
+    2: SwitchThresholds(_HUGE, _TINY),
+    3: SwitchThresholds(_HUGE, _HUGE),
+}
+
+
+def _gains(laws):
+    return [pole_gains(-3.0, law.order) for law in laws]
+
+
+def test_supervised_control_checks_gain_order_once(plant):
+    ref, laws = TrackingReference(0.4, 3.0), table_laws()
+    gains = [pole_gains(-4.0, 3), *_gains(laws[1:])]
     with pytest.raises(ValueError, match="gain order"):
-        compile_control(law_descriptor(1), pole_gains(-3.0, 4), ref, plant)
-    control = compile_control(law_descriptor(1), pole_gains(-4.0, 3), ref, plant)
+        compile_supervised_control(laws, [pole_gains(-3.0, 4), *gains[1:]], ref, _FORCING[1], plant)
+    controller = compile_supervised_control(laws, gains, ref, _FORCING[1], plant)
     x = (0.2, 0.1, 0.05, 0.5)
-    v = outer_loop_v(x, ref, 0.7, law_descriptor(1), pole_gains(-4.0, 3), plant)
-    assert control(x, 0.7)[0] == apply_law(1, x, v, plant)
+    v = outer_loop_v(x, ref, 0.7, laws[0], gains[0], plant)
+    assert controller(x, 0.7)[:2] == (1, apply_law(1, x, v, plant))
     with pytest.raises(SingularControlError):
-        control((0.0, 0.1, 0.05, 0.5), 0.7)
+        controller((1e-310, 0.1, 0.05, 0.5), 0.7)
 
 
-def _exact_control(law, gains, ref, plant, x, t):
-    # the reference path: exact descriptor evaluation, one derivative at a time
-    v = outer_loop_v(x, ref, t, law, gains, plant)
-    return law.control(x, v, plant.symbol_values())
+def _exact_supervised(laws, gains, ref, plant, thresholds):
+    # (law_id, u, y_d)(x, t) by the reference path: the supervisor's pick, then
+    # exact descriptor evaluation of that law, one derivative at a time
+    def control(x, t):
+        law_id = supervisor(x, thresholds)
+        law, law_gains = laws[law_id - 1], gains[law_id - 1]
+        v = outer_loop_v(x, ref, t, law, law_gains, plant)
+        return law_id, law.control(x, v, plant.symbol_values()), ref.value(t)
 
-
-def _outcome(function, *args):
-    try:
-        return _bits([function(*args)])
-    except SingularControlError as exc:
-        return (exc.law_id, str(exc))
-
-
-@pytest.mark.parametrize("amplitude", [0.0, 0.4])
-@pytest.mark.parametrize("law_id, g_modified", [(1, False), (2, False), (3, False), (3, True)])
-def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_id, g_modified):
-    law = law_descriptor(law_id, g_modified=g_modified)
-    gains = pole_gains(-3.0, law.order)
-    ref = TrackingReference(amplitude, 3.0)
-    control = compile_control(law, gains, ref, plant)
-    rng = np.random.default_rng(60 + law_id)
-    states = rng.uniform(-1.5, 1.5, size=(500, 4))
-    states[::50, 0] = 0.0  # on law 1's singular set, and signed zeros elsewhere
-    states[25::50, 0] = 1e-310  # law 1's coefficient below the floor, not zero
-    states[::70, 3] = -0.0
-    times = rng.uniform(0.0, 30.0, size=500)
-    times[::90] = 0.0
-    singular = 0
-    for x, t in zip(states.tolist(), times.tolist()):
-        expected = _outcome(_exact_control, law, gains, ref, plant, x, t)
-        assert _outcome(lambda: control(x, t)[0]) == expected
-        if isinstance(expected, list):
-            assert _bits([control(x, t)[1]]) == _bits([ref.value(t)])
-        else:
-            singular += 1
-    assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
-
-
-def test_equal_descriptors_share_one_control_factory_entry(plant):
-    from switchlin import expr
-
-    law = law_descriptor(2)
-    twin = dataclasses.replace(
-        law, coefficient=parse(str(law.coefficient), 4), offset=parse(str(law.offset), 4)
-    )
-    assert twin == law and twin is not law and twin.coefficient is not law.coefficient
-    assert hash(twin) == hash(law)
-    gains, ref = pole_gains(-3.0, 4), TrackingReference(0.4, 3.0)
-    expr._compile.cache_clear()
-    first = compile_control(twin, gains, ref, plant)
-    assert compile_control(law, gains, ref, plant).__code__ is first.__code__
-    info = expr._compile.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert twin != dataclasses.replace(law, name="other")
-
-
-def test_signed_zero_descriptors_get_their_own_control_code(plant):
-    # tree equality ignores the sign of a zero constant; the compiled code
-    # does not, so the cache is keyed by the source
-    from switchlin import expr
-
-    law = law_descriptor(3)
-    negative = dataclasses.replace(law, offset=ScalarField(Constant(-0.0), 4))
-    assert negative == law
-    gains, ref, x = pole_gains(-3.0, 4), TrackingReference(0.0, 3.0), (0.0, 0.0, 0.0, 0.0)
-    expr._compile.cache_clear()
-    for _ in range(2):
-        for shipped in table_laws():
-            compile_control(shipped, pole_gains(-3.0, shipped.order), ref, plant)
-    assert expr._compile.cache_info().currsize == 3  # one per shipped law
-    own = compile_control(negative, gains, ref, plant).__code__
-    assert own is not compile_control(law, gains, ref, plant).__code__
-    assert expr._compile.cache_info().currsize == 4
-    times = [0.1 * k for k in range(30)]
-    compiled = []
-    for descriptor in (law, negative):
-        control = compile_control(descriptor, gains, ref, plant)
-        outcomes = [_outcome(lambda: control(x, t)[0]) for t in times]
-        assert outcomes == [_outcome(_exact_control, descriptor, gains, ref, plant, x, t) for t in times]
-        compiled.append(outcomes)
-    assert compiled[0] != compiled[1]
-
-
-def test_a_descriptor_emits_its_control_once(monkeypatch, plant):
-    # every run compiles its laws; each descriptor writes its source the first time only
-    from switchlin import controllers
-
-    law = dataclasses.replace(law_descriptor(1))  # a fresh descriptor, never emitted
-    emitted = []
-
-    def counting_emit(exprs, *args):
-        emitted.append(len(exprs))
-        return emit(exprs, *args)
-
-    emit = controllers._emit
-    monkeypatch.setattr(controllers, "_emit", counting_emit)
-    gains, ref = pole_gains(-3.0, law.order), TrackingReference(0.4, 3.0)
-    for _ in range(3):
-        compile_control(law, gains, ref, plant)
-    assert emitted == [2 + law.order]  # coefficient, offset and coordinates, once
-
-
-def test_compiled_control_tells_signed_zero_plants_apart():
-    # G = 0.0 and G = -0.0 give law 2 coefficients of opposite zero sign;
-    # the compiled code must not be shared between the two plants
-    law = law_descriptor(2)
-    gains = pole_gains(-3.0, 4)
-    ref = TrackingReference(0.4, 3.0)
-    x = (0.3, 0.0, 0.1, 0.0)
-    messages = []
-    for g in (0.0, -0.0, 0.0):
-        plant = PlantParams.solid_sphere(G=g)
-        expected = _outcome(_exact_control, law, gains, ref, plant, x, 0.5)
-        assert _outcome(lambda: compile_control(law, gains, ref, plant)(x, 0.5)[0]) == expected
-        messages.append(expected[1])
-    assert messages[0] == messages[2] != messages[1]
+    return control
 
 
 def _law_outcome(function, x, t):
@@ -588,8 +496,119 @@ def _law_outcome(function, x, t):
     return (law_id, *_bits(values))
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 0.4])
+@pytest.mark.parametrize("law_id, g_modified", [(1, False), (2, False), (3, False), (3, True)])
+def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_id, g_modified):
+    # the thresholds force the descriptor's arm; rows they give another law check that law
+    law = law_descriptor(law_id, g_modified=g_modified)
+    laws = [*table_laws()[: law_id - 1], law, *table_laws()[law_id:]]
+    gains, ref, thresholds = _gains(laws), TrackingReference(amplitude, 3.0), _FORCING[law_id]
+    controller = compile_supervised_control(laws, gains, ref, thresholds, plant)
+    exact = _exact_supervised(laws, gains, ref, plant, thresholds)
+    forced = {1: lambda x: x[0] != 0 and x[3] != 0, 2: lambda x: x[3] != 0, 3: lambda x: True}
+    rng = np.random.default_rng(60 + law_id)
+    states = rng.uniform(-1.5, 1.5, size=(500, 4))
+    states[::50, 0] = 0.0  # on law 1's singular set, and signed zeros elsewhere
+    states[25::50, 0] = 1e-310  # law 1's coefficient below the floor, not zero
+    states[::70, 3] = -0.0
+    times = rng.uniform(0.0, 30.0, size=500)
+    times[::90] = 0.0
+    singular = 0
+    for x, t in zip(states.tolist(), times.tolist()):
+        assert (supervisor(x, thresholds) == law_id) == forced[law_id](x)
+        expected = _law_outcome(exact, x, t)
+        assert _law_outcome(controller, x, t) == expected
+        singular += expected[0] is SingularControlError
+    assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
+
+
+def test_equal_descriptors_share_one_control_factory_entry(plant):
+    from switchlin import expr
+
+    laws = table_laws()
+    law = laws[1]
+    twin = dataclasses.replace(
+        law, coefficient=parse(str(law.coefficient), 4), offset=parse(str(law.offset), 4)
+    )
+    assert twin == law and twin is not law and twin.coefficient is not law.coefficient
+    assert hash(twin) == hash(law)
+    gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
+    expr._compile.cache_clear()
+    first = compile_supervised_control((laws[0], twin, laws[2]), gains, ref, TH, plant)
+    assert compile_supervised_control(laws, gains, ref, TH, plant).__code__ is first.__code__
+    info = expr._compile.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert twin != dataclasses.replace(law, name="other")
+
+
+def test_signed_zero_descriptors_get_their_own_control_code(plant):
+    # tree equality ignores the sign of a zero constant; the compiled code
+    # does not, so the cache is keyed by the source
+    from switchlin import expr
+
+    laws = table_laws()
+    negative = dataclasses.replace(laws[2], offset=ScalarField(Constant(-0.0), 4))
+    assert negative == laws[2]
+    family = (*laws[:2], negative)
+    gains, ref, x = _gains(laws), TrackingReference(0.0, 3.0), (0.0, 0.0, 0.0, 0.0)
+    thresholds = _FORCING[3]
+    expr._compile.cache_clear()
+    for _ in range(2):
+        compile_supervised_control(laws, gains, ref, thresholds, plant)
+    assert expr._compile.cache_info().currsize == 1  # one for the shipped laws
+    own = compile_supervised_control(family, gains, ref, thresholds, plant).__code__
+    assert own is not compile_supervised_control(laws, gains, ref, thresholds, plant).__code__
+    assert expr._compile.cache_info().currsize == 2
+    times = [0.1 * k for k in range(30)]
+    compiled = []
+    for descriptors in (laws, family):
+        controller = compile_supervised_control(descriptors, gains, ref, thresholds, plant)
+        exact = _exact_supervised(descriptors, gains, ref, plant, thresholds)
+        outcomes = [_law_outcome(controller, x, t) for t in times]
+        assert outcomes == [_law_outcome(exact, x, t) for t in times]
+        compiled.append(outcomes)
+    assert compiled[0] != compiled[1]
+
+
+def test_a_descriptor_emits_its_control_once(monkeypatch, plant):
+    # every run compiles its laws; each descriptor writes its source the first time only
+    from switchlin import controllers
+
+    laws = [dataclasses.replace(law) for law in table_laws()]  # fresh, never emitted
+    emitted = []
+
+    def counting_emit(exprs, *args):
+        emitted.append(len(exprs))
+        return emit(exprs, *args)
+
+    emit = controllers._emit
+    monkeypatch.setattr(controllers, "_emit", counting_emit)
+    gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
+    for _ in range(3):
+        compile_supervised_control(laws, gains, ref, TH, plant)
+    # coefficient, offset and coordinates, once per descriptor
+    assert emitted == [2 + law.order for law in laws]
+
+
+def test_compiled_control_tells_signed_zero_plants_apart():
+    # G = 0.0 and G = -0.0 give law 2 coefficients of opposite zero sign;
+    # the compiled code must not be shared between the two plants
+    laws = table_laws()
+    gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
+    x = (0.3, 0.0, 0.1, 0.0)
+    assert supervisor(x, TH) == 2
+    messages = []
+    for g in (0.0, -0.0, 0.0):
+        plant = PlantParams.solid_sphere(G=g)
+        controller = compile_supervised_control(laws, gains, ref, TH, plant)
+        expected = _law_outcome(_exact_supervised(laws, gains, ref, plant, TH), x, 0.5)
+        assert _law_outcome(controller, x, 0.5) == expected
+        messages.append(expected[1])
+    assert messages[0] == messages[2] != messages[1]
+
+
 @pytest.mark.parametrize("gravity", [9.81, 0.0], ids=["plant", "no-gravity"])
-def test_supervised_control_is_the_supervisor_over_the_compiled_laws(gravity):
+def test_supervised_control_is_the_supervisor_over_the_exact_laws(gravity):
     # seeded states around the operating point, and every pair of edge values
     # of x1 and x4: signed zeros, the thresholds themselves, NaN and infinities
     plant = PlantParams.solid_sphere(G=gravity)
@@ -597,7 +616,7 @@ def test_supervised_control_is_the_supervisor_over_the_compiled_laws(gravity):
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
     controller = compile_supervised_control(laws, gains, ref, TH, plant)
-    controls = [compile_control(law, g, ref, plant) for law, g in zip(laws, gains)]
+    exact = _exact_supervised(laws, gains, ref, plant, TH)
     rng = np.random.default_rng(62)
     states = rng.uniform(-0.2, 0.2, size=(400, 4)).tolist()
     edges = [0.0, -0.0, TH.eps1, -TH.eps1, TH.eps4, -TH.eps4, math.nan, math.inf, -math.inf]
@@ -607,7 +626,7 @@ def test_supervised_control_is_the_supervisor_over_the_compiled_laws(gravity):
     for x, t in zip(states, times):
         law_id = supervisor(x, TH)
         seen.add(law_id)
-        expected = _law_outcome(lambda x, t: (law_id, *controls[law_id - 1](x, t)), x, t)
+        expected = _law_outcome(exact, x, t)
         assert _law_outcome(controller, x, t) == expected
         if gravity == 0.0 and law_id != 1:  # both coefficients carry G
             assert expected[0] is SingularControlError

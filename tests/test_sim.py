@@ -197,12 +197,15 @@ def test_run_with_the_held_plant_matches_the_called_plant(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inlined = [_run_outcome(sc) for sc in scenarios]
-        monkeypatch.setattr(
-            sim,
-            "rk4_step",
-            lambda deriv, x, h: rk4_step(lambda s: reduced_dynamics(s, deriv.u, deriv.plant), x, h),
-        )
-        called = [_run_outcome(sc) for sc in scenarios]
+        called = []
+        for sc in scenarios:
+            p = sc.plant
+            monkeypatch.setattr(
+                sim,
+                "rk4_step",
+                lambda deriv, x, h: rk4_step(lambda s: reduced_dynamics(s, deriv.u, p), x, h),
+            )
+            called.append(_run_outcome(sc))
     assert inlined == called
     message, time = inlined[2]
     assert message == "integration produced a non-finite state at t=11.767000"
@@ -696,3 +699,38 @@ def test_run_reports_a_failing_control_as_integration_error():
     )
     assert info.value.time == 0.0
     assert isinstance(info.value.__cause__, SingularControlError)
+    assert len(info.value.trajectory) == 0
+
+
+@pytest.mark.parametrize("name", ["control", "benchmark"])
+def test_a_diverged_run_keeps_one_sample_per_completed_step(name):
+    if name == "control":
+        # law 1 for six steps, then law 2, whose coefficient -B*G*cos(x3) is zero here
+        sc = _scenario(plant=PlantParams.solid_sphere(G=0.0), initial_state=(0.3, 0.1, 0.1, 0.2))
+    else:
+        sc = load_scenario(SCENARIO_DIR / "benchmark.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(IntegrationError) as info:
+            run(sc)
+    kept = info.value.trajectory
+    assert len(kept) == round(info.value.time / sc.step) > 0
+    assert kept.t.tobytes() == (np.arange(len(kept)) * sc.step).tobytes()
+
+
+def test_a_diverged_run_keeps_the_samples_of_the_completed_shorter_run():
+    import dataclasses
+
+    sc = load_scenario(SCENARIO_DIR / "benchmark.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(IntegrationError) as info:
+            run(sc)
+        completed, _ = run(dataclasses.replace(sc, duration=11.766))
+    kept = info.value.trajectory
+    assert str(info.value) == "integration produced a non-finite state at t=11.767000"
+    columns = ("t", "states", "u", "law", "a1", "error", "abscos3")
+    assert len(kept) == len(completed) == 11767
+    assert all(np.isfinite(getattr(kept, column)).all() for column in columns)
+    for column in columns:
+        assert getattr(kept, column).tobytes() == getattr(completed, column).tobytes()
