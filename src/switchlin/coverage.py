@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -100,6 +101,18 @@ def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray
         return out
 
     return draw
+
+
+def _stream_from(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A generator whose draws are ``rng``'s after its next ``skip`` doubles; ``rng`` is kept.
+
+    ``rng``'s PCG64 state is copied and advanced in O(log skip) steps, and
+    ``Generator.random`` takes one 64-bit output per double.
+    """
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    bits.advance(skip)
+    return np.random.Generator(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +400,9 @@ _PROBE_GRID = (0.0, 1.0, -1.0)
 #: cap on stored witnesses (the total is always reported exactly)
 _WITNESS_CAP = 10_000
 
-#: sample rows drawn and evaluated at a time, which bounds memory; ``analysis``
-#: timings were about flat from 2^14 to 2^16 rows
+#: sample rows in flight at a time, which bounds memory: two threads each draw
+#: and evaluate half of it per block; ``analysis`` timings of one thread were
+#: about flat from 2^14 to 2^16 rows
 _BLOCK_ROWS = 1 << 15
 
 
@@ -409,33 +423,59 @@ def coverage_check(
     supplied laws' factors, so gaps of measure zero are found even though
     random samples almost never land on them.
 
-    Samples are drawn and evaluated ``_BLOCK_ROWS`` rows at a time, probes
-    last, so memory is bounded; the result is that of one draw of all n.
+    The n samples are split at a block boundary into two contiguous halves.
+    The calling thread draws and evaluates the first, and one helper thread
+    the second, each ``_BLOCK_ROWS // 2`` rows at a time, so the rows in
+    flight and the memory bound are those of one ``_BLOCK_ROWS`` block.
+    Each half draws its own rows of the one seeded PCG64 stream: the helper
+    draws from a copy of the generator advanced past the first half (one
+    64-bit output per double).  The halves are merged in row order and the
+    probes tallied last, so the result is that of one draw of all n.  An
+    error in the helper's half is raised here; the helper is always joined.
     """
     if not margin >= 0:  # also rejects NaN, which would cover nothing
         raise ValueError(f"margin must be a non-negative number, got {margin!r}")
     if n < 0:
         raise ValueError("sample count must be non-negative")
-    draw = _box_sampler(box, np.random.default_rng(seed))
-    probes = _factor_probes([f for law in laws for f in law.factors], len(box))
-    samples = (draw(min(_BLOCK_ROWS, n - k), len(box)) for k in range(0, n, _BLOCK_ROWS))
-
+    dim = len(box)
+    rng = np.random.default_rng(seed)
+    draw = _box_sampler(box, rng)
+    probes = _factor_probes([f for law in laws for f in law.factors], dim)
     threshold = max(margin, ZERO_FLOOR)
-    covered_counts = [0] * len(laws)
-    witness_states: list[tuple[float, ...]] = []
-    witness_total = 0
-    for states in itertools.chain(samples, [probes]):
-        covered_any = np.zeros(len(states), dtype=bool)
-        for i, law in enumerate(laws):
-            covered = np.ones(len(states), dtype=bool)
-            for factor in law.factors:
-                covered &= np.abs(factor.field.evaluate_many(params, states)) > threshold
-            covered_any |= covered
-            covered_counts[i] += int(np.count_nonzero(covered))
-        missed = states[~covered_any]
-        witness_total += len(missed)
-        witness_states += map(tuple, missed[: _WITNESS_CAP - len(witness_states)].tolist())
+    rows = _BLOCK_ROWS // 2
+    split = min(n, (-(-n // rows) + 1) // 2 * rows)  # the first half's blocks, rounded up
 
+    def sweep(draw: Callable[..., np.ndarray], start: int, stop: int) -> _Tally:
+        blocks = (draw(min(rows, stop - k), dim) for k in range(start, stop, rows))
+        return _tally(laws, params, threshold, blocks)
+
+    if split < n:
+        second_draw = _box_sampler(box, _stream_from(rng, split * dim))
+        errstate = {"call": np.geterrcall(), **np.geterr()}  # the helper keeps the caller's
+        second: list = []  # the helper's tally, or the exception it raised
+
+        def sweep_second_half() -> None:
+            try:
+                with np.errstate(**errstate):
+                    second.append(sweep(second_draw, split, n))
+            except BaseException as error:
+                second.append(error)
+
+        helper = threading.Thread(target=sweep_second_half, name="coverage_check")
+        helper.start()
+        try:
+            first = sweep(draw, 0, split)
+        finally:
+            helper.join()
+        if isinstance(second[0], BaseException):
+            raise second.pop()
+        tallies = [first, *second]
+    else:
+        tallies = [sweep(draw, 0, n)]
+    tallies.append(_tally(laws, params, threshold, [probes]))
+
+    covered_counts = [sum(counts) for counts in zip(*(t.covered for t in tallies))]
+    witness_states = [s for t in tallies for s in t.witness_states][:_WITNESS_CAP]
     # count / total is the correctly rounded float np.mean gives a boolean column
     total = n + len(probes)
     fractions = [(law.name, c / total if total else 1.0) for law, c in zip(laws, covered_counts)]
@@ -448,9 +488,40 @@ def coverage_check(
         probe_count=len(probes),
         margin=margin,
         witnesses=tuple(witnesses),
-        witness_total=witness_total,
+        witness_total=sum(t.witness_total for t in tallies),
         law_fractions=tuple(fractions),
     )
+
+
+@dataclass(frozen=True)
+class _Tally:
+    covered: tuple[int, ...]  # states each law covers
+    witness_total: int
+    witness_states: tuple[tuple[float, ...], ...]  # the first _WITNESS_CAP, in row order
+
+
+def _tally(
+    laws: Sequence[LawDescriptor],
+    params: Mapping[str, Real],
+    threshold: float,
+    blocks: Iterable[np.ndarray],
+) -> _Tally:
+    """Covered counts and witnesses over ``blocks`` of states, in order."""
+    covered_counts = [0] * len(laws)
+    witness_states: list[tuple[float, ...]] = []
+    witness_total = 0
+    for states in blocks:
+        covered_any = np.zeros(len(states), dtype=bool)
+        for i, law in enumerate(laws):
+            covered = np.ones(len(states), dtype=bool)
+            for factor in law.factors:
+                covered &= np.abs(factor.field.evaluate_many(params, states)) > threshold
+            covered_any |= covered
+            covered_counts[i] += int(np.count_nonzero(covered))
+        missed = states[~covered_any]
+        witness_total += len(missed)
+        witness_states += map(tuple, missed[: _WITNESS_CAP - len(witness_states)].tolist())
+    return _Tally(tuple(covered_counts), witness_total, tuple(witness_states))
 
 
 def _unique(factors: Sequence[SingularityFactor]) -> list[SingularityFactor]:

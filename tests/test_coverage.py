@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -253,6 +255,104 @@ def test_blocked_coverage_caps_witnesses_in_a_later_block(params):
     report = coverage_check(laws, BOX, n, margin, params)
     assert report.witness_total > len(report.witnesses) == coverage._WITNESS_CAP
     _assert_same_report(report, _one_shot_coverage(laws, BOX, n, margin, params))
+
+
+_HALF = coverage._BLOCK_ROWS // 2  # the rows each of the two threads draws per block
+
+
+@pytest.mark.parametrize(
+    "n", [_HALF, _HALF + 1, 2 * _HALF - 1, 2 * _HALF, 2 * _HALF + 1, 5 * _HALF - 7]
+)
+@pytest.mark.parametrize("law_set", list(_LAW_SETS) + ["1"])
+def test_two_thread_coverage_matches_one_shot_reference(params, law_set, n):
+    # one block (no helper), a helper with one row, an even split, and an odd block count;
+    # law 1 alone at margin 0.05 leaves sampled witnesses in both halves, below the cap
+    if law_set in _LAW_SETS:
+        laws, margin = _LAW_SETS[law_set](), 0.0
+    else:
+        laws, margin = [law_descriptor(1)], 0.05
+    report = coverage_check(laws, BOX, n, margin, params, seed=3)
+    _assert_same_report(report, _one_shot_coverage(laws, BOX, n, margin, params, seed=3))
+
+
+def test_two_thread_coverage_caps_witnesses_in_the_helpers_half(params):
+    laws, margin, n = [law_descriptor(1)], 0.05, 8 * _HALF + 3
+    # nine blocks: the caller's first five hold fewer witnesses than the cap, all n more
+    first_half = coverage_check(laws, BOX, 5 * _HALF, margin, params)
+    assert first_half.witness_total < coverage._WITNESS_CAP
+    report = coverage_check(laws, BOX, n, margin, params)
+    assert report.witness_total > len(report.witnesses) == coverage._WITNESS_CAP
+    _assert_same_report(report, _one_shot_coverage(laws, BOX, n, margin, params))
+
+
+def test_coverage_without_a_seed_draws_one_stream(params, monkeypatch):
+    # seed=None: both halves come from the one generator default_rng(None) gives
+    unseeded = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: unseeded(5 if s is None else s))
+    laws, n = _LAW_SETS["1,2"](), 3 * _HALF + 1
+    _assert_same_report(
+        coverage_check(laws, BOX, n, 0.3, params, seed=None),
+        _one_shot_coverage(laws, BOX, n, 0.3, params, seed=5),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("dim", [1, 4, 5])
+def test_stream_from_draws_the_rows_one_draw_gives(seed, dim):
+    n = 3 * _HALF + 5
+    reference = np.random.default_rng(seed).random((n, dim))
+    rng = np.random.default_rng(seed)
+    for start in [0, 1, 7, _HALF, 2 * _HALF + 1]:
+        rows = coverage._stream_from(rng, start * dim).random((n - start, dim))
+        assert rows.tobytes() == reference[start:].tobytes()
+    assert rng.random((n, dim)).tobytes() == reference.tobytes()  # rng itself is untouched
+
+
+def _law_with_parameter():
+    factor = SingularityFactor(parse("cos(x3) - B", 4), "cos(x3) - B")
+    return dataclasses.replace(law_descriptor(1), factors=(F_X1, factor))
+
+
+def test_coverage_raises_an_unbound_parameter_error_at_two_blocks():
+    threads = threading.active_count()
+    with pytest.raises(EvaluationError, match="^unbound parameter 'B'$"):
+        coverage_check([_law_with_parameter()], BOX, 2 * _HALF, 0.0, {})
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("half", ["caller", "helper"])
+def test_coverage_raises_an_error_from_either_half(monkeypatch, half):
+    law, bound = _law_with_parameter(), {"B": 0.5}
+    threads = threading.active_count()
+    assert coverage_check([law], BOX, 2 * _HALF, 0.0, bound).sample_count == 2 * _HALF
+    assert threading.active_count() == threads
+    evaluate_many = ScalarField.evaluate_many
+
+    def unbound_in_one_half(self, params, states):  # no parameter is bound in that half
+        in_caller = threading.current_thread() is threading.main_thread()
+        return evaluate_many(self, {} if in_caller == (half == "caller") else params, states)
+
+    monkeypatch.setattr(ScalarField, "evaluate_many", unbound_in_one_half)
+    with pytest.raises(EvaluationError, match="^unbound parameter 'B'$"):
+        coverage_check([law], BOX, 2 * _HALF, 0.0, bound)
+    assert threading.active_count() == threads
+
+
+def test_coverage_helper_keeps_the_callers_floating_point_error_state(params, monkeypatch):
+    seen = {}
+    evaluate_many = ScalarField.evaluate_many
+
+    def recording(self, params, states):
+        seen[threading.current_thread() is threading.main_thread()] = np.geterr()
+        return evaluate_many(self, params, states)
+
+    monkeypatch.setattr(ScalarField, "evaluate_many", recording)
+    before = np.geterr()
+    with np.errstate(over="raise", under="warn"):
+        caller = np.geterr()
+        coverage_check(table_laws(), BOX, 2 * _HALF, 0.0, params)
+    assert seen == {True: caller, False: caller} != {True: before, False: before}
+    assert np.geterr() == before
 
 
 def test_coverage_memory_is_bounded(params):

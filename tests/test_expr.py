@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -512,6 +514,40 @@ def test_evaluate_many_unbound_parameter():
 def test_evaluate_many_state_array_too_narrow():
     with pytest.raises(EvaluationError, match="x4"):
         parse("x1 + x4", 4).evaluate_many({}, np.zeros((3, 2)))
+
+
+def test_evaluate_many_is_thread_safe_on_the_law_factors(rng):
+    # coverage_check evaluates in two threads at once; each thread's errstate stays its own,
+    # so the non-finite rows' invalid operations stay silent and the caller's state is kept
+    params = {"B": 5 / 7, "G": 9.81}
+    fields = [
+        factor.field
+        for law_id, g_modified in ((1, False), (2, False), (3, True))
+        for factor in law_descriptor(law_id, g_modified=g_modified).factors
+    ]
+    states = rng.uniform(-2, 2, size=(4096, 4))
+    states[:3] = [[np.inf, 0.0, np.inf, np.inf], [0.0, np.inf, -np.inf, 0.0], [np.nan] * 4]
+    serial = [field.evaluate_many(params, states).tobytes() for field in fields]
+    before = np.geterr()
+    barrier = threading.Barrier(2)
+    results = [[], []]
+
+    def evaluate_repeatedly(out):
+        barrier.wait()
+        for _ in range(50):
+            out.append([field.evaluate_many(params, states).tobytes() for field in fields])
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        threads = [threading.Thread(target=evaluate_repeatedly, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert [len(out) for out in results] == [50, 50]
+    assert all(arrays == serial for out in results for arrays in out)
+    assert caught == []
+    assert np.geterr() == before
 
 
 def test_evaluate_many_matches_exact_evaluation_on_law_fields(rng):

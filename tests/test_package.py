@@ -29,15 +29,25 @@ def test_only_expr_executes_generated_code():
     assert executing == ["expr.py"]
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
-    # the runtime needs only numpy; scipy is a test dependency
+def _loaded_by_importing_the_package_and_cli(top):
+    """The modules named ``top`` or ``top.*`` that a fresh ``python -I`` loads for the CLI."""
     src = pathlib.Path(switchlin.__file__).parent.parent
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import switchlin, switchlin.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {top!r} or m.startswith({top + '.'!r})))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # the runtime needs only numpy; scipy is a test dependency
+    assert _loaded_by_importing_the_package_and_cli("scipy") == "[]"
+
+
+def test_importing_the_package_and_cli_loads_no_concurrent_module():
+    # coverage_check's helper is a bare threading.Thread: concurrent.futures costs setup time
+    assert _loaded_by_importing_the_package_and_cli("concurrent") == "[]"
