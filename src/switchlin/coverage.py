@@ -33,7 +33,8 @@ magnitudes at or below ``ZERO_FLOOR`` count as zero even at margin 0.
 All sampling is seeded and all searches are grid-based, so every function
 here is deterministic.  Searches and scans use the vectorised
 ``evaluate_many``, where a vanishing denominator gives inf or nan rather
-than an error; exact ``evaluate`` refines roots and accepts sampled points.
+than an error (``coverage_check`` does its operations in one generated
+kernel); exact ``evaluate`` refines roots and accepts sampled points.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .controllers import LawDescriptor
-from .expr import Bindings, EvaluationError, Real, ScalarField, state_indices
-from .expr import format_number as _fmt, format_vector as _fmt_vec
+from .expr import Bindings, EvaluationError, Real, ScalarField, _bind, _compile, _emit
+from .expr import format_number as _fmt, format_vector as _fmt_vec, state_indices
 from .geometry import SingularityFactor, transversality_rank
 
 __all__ = [
@@ -84,8 +85,9 @@ class SamplingError(RuntimeError):
 def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray]:
     """``draw(*shape)``: the floats ``rng.uniform(lows, highs, shape)`` draws for the box.
 
-    Formed in place as lows + (highs - lows) * rng.random(shape), as ``uniform`` forms them,
-    without its slow broadcast; the box is checked first, as ``uniform`` checks it.
+    Formed in place as lows + (highs - lows) * rng.random(shape), with ``uniform``'s multiply
+    and add per element: a 2-D draw a column at a time (numpy's inner loop then runs down the
+    rows), a point at once.  The box is checked first, as ``uniform`` checks it.
     """
     lows, highs = np.asarray(box, dtype=float).T
     widths = highs - lows
@@ -96,8 +98,10 @@ def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray
 
     def draw(*shape: int) -> np.ndarray:
         out = rng.random(shape)
-        out *= widths
-        out += lows
+        scaled = zip(out.T, widths, lows) if out.ndim == 2 else [(out, widths, lows)]
+        for column, width, low in scaled:
+            column *= width
+            column += low
         return out
 
     return draw
@@ -430,8 +434,10 @@ def coverage_check(
     Each half draws its own rows of the one seeded PCG64 stream: the helper
     draws from a copy of the generator advanced past the first half (one
     64-bit output per double).  The halves are merged in row order and the
-    probes tallied last, so the result is that of one draw of all n.  An
-    error in the helper's half is raised here; the helper is always joined.
+    probes tallied last, so the result is that of one draw of all n.  All are
+    tallied by one ``_mask_kernel``, built before the helper starts, so its
+    errors are raised here, as is an error in the helper's half; the helper is
+    always joined.
     """
     if not margin >= 0:  # also rejects NaN, which would cover nothing
         raise ValueError(f"margin must be a non-negative number, got {margin!r}")
@@ -441,13 +447,13 @@ def coverage_check(
     rng = np.random.default_rng(seed)
     draw = _box_sampler(box, rng)
     probes = _factor_probes([f for law in laws for f in law.factors], dim)
-    threshold = max(margin, ZERO_FLOOR)
+    masks = _mask_kernel(laws, params, max(margin, ZERO_FLOOR), dim)
     rows = _BLOCK_ROWS // 2
     split = min(n, (-(-n // rows) + 1) // 2 * rows)  # the first half's blocks, rounded up
 
     def sweep(draw: Callable[..., np.ndarray], start: int, stop: int) -> _Tally:
         blocks = (draw(min(rows, stop - k), dim) for k in range(start, stop, rows))
-        return _tally(laws, params, threshold, blocks)
+        return _tally(masks, len(laws), blocks)
 
     if split < n:
         second_draw = _box_sampler(box, _stream_from(rng, split * dim))
@@ -472,7 +478,7 @@ def coverage_check(
         tallies = [first, *second]
     else:
         tallies = [sweep(draw, 0, n)]
-    tallies.append(_tally(laws, params, threshold, [probes]))
+    tallies.append(_tally(masks, len(laws), [probes]))
 
     covered_counts = [sum(counts) for counts in zip(*(t.covered for t in tallies))]
     witness_states = [s for t in tallies for s in t.witness_states][:_WITNESS_CAP]
@@ -500,22 +506,40 @@ class _Tally:
     witness_states: tuple[tuple[float, ...], ...]  # the first _WITNESS_CAP, in row order
 
 
+def _mask_kernel(
+    laws: Sequence[LawDescriptor], params: Mapping[str, Real], threshold: float, dim: int
+) -> Callable[[np.ndarray], tuple]:
+    """``masks(states)``: for each law, whether all its factors exceed ``threshold`` in magnitude.
+
+    All factors are emitted at once (``expr._emit``) into one function compiled by
+    ``expr._compile``.  Each is computed with ``evaluate_many``'s numpy operations under its
+    ``errstate``, so the masks are bit for bit those ``evaluate_many`` gives.  A law with no
+    factors gives ``True``.  Unbound parameters and states beyond ``dim`` raise here.
+    """
+    sources, names = _emit([f.field.expr for law in laws for f in law.factors], dim)
+    compared = iter(f"(abs({source}) > threshold)" for source in sources)
+    masks = "".join(f"{' & '.join(next(compared) for _ in law.factors) or True}, " for law in laws)
+    arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
+    kernel = _compile(
+        f"def masks({', '.join([*arguments, 'threshold'])}):\n"
+        f"    with errstate(divide='ignore', invalid='ignore'):\n        return ({masks})\n",
+        "masks", abs=np.abs, sin=np.sin, cos=np.cos, errstate=np.errstate,
+    )
+    bound = _bind(names, params)
+    return lambda states: kernel(*states.T, *bound, threshold)
+
+
 def _tally(
-    laws: Sequence[LawDescriptor],
-    params: Mapping[str, Real],
-    threshold: float,
-    blocks: Iterable[np.ndarray],
+    masks: Callable[[np.ndarray], tuple], law_count: int, blocks: Iterable[np.ndarray]
 ) -> _Tally:
-    """Covered counts and witnesses over ``blocks`` of states, in order."""
-    covered_counts = [0] * len(laws)
+    """Covered counts and witnesses over ``blocks`` of states, in order, from ``masks``."""
+    covered_counts = [0] * law_count
     witness_states: list[tuple[float, ...]] = []
     witness_total = 0
     for states in blocks:
         covered_any = np.zeros(len(states), dtype=bool)
-        for i, law in enumerate(laws):
-            covered = np.ones(len(states), dtype=bool)
-            for factor in law.factors:
-                covered &= np.abs(factor.field.evaluate_many(params, states)) > threshold
+        for i, covered in enumerate(masks(states)):
+            covered = np.broadcast_to(covered, covered_any.shape)  # True, or a constant factor
             covered_any |= covered
             covered_counts[i] += int(np.count_nonzero(covered))
         missed = states[~covered_any]

@@ -320,19 +320,28 @@ def test_coverage_raises_an_unbound_parameter_error_at_two_blocks():
     assert threading.active_count() == threads
 
 
+def _wrap_mask_kernels(monkeypatch, wrap):
+    """Make coverage_check tally with ``wrap(kernel)`` for each kernel ``_compile`` gives it."""
+    compile_ = coverage._compile
+    monkeypatch.setattr(coverage, "_compile", lambda *args, **names: wrap(compile_(*args, **names)))
+
+
 @pytest.mark.parametrize("half", ["caller", "helper"])
 def test_coverage_raises_an_error_from_either_half(monkeypatch, half):
     law, bound = _law_with_parameter(), {"B": 0.5}
     threads = threading.active_count()
     assert coverage_check([law], BOX, 2 * _HALF, 0.0, bound).sample_count == 2 * _HALF
     assert threading.active_count() == threads
-    evaluate_many = ScalarField.evaluate_many
 
-    def unbound_in_one_half(self, params, states):  # no parameter is bound in that half
-        in_caller = threading.current_thread() is threading.main_thread()
-        return evaluate_many(self, {} if in_caller == (half == "caller") else params, states)
+    def unbound_in_one_half(kernel):  # no parameter is bound in that half
+        def masks(*args):
+            if (threading.current_thread() is threading.main_thread()) == (half == "caller"):
+                expr._bind(["B"], {})
+            return kernel(*args)
 
-    monkeypatch.setattr(ScalarField, "evaluate_many", unbound_in_one_half)
+        return masks
+
+    _wrap_mask_kernels(monkeypatch, unbound_in_one_half)
     with pytest.raises(EvaluationError, match="^unbound parameter 'B'$"):
         coverage_check([law], BOX, 2 * _HALF, 0.0, bound)
     assert threading.active_count() == threads
@@ -340,19 +349,65 @@ def test_coverage_raises_an_error_from_either_half(monkeypatch, half):
 
 def test_coverage_helper_keeps_the_callers_floating_point_error_state(params, monkeypatch):
     seen = {}
-    evaluate_many = ScalarField.evaluate_many
 
-    def recording(self, params, states):
-        seen[threading.current_thread() is threading.main_thread()] = np.geterr()
-        return evaluate_many(self, params, states)
+    def recording(kernel):
+        def masks(*args):
+            seen[threading.current_thread() is threading.main_thread()] = np.geterr()
+            return kernel(*args)
 
-    monkeypatch.setattr(ScalarField, "evaluate_many", recording)
+        return masks
+
+    _wrap_mask_kernels(monkeypatch, recording)
     before = np.geterr()
     with np.errstate(over="raise", under="warn"):
         caller = np.geterr()
         coverage_check(table_laws(), BOX, 2 * _HALF, 0.0, params)
     assert seen == {True: caller, False: caller} != {True: before, False: before}
     assert np.geterr() == before
+
+
+def _law_with_factors(name, *texts):
+    factors = tuple(SingularityFactor(parse(text, 4), text) for text in texts)
+    return dataclasses.replace(law_descriptor(1), name=name, factors=factors)
+
+
+def _non_finite_laws():
+    # wherever x4 = 0, x1/x4 is +-inf and x4/x4 NaN: on the probes, and on every row _X4_ZERO_BOX draws
+    return [law_descriptor(1), _law_with_factors("inf", "x1/x4"), _law_with_factors("nan", "x4/x4")]
+
+
+_X4_ZERO_BOX = [(-1.0, 1.0)] * 3 + [(0.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "laws, box, margin, n",
+    [
+        (_non_finite_laws, _X4_ZERO_BOX, 0.3, 2 * _HALF + 3),
+        (_non_finite_laws, BOX, 0.0, 2 * _HALF + 3),
+        (lambda: [law_descriptor(1), law_descriptor(3)], BOX, 0.3, 2 * _HALF + 3),  # no factors
+        (lambda: [law_descriptor(1), _law_with_parameter()], BOX, 0.3, 2 * _HALF + 3),
+        # the caller's block holds fewer witnesses than the cap, the helper's crosses it
+        (lambda: [law_descriptor(1)], BOX, 0.3, 2 * _HALF),
+    ],
+    ids=["inf and nan, x4 = 0", "inf and nan", "law 3", "parameter", "cap in the helper"],
+)
+def test_mask_kernel_tally_matches_one_shot_reference(params, laws, box, margin, n):
+    laws = laws()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf and NaN values are silent, as in evaluate_many
+        report = coverage_check(laws, box, n, margin, params, seed=3)
+    _assert_same_report(report, _one_shot_coverage(laws, box, n, margin, params, seed=3))
+    if len(laws) == 1:
+        caller_half = coverage_check(laws, box, _HALF, margin, params, seed=3)
+        assert caller_half.witness_total < coverage._WITNESS_CAP < report.witness_total
+
+
+def test_coverage_compiles_nothing_for_a_new_seed_or_margin(params):
+    laws = _LAW_SETS["1,2"]()
+    coverage_check(laws, BOX, 2 * _HALF, 0.3, params, seed=0)
+    misses = expr._compile.cache_info().misses
+    coverage_check(laws, BOX, 2 * _HALF, 0.0, params, seed=1)
+    assert expr._compile.cache_info().misses == misses
 
 
 def test_coverage_memory_is_bounded(params):
@@ -374,6 +429,9 @@ _SAMPLER_BOXES = {
         (1.0, 1.0 + 2**-52), (-1e-300, 1e-300), (0.1, math.nextafter(0.1, 1.0)), (-5e-324, 5e-324)
     ],
     "zero width": [(0.5, 0.5), (-0.0, 0.0), (0.0, 0.0), (-2.0, 1.0)],
+    "one axis": [(-3.5, -0.25)],
+    "five axes": [(-1.0, 1.0), (-3.5, -0.25), (0.5, 0.5), (1e-3, 7.0), (-40.0, 2.0)],
+    "one zero-width axis": [(-2.0, -2.0)],
 }
 
 
@@ -382,7 +440,8 @@ def test_box_sampler_draws_what_uniform_draws(box):
     lows, highs = np.asarray(box, dtype=float).T
     draw = coverage._box_sampler(box, np.random.default_rng(11))
     rng = np.random.default_rng(11)
-    for shape in [(5, 4), (0, 4), (4,), (1000, 4)]:
+    dim = len(box)
+    for shape in [(5, dim), (1, dim), (0, dim), (dim,), (1000, dim)]:
         assert draw(*shape).tobytes() == rng.uniform(lows, highs, size=shape).tobytes()
 
 
