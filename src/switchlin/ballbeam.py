@@ -37,7 +37,6 @@ __all__ = [
     "PlantParams",
     "benchmark_plant",
     "full_dynamics",
-    "plant_code",
     "reduced_dynamics",
     "symbolic_system",
     "torque_from_u",
@@ -80,8 +79,8 @@ class PlantParams:
 
     @functools.cached_property  # read by every reduced_dynamics call
     def field_values(self) -> tuple[float, ...]:
-        """The values of the parameters p0, p1, .. of :func:`plant_code`."""
-        return tuple(_bind(plant_code()[1], self.symbol_values()))
+        """The values of the parameters p0, p1, .. of the generated derivative."""
+        return tuple(_bind(_derivative()[1], self.symbol_values()))
 
     def symbol_values(self) -> dict[str, float]:
         """Bindings for the symbolic parameters of the reduced model."""
@@ -112,37 +111,28 @@ def benchmark_plant() -> PlantParams:
 BALL_ACCELERATION = parse("B*(x1*x4*x4 - G*sin(x3))", 4)
 
 
+#: the reduced model's derivative, one component per state, with the input as x5
+REDUCED_FIELD = (StateVar(2), BALL_ACCELERATION.expr, StateVar(4), StateVar(5))
+
+
 @functools.cache  # generated on first use, not at import
-def plant_code() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The reduced model's derivative as Python source, one expression per component.
-
-    The sources are written by ``expr._emit`` over the state x1..x4, the
-    input x5 = u and parameters p0, p1, ..; the second tuple names the
-    plant parameter each p<k> stands for (:attr:`PlantParams.field_values`
-    binds them).
-    """
-    x2, x4, u = StateVar(2), StateVar(4), StateVar(5)
-    sources, names = _emit((x2, BALL_ACCELERATION.expr, x4, u), 5)
-    return tuple(sources), names
-
-
-@functools.cache
-def _derivative() -> Callable:
-    sources, names = plant_code()
+def _derivative() -> tuple[Callable, tuple[str, ...]]:
+    """:data:`REDUCED_FIELD` as ``derivative(x, x5, params)``, and the parameter each p<k> is."""
+    sources, names = _emit(REDUCED_FIELD, 5)
     code = (
         "def derivative(x, x5, params):\n"
         "    x1, x2, x3, x4 = x\n"
         f"    ({''.join(f'p{k}, ' for k in range(len(names)))}) = params\n"
         f"    return ({', '.join(sources)})\n"
     )
-    return _compile(code, "derivative", sin=math.sin)
+    return _compile(code, "derivative", sin=math.sin), names
 
 
 def reduced_dynamics(
     x: Sequence[float], u: float, p: PlantParams
 ) -> tuple[float, float, float, float]:
     """State derivative of the reduced model under the input u = thetaddot."""
-    return _derivative()(x, u, p.field_values)
+    return _derivative()[0](x, u, p.field_values)
 
 
 def _beam_terms(x: Sequence[float], p: PlantParams) -> tuple[float, float, float]:

@@ -221,9 +221,11 @@ _LAW_TOKENS = {"1": (1, False), "2": (2, False), "3": (3, False), "3g": (3, True
 def cmd_coverage(args) -> int:
     tokens = [t.strip() for t in args.laws.split(",") if t.strip()]
     laws = []
-    for token in tokens:
+    for i, token in enumerate(tokens):
         if token not in _LAW_TOKENS:
             raise UsageError(f"unknown law token {token!r}; use 1, 2, 3, or 3g")
+        if token in tokens[:i]:
+            raise UsageError(f"law token {token!r} is repeated; name each law once")
         law_id, g_modified = _LAW_TOKENS[token]
         laws.append(law_descriptor(law_id, g_modified=g_modified))
     if not laws:

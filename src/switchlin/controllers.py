@@ -203,28 +203,32 @@ class LawDescriptor:
             raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
     @functools.cached_property  # emitted once per descriptor; every run reads it
-    def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """This law's statements at x1..x4 and t, leaving u and r0, and its plant names.
+    def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """This law's constants, statements at x1..x4 and t leaving u and r0, and plant names.
 
-        They read the plant as ``p<id>_<k>`` and the gains as ``alpha<id>_<j>``
-        (<id> is ``law_id``, so laws can share a function), and the reference
-        as ``omega``, ``c<j>``.  They compute the coefficient, offset and
-        coordinates q_j as the expr emitter writes them, r_j = c_j * (cos or
-        sin)(omega t) with one cos and one sin, v = r_order - sum_j alpha_j
-        (q_j - r_j) summed from 0.0 in j order, the floor check of
-        :func:`_solve` and u = (-offset + v) / coefficient: the operations of
-        the exact path, in its order.
+        They read the plant as ``p<id>_<k>``, the emitter's temporaries as
+        ``t<id>_<k>`` (the constants, run once per run, set some) and the
+        gains as ``alpha<id>_<j>`` (<id> is ``law_id``, so laws can share a
+        function), and the reference as ``omega``, ``c<j>``.  They compute the
+        coefficient, offset and coordinates q_j (or read a state variable) as
+        the expr emitter writes them, r_j = c_j * (cos or sin)(omega t) with
+        one cos and one sin, v = r_order - sum_j alpha_j (q_j - r_j) summed
+        from 0.0 in j order, the floor check of :func:`_solve` and u = (-offset
+        + v) / coefficient: the operations of the exact path, in its order.
         """
         order, tag = self.order, self.law_id
         exprs = [f.expr for f in (self.coefficient, self.offset, *self.coordinates)]
-        sources, names = _emit(exprs, 4)
-        # _emit writes the k-th parameter p<k>, and nothing else it writes has a "p"
-        tagged = (re.sub(r"\bp(?=\d)", f"p{tag}_", source) for source in sources)
-        coefficient, offset, *coordinates = tagged
+        constants: list[str] = []
+        sources, names = _emit(exprs, 4, constants)
+        # _emit writes p<k> and t<k>, and nothing else it writes has a "p" or "t"
+        tagged = functools.partial(re.sub, r"\b([pt])(?=\d)", rf"\g<1>{tag}_")
+        constants = [tagged(line) for line in constants]
+        coefficient, offset, *coordinates = map(tagged, sources)
+        q = [source if source.isidentifier() else f"q{j}" for j, source in enumerate(coordinates)]
         lines = [
             f"coefficient = {coefficient}",
             f"offset = {offset}",
-            *(f"q{j} = {source}" for j, source in enumerate(coordinates)),
+            *(f"{q[j]} = {source}" for j, source in enumerate(coordinates) if q[j] != source),
             "phase = omega * t",
             "wave_cos = cos(phase)",
             "wave_sin = sin(phase)",
@@ -233,13 +237,13 @@ class LawDescriptor:
                 for j in range(order + 1)
             ),
             "feedback = 0.0",
-            *(f"feedback += alpha{tag}_{j} * (q{j} - r{j})" for j in range(order)),
+            *(f"feedback += alpha{tag}_{j} * ({q[j]} - r{j})" for j in range(order)),
             f"v = r{order} - feedback",
             f"if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
             f"    raise SingularControlError({tag!r}, coefficient)",
             "u = (-offset + v) / coefficient",
         ]
-        return tuple(lines), names
+        return tuple(constants), tuple(lines), names
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))
@@ -384,18 +388,20 @@ def compile_supervised_control(
     ``ref.value(t)``: each arm holds the law's statements.  They are
     emitted once per descriptor and compiled once per distinct source; the
     thresholds, the plant values, the reference constants and the gains
-    are bound here, so no run generates new code.
+    are bound here, so no run generates new code, and the laws' terms of
+    plant values alone are computed here, once, in the generated ``make``.
     """
     if [law.law_id for law in laws] != [1, 2, 3]:
         raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
-    bound, arms = {"eps1": thresholds.eps1, "eps4": thresholds.eps4}, {}
+    bound, constants, arms = {"eps1": thresholds.eps1, "eps4": thresholds.eps4}, [], {}
     for law, law_gains in zip(laws, gains, strict=True):
         _check_order(law, law_gains)
-        body, names = law._control_body
+        law_constants, body, names = law._control_body
         tag = law.law_id
         plant_names = [f"p{tag}_{k}" for k in range(len(names))]
         bound.update(zip(plant_names, _bind(names, p.symbol_values())))
         bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
+        constants += law_constants
         arms[tag] = [*(f"    {line}" for line in body), f"    return {tag}, u, r0"]
     lines = [
         "ball_out = abs(x1) > eps1",
@@ -410,7 +416,8 @@ def compile_supervised_control(
     omega, scales = _reference_scales(ref, max(law.order for law in laws))
     arguments = ", ".join(["omega", *(f"c{j}" for j in range(len(scales))), *bound])
     source = "".join(
-        [f"def make({arguments}):\n    def control(x, t):\n        x1, x2, x3, x4 = x\n"]
+        [f"def make({arguments}):\n", *(f"    {line}\n" for line in constants)]
+        + ["    def control(x, t):\n        x1, x2, x3, x4 = x\n"]
         + [f"        {line}\n" for line in lines]
         + ["    return control\n"]
     )

@@ -432,7 +432,9 @@ def _compile(source: str, name: str, **names) -> Callable:
     return namespace[name]
 
 
-def _emit(exprs: Sequence[Expr], dim: int) -> tuple[list[str], tuple[str, ...]]:
+def _emit(
+    exprs: Sequence[Expr], dim: int, constants: list[str] | None = None
+) -> tuple[list[str], tuple[str, ...]]:
     """Python source of each expression over x1..x<dim>, and its parameter names.
 
     The k-th distinct parameter, in order of first appearance, is written
@@ -442,42 +444,67 @@ def _emit(exprs: Sequence[Expr], dim: int) -> tuple[list[str], tuple[str, ...]]:
     reference and gains are bound per run.  ``sin`` and ``cos`` are left
     for the namespace to supply.  Every code generator shares this emitter,
     so each performs the operations of :func:`evaluate` in the same order.
+
+    Each value is computed once: a repeated subtree is written ``(t<k> :=
+    ...)`` where first computed, so the sources must run in order, and each
+    operation runs where it would unshared.  Keyed by code, (0.0) and (-0.0)
+    stay apart.  Given a list ``constants``, subtrees of constants and
+    parameters under -, + and * only (which cannot raise) are appended to it
+    instead, as ``t<k> = ...``, for a generated ``make`` to run once per run.
     """
     names: dict[str, str] = {}
+    forms: dict[str, tuple[str, list[str], bool]] = {}  # by code: template, operands, constant
+    uses: dict[str, int] = {}  # by code: times computed once shared subtrees are not
+    temps: dict[str, str] = {}  # by code: the temporary that holds it
 
-    def emit(node: Expr) -> str:
+    def key(node: Expr) -> str:  # its code in full; counts operands once per new code
+        parts = [key(child) for child in _children(node)]
         match node:
             case Constant(value=v):
-                return f"({float(v)!r})"
+                form = f"({float(v)!r})"
             case Parameter(name=n):
-                if n not in names:
-                    names[n] = f"p{len(names)}"
-                return names[n]
+                form = names.setdefault(n, f"p{len(names)}")
             case StateVar(index=i):
                 if i > dim:
                     raise EvaluationError(
                         f"state variable x{i} outside state vector of length {dim}", node
                     )
-                return f"x{i}"
-            case Negate(operand=e):
-                return f"(-{emit(e)})"
-            case Add(left=l, right=r):
-                return f"({emit(l)} + {emit(r)})"
-            case Sub(left=l, right=r):
-                return f"({emit(l)} - {emit(r)})"
-            case Mul(left=l, right=r):
-                return f"({emit(l)} * {emit(r)})"
-            case Div(left=l, right=r):
-                return f"({emit(l)} / {emit(r)})"
-            case IntPow(base=b, exponent=n):
-                return f"({emit(b)} ** {n})"
-            case Sin(argument=a):
-                return f"sin({emit(a)})"
-            case Cos(argument=a):
-                return f"cos({emit(a)})"
-        raise TypeError(f"not an expression node: {node!r}")
+                form = f"x{i}"
+            case IntPow(exponent=n):
+                form = f"({{}} ** {n})"
+            case _:
+                form = _FORMS[type(node)]
+        code = form.format(*parts)
+        if code not in forms:
+            fixed = constants is not None and isinstance(node, _FIXED)
+            constant = fixed and all(forms[part][2] for part in parts)
+            forms[code] = form, parts, constant
+            for part in () if constant else parts:
+                uses[part] = uses.get(part, 0) + 1
+        return code
 
-    return [emit(expr) for expr in exprs], tuple(names)
+    def emit(code: str, inside_constant: bool = False) -> str:
+        form, parts, constant = forms[code]
+        if not parts or code in temps:
+            return temps.get(code, code)
+        written = form.format(*[emit(part, constant) for part in parts])
+        if not (constant and not inside_constant or uses.get(code, 0) > 1):
+            return written
+        temps[code] = name = f"t{len(temps)}"
+        if constant:
+            constants.append(f"{name} = {written}")
+            return name
+        return f"({name} := {written})"
+
+    codes = [key(expr) for expr in exprs]
+    for code in codes:
+        uses[code] = uses.get(code, 0) + 1
+    return [emit(code) for code in codes], tuple(names)
+
+
+_FORMS = {Negate: "(-{})", Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})",
+          Div: "({} / {})", Sin: "sin({})", Cos: "cos({})"}
+_FIXED = (Constant, Parameter, Negate, Add, Sub, Mul)  # what ``_emit`` puts in constants
 
 
 def _bind(names: Sequence[str], params: Mapping[str, Real]) -> list[float]:

@@ -2,15 +2,15 @@
 
 Fixed-step classical Runge-Kutta integration of the reduced plant, by a
 straight-line step with the plant inlined: it is generated once from the
-plant's field (``ballbeam.BALL_ACCELERATION``), and a run binds B and G
-(:class:`HeldPlant`).  The supervisor and the selected law are evaluated
-once per step, at the step's start, and the resulting input is held
-constant across the step (zero-order hold).  Both are one generated
-function (``controllers.compile_supervised_control``), the supervisor's
-branch with each law's control, outer loop included, in its arms; a run
-binds the thresholds, the plant, the reference and the gains.  RK4 stays
-a call of :func:`rk4_step` per step, where a run's steps are counted.
-Identical scenarios produce bitwise-identical trajectories.
+plant's field (``ballbeam.REDUCED_FIELD``), computing each value once, and
+a run binds B and G (:class:`HeldPlant`).  The supervisor and the selected
+law are evaluated once per step, at the step's start, and the resulting
+input is held constant across the step (zero-order hold).  Both are one
+generated function (``controllers.compile_supervised_control``), the
+supervisor's branch with each law's control, outer loop included, in its
+arms; a run binds the thresholds, the plant, the reference and the gains.
+RK4 stays a call of :func:`rk4_step` per step, where a run's steps are
+counted.  Identical scenarios produce bitwise-identical trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -28,7 +28,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .ballbeam import PlantParams, plant_code
+from .ballbeam import REDUCED_FIELD, PlantParams
 from .controllers import (
     SwitchThresholds,
     TrackingReference,
@@ -37,7 +37,7 @@ from .controllers import (
     pole_gains,
     table_laws,
 )
-from .expr import _compile, format_number as _fmt
+from .expr import Expr, IntPow, StateVar, _bind, _children, _compile, _emit, format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
@@ -206,30 +206,26 @@ def rk4_step(
 class HeldPlant:
     """The reduced plant with its input ``u`` held across a step.
 
-    :func:`rk4_step` runs the step generated from the plant's field, with
-    B and G bound here, once.  Set ``u`` before each step.
+    :func:`rk4_step` runs its ``rk4``, the plant's generated step with B and
+    G bound here, once (:func:`_plant_rk4`).  Set ``u`` before each step.
     """
 
-    __slots__ = ("params", "rk4", "u")
+    __slots__ = ("rk4", "u")
 
     def __init__(self, plant: PlantParams):
-        self.params = plant.field_values
-        self.rk4 = _compiled_rk4(4, plant_code())
+        make, names = _plant_rk4()
+        self.rk4 = make(*_bind(names, plant.symbol_values()))
         self.u = 0.0
 
 
 @functools.cache  # rk4_step looks its step up on every call
-def _compiled_rk4(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> Callable:
+def _compiled_rk4(n: int) -> Callable:
     """Straight-line RK4 step for states of length n.
 
     Per component it computes ``x_i + half*k_i``, ``x_i + h*k_i`` and
     ``x_i + sixth*(a + 2.0*(b + c) + d)``, so the rounding is that of the
     textbook per-component loop.  Each stage's derivative is
-    ``deriv(state)``, checked for length n.  With ``field``, the (sources,
-    names) that ``expr._emit`` returns for one expression per component,
-    the sources are inlined instead: each is computed at the stage state
-    x1..x<n>, with the input x<n+1> = ``deriv.u`` held across the step and
-    p0, p1, .. = ``deriv.params``.
+    ``deriv(state)``, checked for length n.
     """
     if n < 1:
         raise ValueError("the state must have at least one component")
@@ -237,35 +233,22 @@ def _compiled_rk4(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in range(n))
 
-    start = [f"s{i}" for i in range(n)]
-
-    def stage(k: str, state: list[str]) -> list[str]:
-        if field is not None:
-            return [
-                *(f"    x{i + 1} = {v}" for i, v in enumerate(state)),
-                *(f"    {k}{i} = {source}" for i, source in enumerate(field[0])),
-            ]
-        argument = "x" if state is start else "(" + "".join(f"{v}, " for v in state) + ")"
+    def stage(k: str, state: str) -> list[str]:
         return [
-            f"    {k} = deriv({argument})",
+            f"    {k} = deriv({state})",
             f"    if len({k}) != {n}:",
             f"        raise length_error(len({k}), {n})",
             f"    {names(k)}= {k}",
         ]
 
-    def shifted(step: str, k: str) -> list[str]:
-        return [f"s{i} + {step} * {k}{i}" for i in range(n)]
+    def shifted(step: str, k: str) -> str:
+        return "(" + "".join(f"s{i} + {step} * {k}{i}, " for i in range(n)) + ")"
 
-    held = []
-    if field is not None:
-        parameters = "".join(f"p{j}, " for j in range(len(field[1])))
-        held = [f"    x{n + 1} = deriv.u", f"    ({parameters}) = deriv.params"]
     lines = [
         "def rk4(deriv, x, h):",
         f"    {names('s')}= x",
-        *held,
         "    half = 0.5 * h",
-        *stage("a", start),
+        *stage("a", "x"),
         *stage("b", shifted("half", "a")),
         *stage("c", shifted("half", "b")),
         *stage("d", shifted("h", "c")),
@@ -279,12 +262,47 @@ def _compiled_rk4(n: int, field: tuple[tuple[str, ...], tuple[str, ...]] | None 
         "\n".join(lines) + "\n",
         "rk4",
         len=len,
-        sin=math.sin,
-        cos=math.cos,
         isfinite=math.isfinite,
         IntegrationError=IntegrationError,
         length_error=_length_error,
     )
+
+
+@functools.cache  # generated on first use; every HeldPlant binds it
+def _plant_rk4() -> tuple[Callable, tuple[str, ...]]:
+    """``make(p0, p1, ..)`` giving the plant's step, and the parameter each p<k> stands for.
+
+    The step ``rk4(deriv, x, x6)``, x6 = h, is :func:`_compiled_rk4`'s on
+    ``ballbeam.REDUCED_FIELD`` with x5 = ``deriv.u`` held, its stages and
+    update built as trees and written by one ``expr._emit``: each value,
+    stage states with equal text included, is computed once.
+    """
+    x, u, h = [StateVar(i) for i in range(1, 5)], StateVar(5), StateVar(6)
+
+    def at(expr: Expr, state: list[Expr]) -> Expr:  # expr with each x<i> as state[i - 1]
+        if isinstance(expr, StateVar):
+            return state[expr.index - 1]
+        operands = [at(child, state) for child in _children(expr)]
+        if isinstance(expr, IntPow):
+            return IntPow(*operands, expr.exponent)
+        return type(expr)(*operands) if operands else expr
+
+    slopes = [REDUCED_FIELD]
+    for step in (0.5 * h, 0.5 * h, h):
+        state = [*(s + step * k for s, k in zip(x, slopes[-1])), u, h]
+        slopes.append([at(f, state) for f in REDUCED_FIELD])
+    y = [s + h / 6.0 * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(x, *slopes)]
+    sources, names = _emit(y, 6)
+    source = (
+        f"def make({', '.join(f'p{k}' for k in range(len(names)))}):\n"
+        "    def rk4(deriv, x, x6):\n        x1, x2, x3, x4 = x\n        x5 = deriv.u\n"
+        + "".join(f"        y{i} = {source}\n" for i, source in enumerate(sources))
+        + "        if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):\n"
+        "            raise IntegrationError('integration produced a non-finite state')\n"
+        "        return (y0, y1, y2, y3)\n    return rk4\n"
+    )
+    namespace = dict(sin=math.sin, cos=math.cos, isfinite=math.isfinite)
+    return _compile(source, "make", IntegrationError=IntegrationError, **namespace), names
 
 
 def _length_error(got: int, expected: int) -> ValueError:
@@ -294,12 +312,12 @@ def _length_error(got: int, expected: int) -> ValueError:
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
-    At each step: the supervised controller selects the law and computes u
-    and y_d, the sample is stored through memoryviews (the error column is
-    x1 - y_d), then one :func:`rk4_step` call, where steps are counted,
-    advances the state with u held constant.  A beam angle beyond pi in
-    magnitude means the model has left its meaningful regime; that is
-    reported as a warning, not an error.
+    At each step k: the supervised controller selects the law and computes
+    u and y_d at t = k*h, the sample is stored through memoryviews (the
+    error column is x1 - y_d; t, the same k*h, after the loop), then one
+    :func:`rk4_step` call, where steps are counted, advances the state with
+    u held constant.  A beam angle beyond pi in magnitude means the model
+    has left its meaningful regime; that is reported as a warning.
     """
     p = sc.plant
     poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
@@ -310,21 +328,20 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     n = sc.sample_count
     h = sc.step
 
-    t_out = np.empty(n)
     states = np.empty((n, 4))
     u_out = np.empty(n)
     law_out = np.empty(n, dtype=np.int64)
     err_out = np.empty(n)
     abscos_out = np.empty(n)
-    t_col, x1_col, x2_col, x3_col, x4_col, u_col, law_col, err_col, abscos_col = map(
-        memoryview, (t_out, *states.T, u_out, law_out, err_out, abscos_out)
+    x1_col, x2_col, x3_col, x4_col, u_col, law_col, err_col, abscos_col = map(
+        memoryview, (*states.T, u_out, law_out, err_out, abscos_out)
     )
 
     def recorded(rows: int) -> Trajectory:
-        # samples 0 .. rows - 1, with a1 evaluated over their states in one batch
-        columns = (t_out, states, u_out, law_out, err_out, abscos_out)
-        t, x, u, law, err, abscos = (column[:rows] for column in columns)
+        # samples 0 .. rows - 1; a1 in one batch, t as k * h (exact int64 -> float below 2**53)
+        x, u, law, err, abscos = (c[:rows] for c in (states, u_out, law_out, err_out, abscos_out))
         a1 = law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), x)
+        t = np.arange(rows) * h
         return Trajectory(t=t, states=x, u=u, law=law, a1=a1, error=err, abscos3=abscos)
 
     x = tuple(sc.initial_state)
@@ -336,7 +353,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
         except ArithmeticError as exc:
             raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t, recorded(k)) from exc
 
-        t_col[k], u_col[k], law_col[k] = t, u, law_id
+        u_col[k], law_col[k] = u, law_id
         x1_col[k], x2_col[k], x3_col[k], x4_col[k] = x
         err_col[k] = x[0] - y_d
         abscos_col[k] = abs(math.cos(x[2]))

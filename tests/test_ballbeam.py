@@ -149,12 +149,14 @@ def test_symbolic_system_without_plant_keeps_parameters_free():
 def test_ball_equation_is_written_once(rng):
     # law 1's third coordinate is the field reduced_dynamics is generated
     # from, and the generated derivative rounds as the hand-written formula
-    from switchlin.ballbeam import BALL_ACCELERATION, plant_code
+    from switchlin.ballbeam import BALL_ACCELERATION, REDUCED_FIELD
     from switchlin.controllers import law_descriptor
+    from switchlin.expr import _emit
 
     assert law_descriptor(1).coordinates[2] is BALL_ACCELERATION
-    sources, names = plant_code()
-    assert sources == ("x2", "(p0 * (((x1 * x4) * x4) - (p1 * sin(x3))))", "x4", "x5")
+    assert REDUCED_FIELD[1] is BALL_ACCELERATION.expr
+    sources, names = _emit(REDUCED_FIELD, 5)
+    assert sources == ["x2", "(p0 * (((x1 * x4) * x4) - (p1 * sin(x3))))", "x4", "x5"]
     assert names == ("B", "G")
     states = rng.uniform(-3.0, 3.0, size=(500, 4))
     states[::50] = -0.0

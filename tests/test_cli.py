@@ -261,6 +261,19 @@ def test_coverage_usage_errors(tmp_path, capsys):
     assert main(["coverage", "--laws", ""]) == 1
 
 
+@pytest.mark.parametrize("laws, token", [("1,1", "1"), ("1,2, 1", "1"), ("3g,2,3g", "3g")])
+def test_coverage_rejects_a_repeated_law_token(tmp_path, capsys, laws, token):
+    # a repeated law would be reported twice, once per copy, in every section
+    assert main(["--output-dir", str(tmp_path), "coverage",
+                 "--laws", laws, "--samples", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"switchlin: law token {token!r} is repeated; name each law once\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(["--output-dir", str(tmp_path), "coverage",
+                 "--laws", "3,3g", "--samples", "10"]) == 0  # law3 and law3g differ
+
+
 def test_coverage_rejects_nan_margin(tmp_path, capsys):
     assert main(["--output-dir", str(tmp_path), "coverage",
                  "--laws", "1,2", "--margin", "nan"]) == 1

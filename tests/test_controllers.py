@@ -641,3 +641,74 @@ def test_supervised_control_checks_its_laws(plant):
         compile_supervised_control(laws[::-1], gains[::-1], ref, TH, plant)
     with pytest.raises(ValueError, match="gain order"):
         compile_supervised_control(laws, gains[::-1], ref, TH, plant)
+
+
+def _generated_control_source(monkeypatch, laws, plant):
+    from switchlin import controllers
+
+    sources, compile_ = [], controllers._compile
+
+    def recording(source, *args, **names):
+        sources.append(source)
+        return compile_(source, *args, **names)
+
+    monkeypatch.setattr(controllers, "_compile", recording)
+    compile_supervised_control(laws, _gains(laws), TrackingReference(0.4, 3.0), TH, plant)
+    (source,) = sources
+    return source
+
+
+@pytest.mark.parametrize("g_modified", [False, True], ids=["law3", "law3g"])
+def test_generated_control_computes_each_value_once(monkeypatch, plant, g_modified):
+    import ast
+
+    laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
+    for law in laws:
+        constants, body, _ = law._control_body
+        arm = "\n".join(body)
+        assert arm.count("sin(x3)") <= 1 and arm.count("cos(x3)") <= 1
+        assert not any(line.startswith(("q0 =", "q1 =")) for line in body)  # x1 and x2 are read
+    # every product in control reads something that changes between calls
+    make = ast.parse(_generated_control_source(monkeypatch, laws, plant)).body[0]
+    bound = {a.arg for a in make.args.args}
+    bound |= {node.targets[0].id for node in make.body if isinstance(node, ast.Assign)}
+    (control,) = [node for node in make.body if isinstance(node, ast.FunctionDef)]
+    products = [
+        node
+        for node in ast.walk(control)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    ]
+    assert len(products) > 20
+    for node in products:
+        read = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+        assert read - bound, ast.unparse(node)
+    assert {"t1_0", "t2_0", "t3_0"} <= bound  # 2*B, -B*G and -B*G, once per run
+
+
+def _on_and_beyond(eps):
+    return (eps, -eps, math.nextafter(eps, 1.0), math.nextafter(-eps, -1.0), 0.0, -0.0)
+
+
+@pytest.mark.parametrize("gravity", [9.81, -0.0], ids=["plant", "G=-0.0"])
+@pytest.mark.parametrize("g_modified", [False, True], ids=["law3", "law3g"])
+def test_generated_control_matches_the_exact_path_on_boundary_states(gravity, g_modified):
+    # 2,500 states per plant and family, 10^4 in all: seeded around the operating point,
+    # with x1 and x4 on and just beyond the supervisor's thresholds
+    plant = PlantParams.solid_sphere(G=gravity)
+    laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
+    gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
+    ref = TrackingReference(0.4, 3.0)
+    controller = compile_supervised_control(laws, gains, ref, TH, plant)
+    exact = _exact_supervised(laws, gains, ref, plant, TH)
+    rng = np.random.default_rng(19 + g_modified + 2 * (gravity == 0.0))
+    states = rng.uniform(-0.3, 0.3, size=(2500, 4))
+    states[:, 2] *= 5.0  # x3 up to 1.5 rad, near law 2's singularity
+    edges = [(x1, x4) for x1 in _on_and_beyond(TH.eps1) for x4 in _on_and_beyond(TH.eps4)]
+    states[: 10 * len(edges), [0, 3]] = np.tile(edges, (10, 1))
+    times = rng.uniform(0.0, 30.0, size=len(states))
+    laws_seen = set()
+    for x, t in zip(states.tolist(), times.tolist()):
+        expected = _law_outcome(exact, x, t)
+        assert _law_outcome(controller, x, t) == expected
+        laws_seen.add(supervisor(x, TH))
+    assert laws_seen == {1, 2, 3}

@@ -402,6 +402,28 @@ def test_mask_kernel_tally_matches_one_shot_reference(params, laws, box, margin,
         assert caller_half.witness_total < coverage._WITNESS_CAP < report.witness_total
 
 
+def test_mask_kernel_shares_subtrees_across_laws_bit_for_bit(params):
+    # cos(x3) is a factor of law 2 and part of law 3g's; B*G and x1*x4 repeat across factors
+    laws = [
+        law_descriptor(2),
+        law_descriptor(3, g_modified=True),
+        _law_with_factors("shared", "x1*x4 + cos(x3)", "B*G*(x1*x4)", "x1/x4"),
+    ]
+    sources, _ = expr._emit([f.field.expr for law in laws for f in law.factors], 4)
+    assert sum(":=" in source for source in sources) >= 2
+    rng = np.random.default_rng(19)
+    states = rng.uniform(-2.0, 2.0, size=(4096, 4))
+    states[:5] = [[0.0, 0.0, 0.0, 0.0], [-0.0] * 4, [np.inf] * 4, [np.nan] * 4, [1e200] * 4]
+    states[5::7, 3] = 0.0  # x1/x4 is +-inf or NaN
+    with np.errstate(over="ignore"):  # x1*x4 at 1e200; inf and NaN are silent as in evaluate_many
+        masks = coverage._mask_kernel(laws, params, 0.3, 4)(states)
+        for law, mask in zip(laws, masks, strict=True):
+            expected = np.ones(len(states), dtype=bool)
+            for factor in law.factors:
+                expected &= np.abs(factor.field.evaluate_many(params, states)) > 0.3
+            assert mask.tobytes() == expected.tobytes()
+
+
 def test_coverage_compiles_nothing_for_a_new_seed_or_margin(params):
     laws = _LAW_SETS["1,2"]()
     coverage_check(laws, BOX, 2 * _HALF, 0.3, params, seed=0)

@@ -565,3 +565,112 @@ def test_evaluate_many_matches_exact_evaluation_on_law_fields(rng):
         assert field.evaluate_many(params, states).tolist() == [
             field.evaluate(Bindings(params, x)) for x in exact
         ]
+
+# ---------------------------------------------------------------------------
+# shared subexpressions
+
+
+def _numpy_walk(node, params, columns):
+    # the operations an emitted kernel performs, one tree node at a time and nothing shared
+    match node:
+        case Constant(value=v):
+            return float(v)
+        case Parameter(name=n):
+            return float(params[n])
+        case StateVar(index=i):
+            return columns[i - 1]
+        case Negate(operand=e):
+            return -_numpy_walk(e, params, columns)
+        case Add(left=l, right=r):
+            return _numpy_walk(l, params, columns) + _numpy_walk(r, params, columns)
+        case Sub(left=l, right=r):
+            return _numpy_walk(l, params, columns) - _numpy_walk(r, params, columns)
+        case Mul(left=l, right=r):
+            return _numpy_walk(l, params, columns) * _numpy_walk(r, params, columns)
+        case Div(left=l, right=r):
+            return _numpy_walk(l, params, columns) / _numpy_walk(r, params, columns)
+        case IntPow(base=b, exponent=n):
+            return _numpy_walk(b, params, columns) ** n
+        case Sin(argument=a):
+            return np.sin(_numpy_walk(a, params, columns))
+        case Cos(argument=a):
+            return np.cos(_numpy_walk(a, params, columns))
+    raise TypeError(node)
+
+
+def test_emit_computes_each_shared_subtree_once():
+    from switchlin.expr import _emit
+
+    offset = parse("B*G*x4*x4*sin(x3)", 4).expr
+    coordinate = parse("-B*G*sin(x3)", 4).expr
+    exprs = [offset, coordinate, parse("cos(x3)", 4).expr]
+    sources, names = _emit(exprs, 4)
+    assert names == ("B", "G")
+    assert sources[0] == "((((p0 * p1) * x4) * x4) * (t0 := sin(x3)))"
+    assert sources[1:] == ["(((-p0) * p1) * t0)", "cos(x3)"]
+    # given a list, parameters and constants under negation, +, - and * go there instead
+    constants = []
+    sources, names = _emit(exprs, 4, constants)
+    assert constants == ["t0 = (p0 * p1)", "t2 = ((-p0) * p1)"]
+    assert sources == ["(((t0 * x4) * x4) * (t1 := sin(x3)))", "(t2 * t1)", "cos(x3)"]
+
+
+def test_emit_keeps_signed_zero_subtrees_apart():
+    # (0.0)*x1 and (-0.0)*x1 compare equal as trees; each is computed, and shared, on its own
+    from switchlin.expr import _emit
+
+    plus, minus = Mul(Constant(0.0), X1), Mul(Constant(-0.0), X1)
+    assert plus == minus
+    expr = Sub(Sub(minus, plus), Add(plus, minus))
+    (source,), _ = _emit([expr], 1)
+    assert source == "(((t0 := ((-0.0) * x1)) - (t1 := ((0.0) * x1))) - (t1 + t0))"
+    value = evaluate_many(expr, {}, np.array([[1.0]]))[0]
+    assert math.copysign(1.0, value) == math.copysign(1.0, evaluate(expr, Bindings({}, (1.0,))))
+    assert math.copysign(1.0, value) == -1.0  # merging either way would give 0.0
+
+
+def test_emit_keeps_the_first_operation_that_raises():
+    # x1*x1 overflows before the shared x2*x2 underflows: a shared subtree is computed
+    # where the expression first computes it, not ahead of the operations on its left
+    shared = Mul(X2, X2)
+    expr = Add(Mul(X1, X1), Add(shared, shared))
+    states = np.array([[1e200, 1e-200]])
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            evaluate_many(expr, {}, states)
+        with pytest.raises(FloatingPointError, match="underflow encountered in multiply"):
+            evaluate_many(expr, {}, states[:, ::-1])
+
+
+def test_evaluate_many_with_shared_subtrees_matches_the_unshared_operations(rng):
+    # derivatives repeat their operands; the kernel's bytes are those of an unshared walk
+    params = {"B": 5 / 7, "G": 9.81, "a": -1.25, "b": 0.75}
+    chain = symbolic_system().chain
+    fields = [field.expr for field in (*_repo_fields(), *chain.outputs, *chain.mixed)]
+    pool = [_random_tree(rng, 3, rational_only=False) for _ in range(12)]
+    for _ in range(60):
+        p, q = (pool[k] for k in rng.integers(0, len(pool), size=2))
+        fields += [Add(Mul(p, q), Sub(q, Sin(p))), Mul(Sub(p, q), IntPow(Sub(p, q), 2))]
+    states = rng.uniform(-2, 2, size=(256, 4))
+    states[:6] = [[0.0, -0.0, 0.0, -0.0], [np.inf] * 4, [-np.inf] * 4, [np.nan] * 4,
+                  [1e200, -1e200, 1e-200, 3.0], [0.5, np.inf, -0.0, 1e308]]
+    def outcome(evaluate_rows):
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(evaluate_rows(), dtype=float)
+        except (ZeroDivisionError, OverflowError) as exc:  # parameter-only float operations
+            return str(exc)
+        return np.broadcast_to(values, (len(states),)).tobytes()
+
+    shared = 0
+    for expr in fields:
+        expected = outcome(lambda: _numpy_walk(expr, params, list(states.T)))
+        assert outcome(lambda: evaluate_many(expr, params, states)) == expected
+        shared += ":=" in _emit_source(expr)
+    assert shared > 10
+
+
+def _emit_source(expr):
+    from switchlin.expr import _emit
+
+    return "".join(_emit([expr], 4)[0])

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -734,3 +735,32 @@ def test_a_diverged_run_keeps_the_samples_of_the_completed_shorter_run():
     assert all(np.isfinite(getattr(kept, column)).all() for column in columns)
     for column in columns:
         assert getattr(kept, column).tobytes() == getattr(completed, column).tobytes()
+
+
+def test_plant_step_computes_each_value_once(monkeypatch):
+    sources, compile_ = [], sim._compile
+
+    def recording(source, *args, **names):
+        sources.append(source)
+        return compile_(source, *args, **names)
+
+    monkeypatch.setattr(sim, "_compile", recording)
+    sim._plant_rk4.cache_clear()
+    _, names = sim._plant_rk4()
+    sim._plant_rk4.cache_clear()
+    (source,) = sources
+    assert names == ("B", "G")
+    assert source.count("sin(") == 4  # one per stage
+    assert not re.search(r"\bx\d+ = s\d+\b", source)  # no stage copies
+    assert "params" not in source  # the plant is bound once, by make
+    # stages b and c share their x4, x4 + half*u; slopes x2, x4 and u are read where they stand
+    assert len(re.findall(r"\(x4 \+ \(t\d+ \* x5\)\)", source)) == 1
+    assert re.findall(r"\b[abcd]\d = ", source) == []
+
+
+@pytest.mark.parametrize("step", [1e-3, 0.003, 0.0625])
+def test_run_forms_the_time_column_as_k_times_h(step):
+    sc = _scenario(duration=0.6, step=step, tail_window=0.1)
+    trajectory, _ = run(sc)
+    assert len(trajectory) == sc.sample_count
+    assert trajectory.t.tobytes() == np.array([k * step for k in range(len(trajectory))]).tobytes()
