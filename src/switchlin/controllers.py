@@ -6,9 +6,9 @@ offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, each law's control,
 outer loop included, is emitted once as straight-line statements, one arm
-of the supervisor's branch in the function that
-:func:`compile_supervised_control` generates, with the thresholds, the
-plant, the reference and the gains bound per run.
+of the supervisor's branch in the closed-loop step that
+``sim.ClosedLoop`` generates, with the thresholds, the plant, the
+reference and the gains bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -40,10 +40,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
-from .expr import Bindings, Real, ScalarField, _bind, _compile, _emit, parse
+from .expr import Bindings, Real, ScalarField, _emit, parse
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "SwitchThresholds",
     "TrackingReference",
     "apply_law",
-    "compile_supervised_control",
     "law_descriptor",
     "outer_loop_v",
     "pole_gains",
@@ -204,22 +203,24 @@ class LawDescriptor:
 
     @functools.cached_property  # emitted once per descriptor; every run reads it
     def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """This law's constants, statements at x1..x4 and t leaving u and r0, and plant names.
+        """This law's constants, statements at x1..x4 leaving u, and plant names.
 
         They read the plant as ``p<id>_<k>``, the emitter's temporaries as
         ``t<id>_<k>`` (the constants, run once per run, set some) and the
         gains as ``alpha<id>_<j>`` (<id> is ``law_id``, so laws can share a
-        function), and the reference as ``omega``, ``c<j>``.  They compute the
-        coefficient, offset and coordinates q_j (or read a state variable) as
-        the expr emitter writes them, r_j = c_j * (cos or sin)(omega t) with
-        one cos and one sin, v = r_order - sum_j alpha_j (q_j - r_j) summed
-        from 0.0 in j order, the floor check of :func:`_solve` and u = (-offset
-        + v) / coefficient: the operations of the exact path, in its order.
+        function), sin and cos of a state variable as ``sin_x<i>``,
+        ``cos_x<i>``, and the reference as ``c<j>`` and its waves at t,
+        ``wave_cos`` and ``wave_sin``.  They compute the coefficient, offset
+        and coordinates q_j (or read a state variable) as the expr emitter
+        writes them, r_j = c_j * (wave_cos or wave_sin), v = r_order - sum_j
+        alpha_j (q_j - r_j) summed from 0.0 in j order, the floor check of
+        :func:`_solve` and u = (-offset + v) / coefficient: the operations of
+        the exact path, in its order.
         """
         order, tag = self.order, self.law_id
         exprs = [f.expr for f in (self.coefficient, self.offset, *self.coordinates)]
         constants: list[str] = []
-        sources, names = _emit(exprs, 4, constants)
+        sources, names = _emit(exprs, 4, constants, named_trig=True)
         # _emit writes p<k> and t<k>, and nothing else it writes has a "p" or "t"
         tagged = functools.partial(re.sub, r"\b([pt])(?=\d)", rf"\g<1>{tag}_")
         constants = [tagged(line) for line in constants]
@@ -229,9 +230,6 @@ class LawDescriptor:
             f"coefficient = {coefficient}",
             f"offset = {offset}",
             *(f"{q[j]} = {source}" for j, source in enumerate(coordinates) if q[j] != source),
-            "phase = omega * t",
-            "wave_cos = cos(phase)",
-            "wave_sin = sin(phase)",
             *(
                 f"r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
                 for j in range(order + 1)
@@ -371,58 +369,6 @@ def outer_loop_v(
     for alpha, coordinate, target in zip(gains.alphas, coordinates, targets):
         feedback += alpha * (coordinate - target)
     return targets[-1] - feedback
-
-
-def compile_supervised_control(
-    laws: Sequence[LawDescriptor],
-    gains: Sequence[GainSet],
-    ref: TrackingReference,
-    thresholds: SwitchThresholds,
-    p: PlantParams,
-) -> Callable[[Sequence[float], float], tuple[int, float, float]]:
-    """(law_id, u, y_d)(x, t): the supervisor over laws 1, 2, 3 as one generated function.
-
-    law_id is ``supervisor(x, thresholds)``, whose branch it transcribes;
-    u is bit for bit ``law.control(x, outer_loop_v(x, ref, t, law, g, p),
-    p.symbol_values())`` for that law and its gains, and y_d bit for bit
-    ``ref.value(t)``: each arm holds the law's statements.  They are
-    emitted once per descriptor and compiled once per distinct source; the
-    thresholds, the plant values, the reference constants and the gains
-    are bound here, so no run generates new code, and the laws' terms of
-    plant values alone are computed here, once, in the generated ``make``.
-    """
-    if [law.law_id for law in laws] != [1, 2, 3]:
-        raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
-    bound, constants, arms = {"eps1": thresholds.eps1, "eps4": thresholds.eps4}, [], {}
-    for law, law_gains in zip(laws, gains, strict=True):
-        _check_order(law, law_gains)
-        law_constants, body, names = law._control_body
-        tag = law.law_id
-        plant_names = [f"p{tag}_{k}" for k in range(len(names))]
-        bound.update(zip(plant_names, _bind(names, p.symbol_values())))
-        bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
-        constants += law_constants
-        arms[tag] = [*(f"    {line}" for line in body), f"    return {tag}, u, r0"]
-    lines = [
-        "ball_out = abs(x1) > eps1",
-        "beam_moving = abs(x4) > eps4",
-        "if ball_out and beam_moving:",
-        *arms[1],
-        "elif not ball_out and not beam_moving:",
-        *arms[3],
-        "else:",
-        *arms[2],
-    ]
-    omega, scales = _reference_scales(ref, max(law.order for law in laws))
-    arguments = ", ".join(["omega", *(f"c{j}" for j in range(len(scales))), *bound])
-    source = "".join(
-        [f"def make({arguments}):\n", *(f"    {line}\n" for line in constants)]
-        + ["    def control(x, t):\n        x1, x2, x3, x4 = x\n"]
-        + [f"        {line}\n" for line in lines]
-        + ["    return control\n"]
-    )
-    namespace = dict(sin=math.sin, cos=math.cos, abs=abs, SingularControlError=SingularControlError)
-    return _compile(source, "make", **namespace)(omega, *scales, *bound.values())
 
 
 def _check_order(law: LawDescriptor, gains: GainSet) -> None:

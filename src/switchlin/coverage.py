@@ -439,7 +439,7 @@ def coverage_check(
     errors are raised here, as is an error in the helper's half; the helper is
     always joined.
     """
-    if not margin >= 0:  # also rejects NaN, which would cover nothing
+    if not 0 <= margin < math.inf:  # NaN and inf would cover nothing
         raise ValueError(f"margin must be a non-negative number, got {margin!r}")
     if n < 0:
         raise ValueError("sample count must be non-negative")

@@ -433,7 +433,7 @@ def _compile(source: str, name: str, **names) -> Callable:
 
 
 def _emit(
-    exprs: Sequence[Expr], dim: int, constants: list[str] | None = None
+    exprs: Sequence[Expr], dim: int, constants: list[str] | None = None, named_trig: bool = False
 ) -> tuple[list[str], tuple[str, ...]]:
     """Python source of each expression over x1..x<dim>, and its parameter names.
 
@@ -451,6 +451,9 @@ def _emit(
     stay apart.  Given a list ``constants``, subtrees of constants and
     parameters under -, + and * only (which cannot raise) are appended to it
     instead, as ``t<k> = ...``, for a generated ``make`` to run once per run.
+    With ``named_trig``, sin and cos of a state variable are written
+    ``sin_x<i>`` and ``cos_x<i>``, names the caller computes once, ahead of
+    the sources, and can share among several emits.
     """
     names: dict[str, str] = {}
     forms: dict[str, tuple[str, list[str], bool]] = {}  # by code: template, operands, constant
@@ -460,6 +463,8 @@ def _emit(
     def key(node: Expr) -> str:  # its code in full; counts operands once per new code
         parts = [key(child) for child in _children(node)]
         match node:
+            case Sin(argument=StateVar(index=i)) | Cos(argument=StateVar(index=i)) if named_trig:
+                form, parts = f"{type(node).__name__.lower()}_x{i}", []
             case Constant(value=v):
                 form = f"({float(v)!r})"
             case Parameter(name=n):

@@ -1,16 +1,19 @@
 """Deterministic closed-loop simulation of the supervised hybrid controller.
 
-Fixed-step classical Runge-Kutta integration of the reduced plant, by a
-straight-line step with the plant inlined: it is generated once from the
-plant's field (``ballbeam.REDUCED_FIELD``), computing each value once, and
-a run binds B and G (:class:`HeldPlant`).  The supervisor and the selected
-law are evaluated once per step, at the step's start, and the resulting
-input is held constant across the step (zero-order hold).  Both are one
-generated function (``controllers.compile_supervised_control``), the
-supervisor's branch with each law's control, outer loop included, in its
-arms; a run binds the thresholds, the plant, the reference and the gains.
-RK4 stays a call of :func:`rk4_step` per step, where a run's steps are
-counted.  Identical scenarios produce bitwise-identical trajectories.
+Fixed-step classical Runge-Kutta integration of the reduced plant under
+the supervised controller.  The supervisor and the selected law are
+evaluated once per step, at the step's start, and the resulting input is
+held constant across the step (zero-order hold).  A run's step is one
+generated function (:class:`ClosedLoop`): the supervisor's branch with
+each law's control, outer loop included, in its arms, the sample's
+record, and the RK4 step with the plant's field
+(``ballbeam.REDUCED_FIELD``) inlined, each value computed once; a run
+binds the thresholds, the plant, the reference, the gains and the record.
+It is called through :func:`rk4_step` once per step, where a run's steps
+are counted; the t, a1 and error columns and the |x3| > pi warning come
+from the record after the loop, and :func:`assess` reads a run's outcome
+against an :class:`Envelope`.  Identical scenarios produce
+bitwise-identical trajectories.
 
 Scenario files are JSON with exactly the fields of :class:`Scenario`;
 unknown keys are rejected.  Trajectories serialise to CSV with the header
@@ -30,9 +33,13 @@ import numpy as np
 
 from .ballbeam import REDUCED_FIELD, PlantParams
 from .controllers import (
+    GainSet,
+    LawDescriptor,
+    SingularControlError,
     SwitchThresholds,
     TrackingReference,
-    compile_supervised_control,
+    _check_order,
+    _reference_scales,
     law_descriptor,
     pole_gains,
     table_laws,
@@ -41,11 +48,14 @@ from .expr import Expr, IntPow, StateVar, _bind, _children, _compile, _emit, for
 
 __all__ = [
     "CSV_HEADER",
+    "Envelope",
     "IntegrationError",
     "Metrics",
+    "RunReport",
     "Scenario",
     "ScenarioError",
     "SimulationError",
+    "assess",
     "load_scenario",
     "rk4_step",
     "run",
@@ -192,30 +202,102 @@ def rk4_step(
 
     ``deriv`` must already hold any input constant (zero-order hold is the
     caller's responsibility) and return one component per state component;
-    a derivative of another length raises ValueError.  A :class:`HeldPlant`
-    brings its own step, generated with the plant's derivative inlined.
+    a derivative of another length raises ValueError.  A :class:`ClosedLoop`
+    brings its own step, generated with its input and the plant inlined.
     Raises IntegrationError if the update is not finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
-    if type(deriv) is HeldPlant:
-        return deriv.rk4(deriv, x, h)
+    if type(deriv) is ClosedLoop:
+        return deriv.step(deriv, x, h)
     return _compiled_rk4(len(x))(deriv, x, h)
 
 
-class HeldPlant:
-    """The reduced plant with its input ``u`` held across a step.
+class ClosedLoop:
+    """One run's supervised closed loop: sample ``k`` and the step after it, in one call.
 
-    :func:`rk4_step` runs its ``rk4``, the plant's generated step with B and
-    G bound here, once (:func:`_plant_rk4`).  Set ``u`` before each step.
+    :func:`rk4_step` runs its ``step(loop, x, h)``, generated per run: at
+    sample ``k = loop.k`` it selects the law by ``supervisor``'s branch,
+    computes u by that law's statements (``LawDescriptor._control_body``,
+    the reference's waves read at row k of cos and sin of ``omega * times``),
+    records x, u, the law and |cos x3| in row k of ``states``, ``u``,
+    ``law`` and ``abscos3`` and, unless k is the last row, returns the RK4
+    step from x with u held (:func:`_plant_stages`).  sin and cos of x3
+    are computed once, ahead of the branch (x3 is finite there), and the
+    laws' terms of plant values alone once per run, in the generated
+    ``make``, which binds the thresholds, plant, reference, gains and
+    record.  The source is assembled from parts emitted once; ``y_d`` is
+    the reference at ``times``, as the laws compute it.
     """
 
-    __slots__ = ("rk4", "u")
+    __slots__ = ("step", "k", "y_d", "states", "u", "law", "abscos3")
 
-    def __init__(self, plant: PlantParams):
-        make, names = _plant_rk4()
-        self.rk4 = make(*_bind(names, plant.symbol_values()))
-        self.u = 0.0
+    def __init__(
+        self,
+        laws: Sequence[LawDescriptor],
+        gains: Sequence[GainSet],
+        ref: TrackingReference,
+        thresholds: SwitchThresholds,
+        p: PlantParams,
+        times: np.ndarray,
+    ):
+        if [law.law_id for law in laws] != [1, 2, 3]:
+            raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
+        n, params = len(times), p.symbol_values()
+        omega, scales = _reference_scales(ref, max(law.order for law in laws))
+        waves = np.cos(omega * times), np.sin(omega * times)
+        self.y_d, self.k = scales[0] * waves[0], 0
+        self.states, self.u, self.abscos3 = np.empty((n, 4)), np.empty(n), np.empty(n)
+        self.law = np.empty(n, dtype=np.int64)
+        record = (*self.states.T, self.u, self.law, self.abscos3, *waves)
+        columns = [*_RECORD, "wave_cos_col", "wave_sin_col"]
+        bound = dict(zip(columns, map(memoryview, record)), last=n - 1)
+        bound.update(eps1=thresholds.eps1, eps4=thresholds.eps4)
+        bound.update((f"c{j}", scale) for j, scale in enumerate(scales))
+        stages, names = _plant_stages()
+        bound.update(zip([f"p{k}" for k in range(len(names))], _bind(names, params)))
+        constants, arms = [], {}
+        for law, law_gains in zip(laws, gains, strict=True):
+            _check_order(law, law_gains)
+            law_constants, body, names = law._control_body
+            tag = law.law_id
+            bound.update(zip([f"p{tag}_{k}" for k in range(len(names))], _bind(names, params)))
+            bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
+            constants += law_constants
+            arms[tag] = [*(f"    {line}" for line in body), f"    law = {tag}"]
+        lines = [
+            "ball_out = abs(x1) > eps1",
+            "beam_moving = abs(x4) > eps4",
+            "if ball_out and beam_moving:",
+            *arms[1],
+            "elif not ball_out and not beam_moving:",
+            *arms[3],
+            "else:",
+            *arms[2],
+            *(f"{column}[k] = {value}" for column, value in _RECORD.items()),
+            "if k == last:",
+            "    return x",
+            "x5 = u",
+            *stages,
+        ]
+        body = "\n        ".join(lines)
+        # each sin and cos of a state variable that _emit named, computed once, ahead of all
+        trig = [(f, i) for f in ("sin", "cos") for i in range(1, 5) if f"{f}_x{i}" in body]
+        head = ["k = loop.k", "x1, x2, x3, x4 = x", *(f"{f}_x{i} = {f}(x{i})" for f, i in trig)]
+        head += ["wave_cos = wave_cos_col[k]", "wave_sin = wave_sin_col[k]"]
+        source = "".join(
+            [f"def make({', '.join(bound)}):\n", *(f"    {line}\n" for line in constants)]
+            + ["    def step(loop, x, x6):\n", *(f"        {line}\n" for line in head)]
+            + [f"        {body}\n    return step\n"]
+        )
+        namespace = dict(sin=math.sin, cos=math.cos, abs=abs, isfinite=math.isfinite)
+        errors = dict(SingularControlError=SingularControlError, IntegrationError=IntegrationError)
+        self.step = _compile(source, "make", **namespace, **errors)(*bound.values())
+
+
+#: the record's columns as the generated step names them, and what it stores in each
+_RECORD = {"x1_col": "x1", "x2_col": "x2", "x3_col": "x3", "x4_col": "x4", "u_col": "u"}
+_RECORD.update(law_col="law", abscos_col="abs(cos_x3)")
 
 
 @functools.cache  # rk4_step looks its step up on every call
@@ -268,14 +350,14 @@ def _compiled_rk4(n: int) -> Callable:
     )
 
 
-@functools.cache  # generated on first use; every HeldPlant binds it
-def _plant_rk4() -> tuple[Callable, tuple[str, ...]]:
-    """``make(p0, p1, ..)`` giving the plant's step, and the parameter each p<k> stands for.
+@functools.cache  # emitted on first use; every ClosedLoop binds it
+def _plant_stages() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The plant's RK4 step as statements ending in ``return``, and the parameter each p<k> is.
 
-    The step ``rk4(deriv, x, x6)``, x6 = h, is :func:`_compiled_rk4`'s on
-    ``ballbeam.REDUCED_FIELD`` with x5 = ``deriv.u`` held, its stages and
-    update built as trees and written by one ``expr._emit``: each value,
-    stage states with equal text included, is computed once.
+    The step from x1..x4 with x5 = u held and x6 = h is :func:`_compiled_rk4`'s
+    on ``ballbeam.REDUCED_FIELD``, its stages and update built as trees and
+    written by one ``expr._emit``: each value, stage states with equal text
+    included, is computed once, and sin(x3) is read as ``sin_x3``.
     """
     x, u, h = [StateVar(i) for i in range(1, 5)], StateVar(5), StateVar(6)
 
@@ -292,17 +374,13 @@ def _plant_rk4() -> tuple[Callable, tuple[str, ...]]:
         state = [*(s + step * k for s, k in zip(x, slopes[-1])), u, h]
         slopes.append([at(f, state) for f in REDUCED_FIELD])
     y = [s + h / 6.0 * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(x, *slopes)]
-    sources, names = _emit(y, 6)
-    source = (
-        f"def make({', '.join(f'p{k}' for k in range(len(names)))}):\n"
-        "    def rk4(deriv, x, x6):\n        x1, x2, x3, x4 = x\n        x5 = deriv.u\n"
-        + "".join(f"        y{i} = {source}\n" for i, source in enumerate(sources))
-        + "        if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):\n"
-        "            raise IntegrationError('integration produced a non-finite state')\n"
-        "        return (y0, y1, y2, y3)\n    return rk4\n"
-    )
-    namespace = dict(sin=math.sin, cos=math.cos, isfinite=math.isfinite)
-    return _compile(source, "make", IntegrationError=IntegrationError, **namespace), names
+    sources, names = _emit(y, 6, named_trig=True)
+    return (
+        *(f"y{i} = {source}" for i, source in enumerate(sources)),
+        "if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):",
+        "    raise IntegrationError('integration produced a non-finite state')",
+        "return (y0, y1, y2, y3)",
+    ), names
 
 
 def _length_error(got: int, expected: int) -> ValueError:
@@ -312,72 +390,62 @@ def _length_error(got: int, expected: int) -> ValueError:
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
-    At each step k: the supervised controller selects the law and computes
-    u and y_d at t = k*h, the sample is stored through memoryviews (the
-    error column is x1 - y_d; t, the same k*h, after the loop), then one
-    :func:`rk4_step` call, where steps are counted, advances the state with
-    u held constant.  A beam angle beyond pi in magnitude means the model
-    has left its meaningful regime; that is reported as a warning.
+    Each step is one :func:`rk4_step` call on the run's :class:`ClosedLoop`,
+    where steps are counted: at step k the supervisor selects the law, u is
+    computed at t = k*h and held constant across the step, and the sample
+    is recorded; the last sample is recorded with no step after it.  The t,
+    a1 and error (x1 - y_d) columns are formed after the loop.  A beam angle
+    beyond pi in magnitude means the model has left its meaningful regime;
+    that is reported as a warning, from the recorded samples.
     """
-    p = sc.plant
+    p, n, h = sc.plant, sc.sample_count, sc.step
     poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, poles)]
-    controller = compile_supervised_control(laws, gains, sc.reference, sc.thresholds, p)
-    plant = HeldPlant(p)
-    n = sc.sample_count
-    h = sc.step
-
-    states = np.empty((n, 4))
-    u_out = np.empty(n)
-    law_out = np.empty(n, dtype=np.int64)
-    err_out = np.empty(n)
-    abscos_out = np.empty(n)
-    x1_col, x2_col, x3_col, x4_col, u_col, law_col, err_col, abscos_col = map(
-        memoryview, (*states.T, u_out, law_out, err_out, abscos_out)
-    )
+    times = np.arange(n) * h  # k * h: int64 -> float is exact below 2**53
+    loop = ClosedLoop(laws, gains, sc.reference, sc.thresholds, p, times)
 
     def recorded(rows: int) -> Trajectory:
-        # samples 0 .. rows - 1; a1 in one batch, t as k * h (exact int64 -> float below 2**53)
-        x, u, law, err, abscos = (c[:rows] for c in (states, u_out, law_out, err_out, abscos_out))
-        a1 = law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), x)
-        t = np.arange(rows) * h
-        return Trajectory(t=t, states=x, u=u, law=law, a1=a1, error=err, abscos3=abscos)
-
-    x = tuple(sc.initial_state)
-    warned_regime = False
-    for k in range(n):
-        t = k * h
-        try:
-            law_id, u, y_d = controller(x, t)
-        except ArithmeticError as exc:
-            raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t, recorded(k)) from exc
-
-        u_col[k], law_col[k] = u, law_id
-        x1_col[k], x2_col[k], x3_col[k], x4_col[k] = x
-        err_col[k] = x[0] - y_d
-        abscos_col[k] = abs(math.cos(x[2]))
-
-        if not warned_regime and abs(x[2]) > math.pi:
+        # samples 0 .. rows - 1, warned of as the loop would have; a1 in one batch
+        x = loop.states[:rows]
+        beyond = np.flatnonzero(np.abs(x[:, 2]) > math.pi)
+        if beyond.size:
             warnings.warn(
-                f"beam angle |x3| exceeded pi at t={t:.3f}s; the planar model "
+                f"beam angle |x3| exceeded pi at t={times[beyond[0]]:.3f}s; the planar model "
                 "has left its meaningful regime",
-                stacklevel=2,
+                stacklevel=3,
             )
-            warned_regime = True
+        a1 = law_descriptor(1).coefficient.evaluate_many(p.symbol_values(), x)
+        return Trajectory(
+            t=times[:rows],
+            states=x,
+            u=loop.u[:rows],
+            law=loop.law[:rows],
+            a1=a1,
+            error=x[:, 0] - loop.y_d[:rows],
+            abscos3=loop.abscos3[:rows],
+        )
 
-        if k + 1 < n:
-            try:
-                plant.u = u
-                x = rk4_step(plant, x, h)
-            except IntegrationError as exc:
-                raise IntegrationError(f"{exc} at t={t + h:.6f}", t + h, recorded(k + 1)) from exc
-            except (ValueError, OverflowError) as exc:
-                # a stage state overflowed before the finiteness check
-                raise IntegrationError(
-                    f"integration failed at t={t + h:.6f}: {exc}", t + h, recorded(k + 1)
-                ) from exc
-
+    x = sc.initial_state
+    try:
+        for k in range(n - 1):
+            loop.k = k
+            x = rk4_step(loop, x, h)
+        loop.k = k = n - 1
+        loop.step(loop, x, h)  # the last sample: recorded, not stepped from
+    # the control raises only SingularControlError (its floor check stops 1/0), RK4 the others
+    except SingularControlError as exc:
+        t = k * h
+        raise IntegrationError(f"control failed at t={t:.6f}: {exc}", t, recorded(k)) from exc
+    except IntegrationError as exc:
+        t = k * h + h
+        raise IntegrationError(f"{exc} at t={t:.6f}", t, recorded(k + 1)) from exc
+    except (ValueError, OverflowError) as exc:
+        # a stage state overflowed before the finiteness check
+        t = k * h + h
+        raise IntegrationError(
+            f"integration failed at t={t:.6f}: {exc}", t, recorded(k + 1)
+        ) from exc
     trajectory = recorded(n)
     return trajectory, _metrics(trajectory, sc)
 
@@ -401,6 +469,63 @@ def _metrics(trajectory: Trajectory, sc: Scenario) -> Metrics:
         dwell_fractions=dwell,
         tail_window=sc.tail_window,
     )
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Bounds a run should keep to: |x1| [m], |x3| [rad] and |u| [rad/s^2]; inf bounds nothing.
+
+    The defaults are the beam's half-length and law 2's singularity at
+    pi/2; no physical bound on the input is known, so none is set.
+    """
+
+    max_abs_x1: float = 1.0
+    max_abs_x3: float = math.pi / 2
+    max_abs_u: float = math.inf
+
+    def __post_init__(self):
+        for name in ("max_abs_x1", "max_abs_x3", "max_abs_u"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"envelope bound {name} must be positive")
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """A run's outcome, at ``time`` (None if "completed"), and its first envelope exit.
+
+    ``outcome`` is "diverged" when the run raised, else "left_envelope"
+    when it exited, else "completed".  ``exit_bound`` is the bound first
+    exceeded, "x1", "x3" or "u" (the first named on a tie), at ``exit_time``;
+    both are None for a run that stayed inside.
+    """
+
+    outcome: str
+    time: float | None
+    exit_bound: str | None
+    exit_time: float | None
+
+
+def assess(result: Trajectory | IntegrationError, envelope: Envelope = Envelope()) -> RunReport:
+    """Assess a trajectory :func:`run` returned, or the IntegrationError it raised.
+
+    The error's ``trajectory`` holds the samples before the failure; the run
+    diverged at the error's ``time``.  Only recorded samples are read.
+    """
+    trajectory = result.trajectory if isinstance(result, IntegrationError) else result
+    columns = (trajectory.states[:, 0], trajectory.states[:, 2], trajectory.u)
+    bounds = (envelope.max_abs_x1, envelope.max_abs_x3, envelope.max_abs_u)
+    exits = [
+        (int(np.argmax(beyond)), name)
+        for name, column, bound in zip(("x1", "x3", "u"), columns, bounds)
+        if (beyond := np.abs(column) > bound).any()
+    ]
+    row, exit_bound = min(exits, key=lambda e: e[0], default=(None, None))
+    exit_time = None if row is None else float(trajectory.t[row])
+    if isinstance(result, IntegrationError):
+        return RunReport("diverged", result.time, exit_bound, exit_time)
+    if exit_bound is not None:
+        return RunReport("left_envelope", exit_time, exit_bound, exit_time)
+    return RunReport("completed", None, None, None)
 
 
 # ---------------------------------------------------------------------------

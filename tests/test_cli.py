@@ -281,6 +281,14 @@ def test_coverage_rejects_nan_margin(tmp_path, capsys):
     assert not (tmp_path / "coverage_report.txt").exists()
 
 
+def test_coverage_rejects_infinite_margin(tmp_path, capsys):
+    # no state exceeds an infinite margin, so every law would cover nothing
+    assert main(["--output-dir", str(tmp_path), "coverage",
+                 "--margin", "inf", "--samples", "10"]) == 1
+    assert capsys.readouterr().err == "switchlin: margin must be a non-negative number, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [

@@ -15,7 +15,6 @@ from switchlin.controllers import (
     _CYCLE,
     _reference_scales,
     apply_law,
-    compile_supervised_control,
     law_descriptor,
     outer_loop_v,
     pole_gains,
@@ -24,7 +23,7 @@ from switchlin.controllers import (
 )
 from switchlin.expr import Constant, ScalarField, parse
 from switchlin.geometry import derivative_chain
-from switchlin.sim import rk4_step
+from switchlin.sim import ClosedLoop, IntegrationError, rk4_step
 
 TH = SwitchThresholds(eps1=0.05, eps4=0.08)
 
@@ -449,7 +448,7 @@ def test_descriptor_needs_one_coordinate_per_order():
         dataclasses.replace(law, order=3)
 
 
-#: thresholds that force one arm of the supervised controller: law 1 wherever
+#: thresholds that force one arm of the supervised step: law 1 wherever
 #: x1 != 0 and x4 != 0, law 2 wherever x4 != 0, law 3 on every finite state
 _TINY, _HUGE = 5e-324, 1.7976931348623157e308
 _FORCING = {
@@ -463,37 +462,65 @@ def _gains(laws):
     return [pole_gains(-3.0, law.order) for law in laws]
 
 
+def _rk4_outcome(deriv, x, h):
+    try:
+        return _bits(rk4_step(deriv, x, h))
+    except (IntegrationError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _exact_supervised(laws, gains, ref, plant, thresholds):
+    # (law_id, u, |cos x3|, step outcome)(x, t, h) by the reference path: the supervisor's
+    # pick, exact descriptor evaluation of that law, then rk4_step on the called plant
+    def step(x, t, h):
+        law_id = supervisor(x, thresholds)
+        law, law_gains = laws[law_id - 1], gains[law_id - 1]
+        v = outer_loop_v(x, ref, t, law, law_gains, plant)
+        u = law.control(x, v, plant.symbol_values())
+        held = _rk4_outcome(lambda s: reduced_dynamics(s, u, plant), x, h)
+        return law_id, u, abs(math.cos(x[2])), held
+
+    return step
+
+
+def _fused(laws, gains, ref, thresholds, plant, times=(0.0,)):
+    # one run's closed-loop step, a record row per time and one more, recorded with no step
+    return ClosedLoop(laws, gains, ref, thresholds, plant, np.array([*times, 0.0]))
+
+
+def _fused_supervised(laws, gains, ref, plant, thresholds, times):
+    # the same by the generated step, at the record row of t
+    loop = _fused(laws, gains, ref, thresholds, plant, times)
+    rows = {t: k for k, t in enumerate(times)}
+
+    def step(x, t, h):
+        loop.k = k = rows[t]
+        held = _rk4_outcome(loop, x, h)  # after the record; a control failure propagates
+        return int(loop.law[k]), float(loop.u[k]), float(loop.abscos3[k]), held
+
+    return step
+
+
+def _law_outcome(function, x, t, h=1e-3):
+    try:
+        law_id, u, abscos, held = function(x, t, h)
+    except ArithmeticError as exc:
+        return (type(exc), str(exc))
+    return (law_id, *_bits([u, abscos]), held)
+
+
 def test_supervised_control_checks_gain_order_once(plant):
     ref, laws = TrackingReference(0.4, 3.0), table_laws()
     gains = [pole_gains(-4.0, 3), *_gains(laws[1:])]
     with pytest.raises(ValueError, match="gain order"):
-        compile_supervised_control(laws, [pole_gains(-3.0, 4), *gains[1:]], ref, _FORCING[1], plant)
-    controller = compile_supervised_control(laws, gains, ref, _FORCING[1], plant)
+        _fused(laws, [pole_gains(-3.0, 4), *gains[1:]], ref, _FORCING[1], plant)
+    loop = _fused(laws, gains, ref, _FORCING[1], plant, [0.7])
     x = (0.2, 0.1, 0.05, 0.5)
     v = outer_loop_v(x, ref, 0.7, laws[0], gains[0], plant)
-    assert controller(x, 0.7)[:2] == (1, apply_law(1, x, v, plant))
+    rk4_step(loop, x, 1e-3)
+    assert (loop.law[0], loop.u[0]) == (1, apply_law(1, x, v, plant))
     with pytest.raises(SingularControlError):
-        controller((1e-310, 0.1, 0.05, 0.5), 0.7)
-
-
-def _exact_supervised(laws, gains, ref, plant, thresholds):
-    # (law_id, u, y_d)(x, t) by the reference path: the supervisor's pick, then
-    # exact descriptor evaluation of that law, one derivative at a time
-    def control(x, t):
-        law_id = supervisor(x, thresholds)
-        law, law_gains = laws[law_id - 1], gains[law_id - 1]
-        v = outer_loop_v(x, ref, t, law, law_gains, plant)
-        return law_id, law.control(x, v, plant.symbol_values()), ref.value(t)
-
-    return control
-
-
-def _law_outcome(function, x, t):
-    try:
-        law_id, *values = function(x, t)
-    except ArithmeticError as exc:
-        return (type(exc), str(exc))
-    return (law_id, *_bits(values))
+        rk4_step(loop, (1e-310, 0.1, 0.05, 0.5), 1e-3)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 0.4])
@@ -503,7 +530,6 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
     law = law_descriptor(law_id, g_modified=g_modified)
     laws = [*table_laws()[: law_id - 1], law, *table_laws()[law_id:]]
     gains, ref, thresholds = _gains(laws), TrackingReference(amplitude, 3.0), _FORCING[law_id]
-    controller = compile_supervised_control(laws, gains, ref, thresholds, plant)
     exact = _exact_supervised(laws, gains, ref, plant, thresholds)
     forced = {1: lambda x: x[0] != 0 and x[3] != 0, 2: lambda x: x[3] != 0, 3: lambda x: True}
     rng = np.random.default_rng(60 + law_id)
@@ -513,11 +539,12 @@ def test_compiled_control_matches_exact_path_bit_for_bit(plant, amplitude, law_i
     states[::70, 3] = -0.0
     times = rng.uniform(0.0, 30.0, size=500)
     times[::90] = 0.0
+    fused = _fused_supervised(laws, gains, ref, plant, thresholds, times.tolist())
     singular = 0
     for x, t in zip(states.tolist(), times.tolist()):
         assert (supervisor(x, thresholds) == law_id) == forced[law_id](x)
         expected = _law_outcome(exact, x, t)
-        assert _law_outcome(controller, x, t) == expected
+        assert _law_outcome(fused, x, t) == expected
         singular += expected[0] is SingularControlError
     assert (singular > 0) == (law_id == 1)  # only law 1 vanishes on these rows
 
@@ -534,8 +561,8 @@ def test_equal_descriptors_share_one_control_factory_entry(plant):
     assert hash(twin) == hash(law)
     gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
     expr._compile.cache_clear()
-    first = compile_supervised_control((laws[0], twin, laws[2]), gains, ref, TH, plant)
-    assert compile_supervised_control(laws, gains, ref, TH, plant).__code__ is first.__code__
+    first = _fused((laws[0], twin, laws[2]), gains, ref, TH, plant)
+    assert _fused(laws, gains, ref, TH, plant).step.__code__ is first.step.__code__
     info = expr._compile.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert twin != dataclasses.replace(law, name="other")
@@ -554,17 +581,17 @@ def test_signed_zero_descriptors_get_their_own_control_code(plant):
     thresholds = _FORCING[3]
     expr._compile.cache_clear()
     for _ in range(2):
-        compile_supervised_control(laws, gains, ref, thresholds, plant)
+        _fused(laws, gains, ref, thresholds, plant)
     assert expr._compile.cache_info().currsize == 1  # one for the shipped laws
-    own = compile_supervised_control(family, gains, ref, thresholds, plant).__code__
-    assert own is not compile_supervised_control(laws, gains, ref, thresholds, plant).__code__
+    own = _fused(family, gains, ref, thresholds, plant).step.__code__
+    assert own is not _fused(laws, gains, ref, thresholds, plant).step.__code__
     assert expr._compile.cache_info().currsize == 2
     times = [0.1 * k for k in range(30)]
     compiled = []
     for descriptors in (laws, family):
-        controller = compile_supervised_control(descriptors, gains, ref, thresholds, plant)
+        fused = _fused_supervised(descriptors, gains, ref, plant, thresholds, times)
         exact = _exact_supervised(descriptors, gains, ref, plant, thresholds)
-        outcomes = [_law_outcome(controller, x, t) for t in times]
+        outcomes = [_law_outcome(fused, x, t) for t in times]
         assert outcomes == [_law_outcome(exact, x, t) for t in times]
         compiled.append(outcomes)
     assert compiled[0] != compiled[1]
@@ -577,15 +604,15 @@ def test_a_descriptor_emits_its_control_once(monkeypatch, plant):
     laws = [dataclasses.replace(law) for law in table_laws()]  # fresh, never emitted
     emitted = []
 
-    def counting_emit(exprs, *args):
+    def counting_emit(exprs, *args, **options):
         emitted.append(len(exprs))
-        return emit(exprs, *args)
+        return emit(exprs, *args, **options)
 
     emit = controllers._emit
     monkeypatch.setattr(controllers, "_emit", counting_emit)
     gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
     for _ in range(3):
-        compile_supervised_control(laws, gains, ref, TH, plant)
+        _fused(laws, gains, ref, TH, plant)
     # coefficient, offset and coordinates, once per descriptor
     assert emitted == [2 + law.order for law in laws]
 
@@ -600,9 +627,9 @@ def test_compiled_control_tells_signed_zero_plants_apart():
     messages = []
     for g in (0.0, -0.0, 0.0):
         plant = PlantParams.solid_sphere(G=g)
-        controller = compile_supervised_control(laws, gains, ref, TH, plant)
+        fused = _fused_supervised(laws, gains, ref, plant, TH, [0.5])
         expected = _law_outcome(_exact_supervised(laws, gains, ref, plant, TH), x, 0.5)
-        assert _law_outcome(controller, x, 0.5) == expected
+        assert _law_outcome(fused, x, 0.5) == expected
         messages.append(expected[1])
     assert messages[0] == messages[2] != messages[1]
 
@@ -615,19 +642,19 @@ def test_supervised_control_is_the_supervisor_over_the_exact_laws(gravity):
     ref = TrackingReference(0.4, 3.0)
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
-    controller = compile_supervised_control(laws, gains, ref, TH, plant)
     exact = _exact_supervised(laws, gains, ref, plant, TH)
     rng = np.random.default_rng(62)
     states = rng.uniform(-0.2, 0.2, size=(400, 4)).tolist()
     edges = [0.0, -0.0, TH.eps1, -TH.eps1, TH.eps4, -TH.eps4, math.nan, math.inf, -math.inf]
     states += [[x1, 0.1, 0.05, x4] for x1 in edges for x4 in edges]
     times = rng.uniform(0.0, 30.0, size=len(states)).tolist()
+    fused = _fused_supervised(laws, gains, ref, plant, TH, times)
     seen = set()
     for x, t in zip(states, times):
         law_id = supervisor(x, TH)
         seen.add(law_id)
         expected = _law_outcome(exact, x, t)
-        assert _law_outcome(controller, x, t) == expected
+        assert _law_outcome(fused, x, t) == expected
         if gravity == 0.0 and law_id != 1:  # both coefficients carry G
             assert expected[0] is SingularControlError
     assert seen == {1, 2, 3}
@@ -638,24 +665,27 @@ def test_supervised_control_checks_its_laws(plant):
     gains = [pole_gains(-3.0, law.order) for law in laws]
     ref = TrackingReference(0.4, 3.0)
     with pytest.raises(ValueError, match="laws 1, 2 and 3"):
-        compile_supervised_control(laws[::-1], gains[::-1], ref, TH, plant)
+        _fused(laws[::-1], gains[::-1], ref, TH, plant)
     with pytest.raises(ValueError, match="gain order"):
-        compile_supervised_control(laws, gains[::-1], ref, TH, plant)
+        _fused(laws, gains[::-1], ref, TH, plant)
 
 
-def _generated_control_source(monkeypatch, laws, plant):
-    from switchlin import controllers
+def _generated_step(monkeypatch, laws, plant):
+    # the closed-loop step's make, parsed
+    import ast
 
-    sources, compile_ = [], controllers._compile
+    from switchlin import sim
+
+    sources, compile_ = [], sim._compile
 
     def recording(source, *args, **names):
         sources.append(source)
         return compile_(source, *args, **names)
 
-    monkeypatch.setattr(controllers, "_compile", recording)
-    compile_supervised_control(laws, _gains(laws), TrackingReference(0.4, 3.0), TH, plant)
+    monkeypatch.setattr(sim, "_compile", recording)
+    _fused(laws, _gains(laws), TrackingReference(0.4, 3.0), TH, plant)
     (source,) = sources
-    return source
+    return ast.parse(source).body[0]
 
 
 @pytest.mark.parametrize("g_modified", [False, True], ids=["law3", "law3g"])
@@ -666,16 +696,16 @@ def test_generated_control_computes_each_value_once(monkeypatch, plant, g_modifi
     for law in laws:
         constants, body, _ = law._control_body
         arm = "\n".join(body)
-        assert arm.count("sin(x3)") <= 1 and arm.count("cos(x3)") <= 1
+        assert "sin(" not in arm and "cos(" not in arm  # sin_x3 and cos_x3 are read
         assert not any(line.startswith(("q0 =", "q1 =")) for line in body)  # x1 and x2 are read
-    # every product in control reads something that changes between calls
-    make = ast.parse(_generated_control_source(monkeypatch, laws, plant)).body[0]
+    # every product in the step reads something that changes between calls
+    make = _generated_step(monkeypatch, laws, plant)
     bound = {a.arg for a in make.args.args}
     bound |= {node.targets[0].id for node in make.body if isinstance(node, ast.Assign)}
-    (control,) = [node for node in make.body if isinstance(node, ast.FunctionDef)]
+    (step,) = [node for node in make.body if isinstance(node, ast.FunctionDef)]
     products = [
         node
-        for node in ast.walk(control)
+        for node in ast.walk(step)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
     ]
     assert len(products) > 20
@@ -683,6 +713,30 @@ def test_generated_control_computes_each_value_once(monkeypatch, plant, g_modifi
         read = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
         assert read - bound, ast.unparse(node)
     assert {"t1_0", "t2_0", "t3_0"} <= bound  # 2*B, -B*G and -B*G, once per run
+
+
+@pytest.mark.parametrize("g_modified", [False, True], ids=["law3", "law3g"])
+def test_the_step_computes_sin_and_cos_of_x3_once_on_every_path(monkeypatch, plant, g_modified):
+    # one call each, ahead of the supervisor's branch; each arm, the record and RK4 stage a
+    # read the shared values
+    import ast
+
+    laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
+    (step,) = [
+        node
+        for node in _generated_step(monkeypatch, laws, plant).body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    head = step.body[: [isinstance(node, ast.If) for node in step.body].index(True)]
+    branch, tail = step.body[len(head)], step.body[len(head) + 1 :]
+    calls = [ast.unparse(n) for n in ast.walk(step) if isinstance(n, ast.Call)]
+    head_calls = [ast.unparse(n) for s in head for n in ast.walk(s) if isinstance(n, ast.Call)]
+    for name in ("sin", "cos"):
+        assert calls.count(f"{name}(x3)") == head_calls.count(f"{name}(x3)") == 1
+    arms = [branch.body, branch.orelse[0].body, branch.orelse[0].orelse]
+    for part in [*arms, tail]:
+        read = {n.id for s in part for n in ast.walk(s) if isinstance(n, ast.Name)}
+        assert {"sin_x3", "cos_x3"} <= read
 
 
 def _on_and_beyond(eps):
@@ -698,7 +752,6 @@ def test_generated_control_matches_the_exact_path_on_boundary_states(gravity, g_
     laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
     ref = TrackingReference(0.4, 3.0)
-    controller = compile_supervised_control(laws, gains, ref, TH, plant)
     exact = _exact_supervised(laws, gains, ref, plant, TH)
     rng = np.random.default_rng(19 + g_modified + 2 * (gravity == 0.0))
     states = rng.uniform(-0.3, 0.3, size=(2500, 4))
@@ -706,9 +759,10 @@ def test_generated_control_matches_the_exact_path_on_boundary_states(gravity, g_
     edges = [(x1, x4) for x1 in _on_and_beyond(TH.eps1) for x4 in _on_and_beyond(TH.eps4)]
     states[: 10 * len(edges), [0, 3]] = np.tile(edges, (10, 1))
     times = rng.uniform(0.0, 30.0, size=len(states))
+    fused = _fused_supervised(laws, gains, ref, plant, TH, times.tolist())
     laws_seen = set()
     for x, t in zip(states.tolist(), times.tolist()):
         expected = _law_outcome(exact, x, t)
-        assert _law_outcome(controller, x, t) == expected
+        assert _law_outcome(fused, x, t) == expected
         laws_seen.add(supervisor(x, TH))
     assert laws_seen == {1, 2, 3}

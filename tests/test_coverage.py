@@ -183,6 +183,12 @@ def test_coverage_rejects_nan_margin(params):
         coverage_check(table_laws()[:2], BOX, 10, math.nan, params)
 
 
+def test_coverage_rejects_infinite_margin(params):
+    # no factor exceeds an infinite margin, so as a threshold it would cover no state
+    with pytest.raises(ValueError, match="margin must be a non-negative number, got inf"):
+        coverage_check(table_laws()[:2], BOX, 10, math.inf, params)
+
+
 def test_coverage_witness_csv_format(params):
     report = coverage_check([law_descriptor(1)], BOX, 100, 0.0, params)
     lines = report.witnesses_csv().splitlines()

@@ -10,7 +10,15 @@ import pytest
 
 from switchlin import sim
 from switchlin.ballbeam import PlantParams, benchmark_plant
-from switchlin.controllers import SingularControlError, SwitchThresholds, TrackingReference
+from switchlin.controllers import (
+    SingularControlError,
+    SwitchThresholds,
+    TrackingReference,
+    outer_loop_v,
+    pole_gains,
+    supervisor,
+    table_laws,
+)
 from switchlin.expr import format_number
 from switchlin.sim import (
     CSV_HEADER,
@@ -146,72 +154,125 @@ def _step_outcome(deriv, x, h):
         return (type(exc).__name__, str(exc))
 
 
+def _exact_gains(sc):
+    poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
+    return [pole_gains(pole, law.order) for law, pole in zip(table_laws(), poles)]
+
+
+def _exact_sample(sc, x, t):
+    # (law, u) at x and t by the reference path: the supervisor's pick, then exact
+    # descriptor evaluation of that law's outer loop and control
+    law_id = supervisor(x, sc.thresholds)
+    law, gains = table_laws()[law_id - 1], _exact_gains(sc)[law_id - 1]
+    v = outer_loop_v(x, sc.reference, t, law, gains, sc.plant)
+    return law_id, law.control(x, v, sc.plant.symbol_values())
+
+
 @pytest.mark.parametrize("g", [9.81, 0.0, -0.0])
 def test_held_plant_step_matches_the_called_plant_bit_for_bit(rng, g):
-    # the step with the plant inlined computes the floats, and raises the
-    # errors, of rk4_step on a called reduced_dynamics
+    # the closed-loop step, plant inlined, records the exact path's law and u and
+    # computes the floats, and raises the errors, of rk4_step on a called
+    # reduced_dynamics with that u held
     from switchlin.ballbeam import reduced_dynamics
 
     p = PlantParams(M=0.05, R=0.01, J=0.02, Jb=2e-6, G=g)
-    held = sim.HeldPlant(p)
+    sc = _scenario(plant=p, reference=TrackingReference(0.4, 3.0))
     rows = 1200
     states = rng.uniform(-2.0, 2.0, size=(rows, 4))
-    inputs = rng.uniform(-50.0, 50.0, size=rows)
+    times = rng.uniform(0.0, 30.0, size=rows)
     steps = rng.choice([1e-3, 0.05], size=rows)
     states[::40] = 0.0
     states[1::40] = -0.0
-    inputs[1::20] = -0.0  # with the -0.0 states too
     states[2::40, 3] = 1e160  # x1*x4*x4 overflows: a non-finite update
     states[3::40, 3], steps[3::40] = 1e308, 4.0  # a stage's x3 is inf: sin raises
+    loop = sim.ClosedLoop(
+        table_laws(), _exact_gains(sc), sc.reference, sc.thresholds, p, np.append(times, 0.0)
+    )
     outcomes = []
-    for x, u, h in zip(states.tolist(), inputs.tolist(), steps.tolist()):
-        held.u = u
-        outcome = _step_outcome(held, tuple(x), h)
+    for k, (x, t, h) in enumerate(zip(states.tolist(), times.tolist(), steps.tolist())):
+        try:
+            law_id, u = _exact_sample(sc, x, t)
+        except SingularControlError as exc:
+            loop.k = k
+            with pytest.raises(SingularControlError, match=f"^{re.escape(str(exc))}$"):
+                rk4_step(loop, tuple(x), h)
+            outcomes.append("singular")
+            continue
+        loop.k = k
+        outcome = _step_outcome(loop, tuple(x), h)
+        assert (loop.law[k], loop.u[k].hex()) == (law_id, u.hex())
         assert outcome == _step_outcome(lambda s: reduced_dynamics(s, u, p), tuple(x), h)
         outcomes.append(outcome)
     failures = [o for o in outcomes if isinstance(o, tuple)]
     assert ("IntegrationError", "integration produced a non-finite state") in failures
     assert ("ValueError", "math domain error") in failures
     assert len(failures) < rows // 10
+    assert (outcomes.count("singular") > 0) == (g == 0.0)  # laws 2 and 3 carry G
 
 
 def _run_outcome(sc):
     try:
         trajectory, metrics = run(sc)
     except IntegrationError as exc:
-        return str(exc), exc.time
-    columns = (trajectory.t, trajectory.states, trajectory.u, trajectory.law, trajectory.error)
-    return [column.tobytes() for column in columns], metrics
+        trajectory, failure = exc.trajectory, (str(exc), exc.time)
+    else:
+        failure = metrics
+    columns = ("t", "states", "u", "law", "error", "abscos3")
+    return [getattr(trajectory, column).tobytes() for column in columns], failure
 
 
-def test_run_with_the_held_plant_matches_the_called_plant(monkeypatch):
+def _exact_run(sc):
+    # the closed loop by the reference path: at each sample the supervisor, the exact
+    # law and outer loop, and the reference, then rk4_step on the called plant with u held
     from switchlin.ballbeam import reduced_dynamics
 
+    p, h, n = sc.plant, sc.step, sc.sample_count
+    x, rows, failure = sc.initial_state, [], None
+    for k in range(n):
+        t = k * h
+        try:
+            law_id, u = _exact_sample(sc, x, t)
+        except SingularControlError as exc:
+            failure = (f"control failed at t={t:.6f}: {exc}", t)
+            break
+        rows.append((t, *x, u, law_id, x[0] - sc.reference.value(t), abs(math.cos(x[2]))))
+        if k + 1 < n:
+            try:
+                x = rk4_step(lambda s: reduced_dynamics(s, u, p), x, h)
+            except IntegrationError as exc:
+                failure = (f"{exc} at t={t + h:.6f}", t + h)
+                break
+            except ValueError as exc:
+                failure = (f"integration failed at t={t + h:.6f}: {exc}", t + h)
+                break
+    t, *columns = np.array(rows, dtype=float).reshape(-1, 9).T
+    states, (u, law, error, abscos3) = np.column_stack(columns[:4]), columns[4:]
+    recorded = [t, states, u, law.astype(np.int64), error, abscos3]
+    return [column.tobytes() for column in recorded], failure
+
+
+def test_run_with_the_held_plant_matches_the_called_plant():
     scenarios = [
         load_scenario(SCENARIO_DIR / "regulation.json"),
         load_scenario(SCENARIO_DIR / "near_pivot.json"),
         load_scenario(SCENARIO_DIR / "benchmark.json"),
+        # law 2's coefficient -B*G*cos(x3) is -0.0 at t = 0: the control fails
+        _scenario(plant=PlantParams.solid_sphere(G=0.0)),
         _scenario(plant=PlantParams.solid_sphere(G=-0.0), initial_state=(0.3, 0.1, 0.1, 0.2)),
         # one step whose second stage takes sin(inf)
         _scenario(initial_state=(0.3, 0.0, 0.1, 1e308), step=4.0, duration=4.0, tail_window=1.0),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        inlined = [_run_outcome(sc) for sc in scenarios]
-        called = []
-        for sc in scenarios:
-            p = sc.plant
-            monkeypatch.setattr(
-                sim,
-                "rk4_step",
-                lambda deriv, x, h: rk4_step(lambda s: reduced_dynamics(s, deriv.u, p), x, h),
-            )
-            called.append(_run_outcome(sc))
-    assert inlined == called
-    message, time = inlined[2]
-    assert message == "integration produced a non-finite state at t=11.767000"
-    assert round(time / 1e-3) == 11767
-    assert inlined[4] == ("integration failed at t=4.000000: math domain error", 4.0)
+        fused = [_run_outcome(sc) for sc in scenarios]
+    exact = [_exact_run(sc) for sc in scenarios]
+    for (columns, failure), (expected, expected_failure) in zip(fused, exact):
+        assert columns == expected
+        if expected_failure is not None:
+            assert failure == expected_failure
+    assert fused[2][1] == ("integration produced a non-finite state at t=11.767000", 11.767)
+    assert fused[3][1][0].startswith("control failed at t=0.000000: law 2 coefficient")
+    assert fused[5][1] == ("integration failed at t=4.000000: math domain error", 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +715,9 @@ def test_run_generates_each_control_once_per_law(monkeypatch):
 
     emitted = []
 
-    def counting_emit(exprs, *args):
+    def counting_emit(exprs, *args, **options):
         emitted.append(len(exprs))
-        return emit(exprs, *args)
+        return emit(exprs, *args, **options)
 
     emit = controllers._emit
     monkeypatch.setattr(controllers, "_emit", counting_emit)
@@ -737,20 +798,12 @@ def test_a_diverged_run_keeps_the_samples_of_the_completed_shorter_run():
         assert getattr(kept, column).tobytes() == getattr(completed, column).tobytes()
 
 
-def test_plant_step_computes_each_value_once(monkeypatch):
-    sources, compile_ = [], sim._compile
-
-    def recording(source, *args, **names):
-        sources.append(source)
-        return compile_(source, *args, **names)
-
-    monkeypatch.setattr(sim, "_compile", recording)
-    sim._plant_rk4.cache_clear()
-    _, names = sim._plant_rk4()
-    sim._plant_rk4.cache_clear()
-    (source,) = sources
+def test_plant_step_computes_each_value_once():
+    sim._plant_stages.cache_clear()
+    stages, names = sim._plant_stages()
+    source = "\n".join(stages)
     assert names == ("B", "G")
-    assert source.count("sin(") == 4  # one per stage
+    assert source.count("sin(") == 3 and source.count("sin_x3") == 1  # one per stage
     assert not re.search(r"\bx\d+ = s\d+\b", source)  # no stage copies
     assert "params" not in source  # the plant is bound once, by make
     # stages b and c share their x4, x4 + half*u; slopes x2, x4 and u are read where they stand
@@ -764,3 +817,62 @@ def test_run_forms_the_time_column_as_k_times_h(step):
     trajectory, _ = run(sc)
     assert len(trajectory) == sc.sample_count
     assert trajectory.t.tobytes() == np.array([k * step for k in range(len(trajectory))]).tobytes()
+
+
+def test_numpy_waves_equal_math_waves_on_every_shipped_sample():
+    # run reads the reference's cos and sin of omega*k*h from numpy columns; its
+    # trajectories are those of math.cos and math.sin only while the two agree bitwise
+    from switchlin.controllers import _reference_scales
+
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        sc = load_scenario(path)
+        omega, _ = _reference_scales(sc.reference, 0)
+        phases = [omega * (k * sc.step) for k in range(sc.sample_count)]
+        phase = omega * (np.arange(sc.sample_count) * sc.step)
+        assert phase.tobytes() == np.array(phases).tobytes()
+        for wave, exact in ((np.cos, math.cos), (np.sin, math.sin)):
+            assert wave(phase).tobytes() == np.array([exact(v) for v in phases]).tobytes()
+
+
+def _assessed(name):
+    sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            trajectory, _ = run(sc)
+        except IntegrationError as exc:
+            return sim.assess(exc), exc
+    return sim.assess(trajectory), trajectory
+
+
+def test_assess_reports_the_shipped_runs():
+    for name, time in (("near_pivot", 1.480), ("near_rest", 1.481)):
+        report, _ = _assessed(name)
+        assert report == sim.RunReport("left_envelope", time, "x1", time)
+    report, error = _assessed("benchmark")
+    assert report == sim.RunReport("diverged", error.time, "x3", 0.771)
+    assert round(report.time, 6) == 11.767
+    # the samples before the failure alone: |x1| also leaves, later, at 4.054 s
+    assert sim.assess(error.trajectory) == sim.RunReport("left_envelope", 0.771, "x3", 0.771)
+    wide = sim.Envelope(max_abs_x3=math.inf)
+    assert sim.assess(error.trajectory, wide) == sim.RunReport("left_envelope", 4.054, "x1", 4.054)
+    for name in ("regulation", "small_tracking"):
+        assert _assessed(name)[0] == sim.RunReport("completed", None, None, None)
+
+
+def test_assess_reads_the_input_bound_and_names_the_first_bound_on_a_tie():
+    trajectory, _ = run(_scenario(duration=1.0, tail_window=0.5))
+    peak = int(np.argmax(np.abs(trajectory.u)))
+    bound = float(np.abs(trajectory.u[peak])) / 2
+    first = int(np.argmax(np.abs(trajectory.u) > bound))
+    report = sim.assess(trajectory, sim.Envelope(max_abs_u=bound))
+    assert report == sim.RunReport("left_envelope", trajectory.t[first], "u", trajectory.t[first])
+    tie = sim.Envelope(max_abs_x1=0.1, max_abs_x3=0.01)  # both exceeded at the first sample
+    assert sim.assess(trajectory, tie) == sim.RunReport("left_envelope", 0.0, "x1", 0.0)
+
+
+@pytest.mark.parametrize("name", ["max_abs_x1", "max_abs_x3", "max_abs_u"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_envelope_bounds_must_be_positive(name, value):
+    with pytest.raises(ValueError, match=f"^envelope bound {name} must be positive$"):
+        sim.Envelope(**{name: value})
