@@ -18,8 +18,9 @@ into thetaddot = u exactly.  For a rolling solid sphere Jb = (2/5) M R^2,
 so B = 5/7.
 
 The ball equation is written once, as :data:`BALL_ACCELERATION`:
-:func:`reduced_dynamics`, law 1's third output coordinate and the
-simulator's RK4 step are all generated from it.
+:func:`reduced_dynamics` evaluates it with the exact tree evaluator, and
+law 1's third output coordinate and the simulator's generated RK4 step
+are built from it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .expr import Parameter, ScalarField, Sin, StateVar, VectorField, _bind, _compile, _emit, parse
+from .expr import Bindings, Parameter, ScalarField, Sin, StateVar, VectorField, evaluate, parse
 from .geometry import ControlAffineSystem
 
 __all__ = [
@@ -77,11 +78,6 @@ class PlantParams:
         """Reduced-mass ratio M / (M + Jb/R^2); 5/7 for a rolling solid sphere."""
         return self.M / (self.M + self.Jb / self.R**2)
 
-    @functools.cached_property  # read by every reduced_dynamics call
-    def field_values(self) -> tuple[float, ...]:
-        """The values of the parameters p0, p1, .. of the generated derivative."""
-        return tuple(_bind(_derivative()[1], self.symbol_values()))
-
     def symbol_values(self) -> dict[str, float]:
         """Bindings for the symbolic parameters of the reduced model."""
         return {"B": self.B, "G": self.G}
@@ -115,24 +111,16 @@ BALL_ACCELERATION = parse("B*(x1*x4*x4 - G*sin(x3))", 4)
 REDUCED_FIELD = (StateVar(2), BALL_ACCELERATION.expr, StateVar(4), StateVar(5))
 
 
-@functools.cache  # generated on first use, not at import
-def _derivative() -> tuple[Callable, tuple[str, ...]]:
-    """:data:`REDUCED_FIELD` as ``derivative(x, x5, params)``, and the parameter each p<k> is."""
-    sources, names = _emit(REDUCED_FIELD, 5)
-    code = (
-        "def derivative(x, x5, params):\n"
-        "    x1, x2, x3, x4 = x\n"
-        f"    ({''.join(f'p{k}, ' for k in range(len(names)))}) = params\n"
-        f"    return ({', '.join(sources)})\n"
-    )
-    return _compile(code, "derivative", sin=math.sin), names
-
-
 def reduced_dynamics(
     x: Sequence[float], u: float, p: PlantParams
 ) -> tuple[float, float, float, float]:
-    """State derivative of the reduced model under the input u = thetaddot."""
-    return _derivative()[0](x, u, p.field_values)
+    """State derivative of the reduced model under the input u = thetaddot.
+
+    :data:`REDUCED_FIELD` at (x, u), each component by :func:`~switchlin.expr.evaluate`.
+    """
+    x1, x2, x3, x4 = x
+    bindings = Bindings(p.symbol_values(), (x1, x2, x3, x4, u))
+    return tuple([evaluate(f, bindings) for f in REDUCED_FIELD])
 
 
 def _beam_terms(x: Sequence[float], p: PlantParams) -> tuple[float, float, float]:

@@ -165,6 +165,8 @@ def pole_gains(pole: float, multiplicity: int) -> GainSet:
     """Binomial expansion of (s - pole)^multiplicity, leading 1 excluded."""
     if not pole < 0:
         raise ValueError(f"pole must be strictly negative, got {pole!r}")
+    if not math.isfinite(pole):
+        raise ValueError(f"pole must be finite, got {pole!r}")
     if isinstance(multiplicity, bool) or not isinstance(multiplicity, int) or multiplicity < 1:
         raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
     alphas = tuple(

@@ -203,14 +203,44 @@ def rk4_step(
     ``deriv`` must already hold any input constant (zero-order hold is the
     caller's responsibility) and return one component per state component;
     a derivative of another length raises ValueError.  A :class:`ClosedLoop`
-    brings its own step, generated with its input and the plant inlined.
-    Raises IntegrationError if the update is not finite.
+    brings its own step, generated with its input and the plant inlined;
+    any other derivative is stepped by :func:`_rk4_loop`, in plain Python,
+    the exact reference the generated step is checked against.  Raises
+    IntegrationError if the update is not finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
     if type(deriv) is ClosedLoop:
         return deriv.step(deriv, x, h)
-    return _compiled_rk4(len(x))(deriv, x, h)
+    return _rk4_loop(deriv, x, h)
+
+
+def _rk4_loop(deriv: Callable, x: Sequence[float], h: float) -> tuple[float, ...]:
+    """The textbook per-component RK4 loop, kept out of :func:`rk4_step`.
+
+    In ``rk4_step`` the names that ``slope`` and the comprehensions read
+    would be cells, made on every call, a closed loop's step included.
+    """
+    n = len(x)
+    if n < 1:
+        raise ValueError("the state must have at least one component")
+
+    def slope(state: Sequence[float]) -> Sequence[float]:
+        k = deriv(state)
+        if len(k) != n:
+            raise ValueError(f"derivative has {len(k)} components but the state has {n}")
+        return k
+
+    half = 0.5 * h
+    a = slope(x)
+    b = slope(tuple([x[i] + half * a[i] for i in range(n)]))
+    c = slope(tuple([x[i] + half * b[i] for i in range(n)]))
+    d = slope(tuple([x[i] + h * c[i] for i in range(n)]))
+    sixth = h / 6.0
+    y = tuple([x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + d[i]) for i in range(n)])
+    if not all(map(math.isfinite, y)):
+        raise IntegrationError("integration produced a non-finite state")
+    return y
 
 
 class ClosedLoop:
@@ -300,61 +330,11 @@ _RECORD = {"x1_col": "x1", "x2_col": "x2", "x3_col": "x3", "x4_col": "x4", "u_co
 _RECORD.update(law_col="law", abscos_col="abs(cos_x3)")
 
 
-@functools.cache  # rk4_step looks its step up on every call
-def _compiled_rk4(n: int) -> Callable:
-    """Straight-line RK4 step for states of length n.
-
-    Per component it computes ``x_i + half*k_i``, ``x_i + h*k_i`` and
-    ``x_i + sixth*(a + 2.0*(b + c) + d)``, so the rounding is that of the
-    textbook per-component loop.  Each stage's derivative is
-    ``deriv(state)``, checked for length n.
-    """
-    if n < 1:
-        raise ValueError("the state must have at least one component")
-
-    def names(prefix: str) -> str:
-        return "".join(f"{prefix}{i}, " for i in range(n))
-
-    def stage(k: str, state: str) -> list[str]:
-        return [
-            f"    {k} = deriv({state})",
-            f"    if len({k}) != {n}:",
-            f"        raise length_error(len({k}), {n})",
-            f"    {names(k)}= {k}",
-        ]
-
-    def shifted(step: str, k: str) -> str:
-        return "(" + "".join(f"s{i} + {step} * {k}{i}, " for i in range(n)) + ")"
-
-    lines = [
-        "def rk4(deriv, x, h):",
-        f"    {names('s')}= x",
-        "    half = 0.5 * h",
-        *stage("a", "x"),
-        *stage("b", shifted("half", "a")),
-        *stage("c", shifted("half", "b")),
-        *stage("d", shifted("h", "c")),
-        "    sixth = h / 6.0",
-        *(f"    y{i} = s{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})" for i in range(n)),
-        "    if not (" + " and ".join(f"isfinite(y{i})" for i in range(n)) + "):",
-        "        raise IntegrationError('integration produced a non-finite state')",
-        f"    return ({names('y')})",
-    ]
-    return _compile(
-        "\n".join(lines) + "\n",
-        "rk4",
-        len=len,
-        isfinite=math.isfinite,
-        IntegrationError=IntegrationError,
-        length_error=_length_error,
-    )
-
-
 @functools.cache  # emitted on first use; every ClosedLoop binds it
 def _plant_stages() -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The plant's RK4 step as statements ending in ``return``, and the parameter each p<k> is.
 
-    The step from x1..x4 with x5 = u held and x6 = h is :func:`_compiled_rk4`'s
+    The step from x1..x4 with x5 = u held and x6 = h is :func:`rk4_step`'s
     on ``ballbeam.REDUCED_FIELD``, its stages and update built as trees and
     written by one ``expr._emit``: each value, stage states with equal text
     included, is computed once, and sin(x3) is read as ``sin_x3``.
@@ -383,10 +363,6 @@ def _plant_stages() -> tuple[tuple[str, ...], tuple[str, ...]]:
     ), names
 
 
-def _length_error(got: int, expected: int) -> ValueError:
-    return ValueError(f"derivative has {got} components but the state has {expected}")
-
-
 def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate the supervised closed loop over the scenario horizon.
 
@@ -396,14 +372,18 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     is recorded; the last sample is recorded with no step after it.  The t,
     a1 and error (x1 - y_d) columns are formed after the loop.  A beam angle
     beyond pi in magnitude means the model has left its meaningful regime;
-    that is reported as a warning, from the recorded samples.
+    that is reported as a warning, from the recorded samples.  A record
+    too large to allocate raises SimulationError before any step.
     """
     p, n, h = sc.plant, sc.sample_count, sc.step
     poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, poles)]
-    times = np.arange(n) * h  # k * h: int64 -> float is exact below 2**53
-    loop = ClosedLoop(laws, gains, sc.reference, sc.thresholds, p, times)
+    try:
+        times = np.arange(n) * h  # k * h: int64 -> float is exact below 2**53
+        loop = ClosedLoop(laws, gains, sc.reference, sc.thresholds, p, times)
+    except MemoryError as exc:
+        raise SimulationError(f"cannot allocate the record of {n} samples") from exc
 
     def recorded(rows: int) -> Trajectory:
         # samples 0 .. rows - 1, warned of as the loop would have; a1 in one batch

@@ -204,6 +204,15 @@ def test_simulate_integration_failure_exit_code(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_simulate_record_too_large_exit_code(tmp_path, capsys):
+    # 10**18 samples cannot be allocated: exit 2 with the count, and no files
+    scenario = _write_scenario(tmp_path / "huge.json", duration=1e12, step=1e-6)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "simulate", str(scenario)]) == 2
+    assert "cannot allocate the record of 1000000000000000001 samples" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     out_dir = tmp_path / "outputs"
     monkeypatch.setenv("SWITCHLIN_OUTPUT_DIR", str(out_dir))
@@ -404,6 +413,20 @@ def test_sweep_isolates_failures(tmp_path, capsys):
     assert (out_dir / "good_trajectory.csv").exists()
     summary = (out_dir / "summary.csv").read_text().splitlines()
     assert len(summary) == 2
+
+
+def test_sweep_goes_on_past_a_record_too_large(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    _write_scenario(scenario_dir / "a_huge.json", duration=1e12, step=1e-6)
+    _write_scenario(scenario_dir / "b_good.json", duration=1.0)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "sweep", str(scenario_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "a_huge: FAILED (cannot allocate the record of" in captured.err
+    assert "b_good: 1001 samples" in captured.out
+    assert not (out_dir / "a_huge_trajectory.csv").exists()
+    assert (out_dir / "b_good_trajectory.csv").exists()
 
 
 def test_sweep_not_a_directory(tmp_path, capsys):

@@ -214,6 +214,14 @@ def test_pole_gains_reject_unstable_pole():
         pole_gains(2.0, 4)
 
 
+def test_pole_gains_reject_non_finite_pole():
+    # -inf passes the sign check; its gains would all be infinite
+    with pytest.raises(ValueError, match="pole must be finite, got -inf"):
+        pole_gains(-math.inf, 3)
+    with pytest.raises(ValueError, match="strictly negative"):
+        pole_gains(math.nan, 3)
+
+
 def test_pole_gains_positive_for_negative_pole(rng):
     for _ in range(20):
         pole = float(rng.uniform(-6, -0.1))

@@ -128,12 +128,8 @@ def _fields(n, rng):
 
 
 def test_rk4_kernel_matches_textbook_loop(rng):
-    # the generated straight-line kernel rounds exactly as the per-component
-    # loop does, and is generated once per state length
-    sim._compiled_rk4.cache_clear()
-    lengths = (1, 2, 4, 5)
-    steps = 0
-    for n in lengths:
+    # rk4_step rounds exactly as the textbook per-component loop does
+    for n in (1, 2, 4, 5):
         for field in _fields(n, rng):
             for h in (1e-3, 0.05):
                 x = expected = tuple(rng.uniform(-1.0, 1.0, size=n).tolist())
@@ -141,10 +137,24 @@ def test_rk4_kernel_matches_textbook_loop(rng):
                     x = rk4_step(field, x, h)
                     expected = _textbook_rk4(field, expected, h)
                     assert x == expected
-                    steps += 1
-    info = sim._compiled_rk4.cache_info()
-    assert (info.misses, info.currsize) == (len(lengths), len(lengths))
-    assert info.hits == steps - len(lengths)
+
+
+def test_rk4_step_makes_no_cells():
+    # every closed-loop step goes through rk4_step: a cell made per call would slow each one
+    assert rk4_step.__code__.co_cellvars == ()
+
+
+def test_exact_references_compile_nothing():
+    # the references the generated step is checked against share no generated code with it
+    from switchlin import expr
+    from switchlin.ballbeam import full_dynamics, reduced_dynamics, torque_from_u
+
+    p, x = PlantParams.solid_sphere(), (0.1, -0.2, 0.3, -0.4)
+    expr._compile.cache_clear()
+    rk4_step(lambda s: (s[1], -s[0]), (1.0, 0.0), 0.1)
+    rk4_step(lambda s: reduced_dynamics(s, 0.5, p), x, 1e-3)
+    full_dynamics(x, torque_from_u(x, 0.5, p), p)
+    assert expr._compile.cache_info().misses == 0
 
 
 def _step_outcome(deriv, x, h):
@@ -748,6 +758,17 @@ def test_runs_compile_the_a1_kernel_once():
     law_descriptor(1).coefficient.evaluate_many(sc.plant.symbol_values(), second.states)
     assert expr._compile.cache_info().misses == misses  # the a1 kernel is one of them
     assert first.a1.tobytes() == second.a1.tobytes()
+
+
+def test_run_reports_a_record_too_large_to_allocate():
+    # 10**18 samples: numpy refuses the times column at once, before any step
+    sc = _scenario(duration=1e12, step=1e-6)
+    assert sc.sample_count >= 10**18
+    with pytest.raises(sim.SimulationError) as failure:
+        run(sc)
+    assert type(failure.value) is sim.SimulationError
+    assert str(failure.value) == f"cannot allocate the record of {sc.sample_count} samples"
+    assert isinstance(failure.value.__cause__, MemoryError)
 
 
 def test_run_reports_a_failing_control_as_integration_error():
