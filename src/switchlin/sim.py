@@ -15,8 +15,10 @@ from the record after the loop, and :func:`assess` reads a run's outcome
 against an :class:`Envelope`.  Identical scenarios produce
 bitwise-identical trajectories.
 
-Scenario files are JSON with exactly the fields of :class:`Scenario`;
-unknown keys are rejected.  Trajectories serialise to CSV with the header
+Scenario files are JSON objects read through one table (``_OBJECTS``)
+that maps each key to the dataclass field it fills; unknown keys are
+rejected, and an optional key left out (``G``, ``tail_window``) takes its
+dataclass's default.  Trajectories serialise to CSV with the header
 ``t,x1,x2,x3,x4,u,law,a1,err,abscos3`` at 9 significant digits.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
@@ -66,12 +69,6 @@ CSV_HEADER = "t,x1,x2,x3,x4,u,law,a1,err,abscos3"
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g\n"
 _CSV_BLOCK = 1024  # rows formatted per write, so the text never holds a whole run
 
-#: default integration step [s]; three decades below the reference period
-DEFAULT_STEP = 1e-3
-
-#: default tail window for the RMS tracking-error metric [s]
-DEFAULT_TAIL_WINDOW = 10.0
-
 
 class SimulationError(RuntimeError):
     """A closed-loop run could not be completed."""
@@ -107,9 +104,9 @@ class Scenario:
     pole_law1: float = -4.0
     pole_law2: float = -3.0
     pole_law3: float = -3.0
-    step: float = DEFAULT_STEP
+    step: float = 1e-3  # [s], three decades below the reference period
     duration: float = 30.0
-    tail_window: float = DEFAULT_TAIL_WINDOW
+    tail_window: float = 10.0  # [s], the tail over which the RMS tracking error is taken
 
     def __post_init__(self):
         object.__setattr__(self, "initial_state", tuple(_float(v) for v in self.initial_state))
@@ -129,6 +126,8 @@ class Scenario:
         for name in ("step", "duration", "tail_window", "pole_law1", "pole_law2", "pole_law3"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
+        if not math.isfinite(self.duration / self.step):
+            raise ScenarioError("duration / step must be finite")
 
     @property
     def sample_count(self) -> int:
@@ -373,13 +372,15 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
     a1 and error (x1 - y_d) columns are formed after the loop.  A beam angle
     beyond pi in magnitude means the model has left its meaningful regime;
     that is reported as a warning, from the recorded samples.  A record
-    too large to allocate raises SimulationError before any step.
+    too large to allocate or address raises SimulationError before any step.
     """
     p, n, h = sc.plant, sc.sample_count, sc.step
     poles = (sc.pole_law1, sc.pole_law2, sc.pole_law3)
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, poles)]
     try:
+        if n > sys.maxsize // 32:  # numpy addresses at most sys.maxsize bytes, the states 32 a row
+            raise MemoryError
         times = np.arange(n) * h  # k * h: int64 -> float is exact below 2**53
         loop = ClosedLoop(laws, gains, sc.reference, sc.thresholds, p, times)
     except MemoryError as exc:
@@ -511,45 +512,33 @@ def assess(result: Trajectory | IntegrationError, envelope: Envelope = Envelope(
 # ---------------------------------------------------------------------------
 # scenario (de)serialisation
 
-_PLANT_KEYS = {"M", "R", "J", "J_b", "G"}
-_REFERENCE_KEYS = {"amplitude", "period"}
-_THRESHOLD_KEYS = {"eps1", "eps4"}
-_POLE_KEYS = {"law1", "law2", "law3"}
-_TOP_KEYS = {
-    "plant",
-    "initial_state",
-    "reference",
-    "thresholds",
-    "poles",
-    "step",
-    "duration",
-    "tail_window",
+#: each JSON object of a scenario file: the class its keys fill, each key (in the
+#: order checked) with the field it fills, and the keys that may be left out for
+#: the class's default; an object whose class is its parent's fills the parent's fields
+_OBJECTS = {
+    "scenario": (
+        Scenario,
+        {
+            "plant": "plant",
+            "initial_state": "initial_state",
+            "reference": "reference",
+            "thresholds": "thresholds",
+            "poles": None,
+            "step": "step",
+            "duration": "duration",
+            "tail_window": "tail_window",
+        },
+        {"tail_window"},
+    ),
+    "plant": (PlantParams, {"M": "M", "R": "R", "J": "J", "J_b": "Jb", "G": "G"}, {"G"}),
+    "reference": (TrackingReference, {"amplitude": "amplitude", "period": "period"}, set()),
+    "thresholds": (SwitchThresholds, {"eps1": "eps1", "eps4": "eps4"}, set()),
+    "poles": (Scenario, {"law1": "pole_law1", "law2": "pole_law2", "law3": "pole_law3"}, set()),
 }
 
 
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be an object")
-    return value
-
-
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key '{key}' in {where}")
-    for key in required:
-        if key not in mapping:
-            raise ScenarioError(f"missing key '{key}' in {where}")
-
-
-def _number(mapping: dict, key: str, where: str) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"key '{key}' in {where} must be a number")
-    number = _float(value)
-    if not math.isfinite(number):
-        raise ScenarioError(f"key '{key}' in {where} must be finite")
-    return number
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _float(value: int | float) -> float:
@@ -560,65 +549,45 @@ def _float(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _fields(value, name: str) -> dict:
+    """The fields that JSON object ``name`` fills: its keys checked, then each value, in order."""
+    cls, keys, optional = _OBJECTS[name]
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be an object")
+    for key in value:
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{key}' in {name}")
+    for key in keys:
+        if key not in value and key not in optional:
+            raise ScenarioError(f"missing key '{key}' in {name}")
+    fields = {}
+    for key, field in keys.items():
+        if key not in value:
+            continue
+        item = value[key]
+        if key in _OBJECTS:
+            inner, inner_fields = _OBJECTS[key][0], _fields(item, key)
+            if inner is cls:
+                fields.update(inner_fields)
+                continue
+            item = inner(**inner_fields)
+        elif key == "initial_state":
+            if not (isinstance(item, list) and len(item) == 4 and all(map(_is_number, item))):
+                raise ScenarioError("initial_state must be a list of 4 numbers")
+        else:
+            if not _is_number(item):
+                raise ScenarioError(f"key '{key}' in {name} must be a number")
+            item = _float(item)
+            if not math.isfinite(item):
+                raise ScenarioError(f"key '{key}' in {name} must be finite")
+        fields[field] = item
+    return fields
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    data = _require_mapping(data, "scenario")
-    _check_keys(data, _TOP_KEYS, _TOP_KEYS - {"tail_window"}, "scenario")
-
-    plant_map = _require_mapping(data["plant"], "plant")
-    _check_keys(plant_map, _PLANT_KEYS, _PLANT_KEYS - {"G"}, "plant")
     try:
-        plant = PlantParams(
-            M=_number(plant_map, "M", "plant"),
-            R=_number(plant_map, "R", "plant"),
-            J=_number(plant_map, "J", "plant"),
-            Jb=_number(plant_map, "J_b", "plant"),
-            G=_number(plant_map, "G", "plant") if "G" in plant_map else 9.81,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-
-    state = data["initial_state"]
-    if not isinstance(state, list) or len(state) != 4:
-        raise ScenarioError("initial_state must be a list of 4 numbers")
-    for v in state:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError("initial_state must be a list of 4 numbers")
-
-    ref_map = _require_mapping(data["reference"], "reference")
-    _check_keys(ref_map, _REFERENCE_KEYS, _REFERENCE_KEYS, "reference")
-    th_map = _require_mapping(data["thresholds"], "thresholds")
-    _check_keys(th_map, _THRESHOLD_KEYS, _THRESHOLD_KEYS, "thresholds")
-    pole_map = _require_mapping(data["poles"], "poles")
-    _check_keys(pole_map, _POLE_KEYS, _POLE_KEYS, "poles")
-
-    try:
-        reference = TrackingReference(
-            amplitude=_number(ref_map, "amplitude", "reference"),
-            period=_number(ref_map, "period", "reference"),
-        )
-        thresholds = SwitchThresholds(
-            eps1=_number(th_map, "eps1", "thresholds"),
-            eps4=_number(th_map, "eps4", "thresholds"),
-        )
-        return Scenario(
-            plant=plant,
-            initial_state=tuple(state),
-            reference=reference,
-            thresholds=thresholds,
-            pole_law1=_number(pole_map, "law1", "poles"),
-            pole_law2=_number(pole_map, "law2", "poles"),
-            pole_law3=_number(pole_map, "law3", "poles"),
-            step=_number(data, "step", "scenario"),
-            duration=_number(data, "duration", "scenario"),
-            tail_window=(
-                _number(data, "tail_window", "scenario")
-                if "tail_window" in data
-                else DEFAULT_TAIL_WINDOW
-            ),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
+        return Scenario(**_fields(data, "scenario"))
+    except ValueError as exc:  # ScenarioError, or a dataclass's own check
         raise ScenarioError(str(exc)) from None
 
 

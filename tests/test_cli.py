@@ -213,6 +213,23 @@ def test_simulate_record_too_large_exit_code(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def test_simulate_record_beyond_numpy_exit_code(tmp_path, capsys):
+    # 10**19 + 1 samples: beyond what numpy can address, refused before allocating
+    scenario = _write_scenario(tmp_path / "huge.json", duration=1e13, step=1e-6)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "simulate", str(scenario)]) == 2
+    assert "cannot allocate the record of 10000000000000000001 samples" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_simulate_overflowing_sample_count_exit_code(tmp_path, capsys):
+    scenario = _write_scenario(tmp_path / "overflow.json", duration=1e300, step=1e-300)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "simulate", str(scenario)]) == 1
+    assert capsys.readouterr().err == "switchlin: duration / step must be finite\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     out_dir = tmp_path / "outputs"
     monkeypatch.setenv("SWITCHLIN_OUTPUT_DIR", str(out_dir))
@@ -427,6 +444,21 @@ def test_sweep_goes_on_past_a_record_too_large(tmp_path, capsys):
     assert "b_good: 1001 samples" in captured.out
     assert not (out_dir / "a_huge_trajectory.csv").exists()
     assert (out_dir / "b_good_trajectory.csv").exists()
+
+
+def test_sweep_goes_on_past_a_record_beyond_numpy(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    _write_scenario(scenario_dir / "a_huge.json", duration=1e13, step=1e-6)
+    _write_scenario(scenario_dir / "b_good.json", duration=1.0)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "sweep", str(scenario_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "a_huge: FAILED (cannot allocate the record of 10000000000000000001 samples)" in (
+        captured.err
+    )
+    assert "b_good: 1001 samples" in captured.out
+    assert not (out_dir / "a_huge_trajectory.csv").exists()
 
 
 def test_sweep_not_a_directory(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -656,6 +657,55 @@ def test_shipped_scenarios_parse():
         load_scenario(path)
 
 
+def test_scenario_optional_keys_take_the_dataclass_defaults():
+    data = _scenario_dict()
+    del data["plant"]["G"], data["tail_window"]
+    sc = scenario_from_dict(data)
+    assert sc.plant.G == PlantParams.__dataclass_fields__["G"].default
+    assert sc.tail_window == Scenario.__dataclass_fields__["tail_window"].default
+
+
+def test_scenario_table_fills_each_field_once():
+    import dataclasses
+
+    filled = {}
+    for cls, keys, optional in sim._OBJECTS.values():
+        assert set(optional) <= set(keys)
+        names = [field for field in keys.values() if field is not None]
+        filled.setdefault(cls, []).extend(names)
+    assert set(filled) == {PlantParams, TrackingReference, SwitchThresholds, Scenario}
+    for cls, names in filled.items():
+        assert sorted(names) == sorted(field.name for field in dataclasses.fields(cls))
+
+
+def test_scenario_missing_key_does_not_depend_on_hash_seed():
+    import os
+    import subprocess
+
+    code = (
+        f"import sys; sys.path.insert(0, {str(pathlib.Path(sim.__file__).parent.parent)!r})\n"
+        "from switchlin.sim import scenario_from_dict\n"
+        f"data = {_scenario_dict()!r}\n"
+        "del data['step'], data['duration']\n"
+        "try: scenario_from_dict(data)\n"
+        "except ValueError as exc: print(exc)\n"
+        f"data = {_scenario_dict()!r}\n"
+        "del data['plant']['M'], data['plant']['R']\n"
+        "try: scenario_from_dict(data)\n"
+        "except ValueError as exc: print(exc)\n"
+    )
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "missing key 'step' in scenario",
+            "missing key 'M' in plant",
+        ]
+
+
 @pytest.mark.parametrize("name", ["regulation", "small_tracking"])
 def test_run_matches_exact_descriptor_control(name):
     # the simulator's compiled kernels and the exact descriptor path are
@@ -769,6 +819,26 @@ def test_run_reports_a_record_too_large_to_allocate():
     assert type(failure.value) is sim.SimulationError
     assert str(failure.value) == f"cannot allocate the record of {sc.sample_count} samples"
     assert isinstance(failure.value.__cause__, MemoryError)
+
+
+@pytest.mark.parametrize(
+    "duration, step", [(1e13, 1e-6), (float(2**63 - 1024), 1.0)], ids=["1e19", "2**63"]
+)
+def test_run_refuses_a_record_beyond_numpy_before_allocating(duration, step, monkeypatch):
+    # numpy addresses sys.maxsize bytes: np.arange raises ValueError at 10**19
+    # samples and returns an empty array just under 2**63
+    sc = _scenario(duration=duration, step=step)
+    assert sc.sample_count > sys.maxsize // 32
+    monkeypatch.setattr(np, "arange", None)  # any allocation would raise TypeError
+    with pytest.raises(sim.SimulationError) as failure:
+        run(sc)
+    assert str(failure.value) == f"cannot allocate the record of {sc.sample_count} samples"
+
+
+def test_scenario_rejects_a_sample_count_that_overflows():
+    # both are finite, but duration / step is not
+    with pytest.raises(ScenarioError, match=r"^duration / step must be finite$"):
+        _scenario(duration=1e300, step=1e-300)
 
 
 def test_run_reports_a_failing_control_as_integration_error():
