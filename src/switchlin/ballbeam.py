@@ -82,20 +82,6 @@ class PlantParams:
         """Bindings for the symbolic parameters of the reduced model."""
         return {"B": self.B, "G": self.G}
 
-    @classmethod
-    def solid_sphere(
-        cls, M: float = 0.05, R: float = 0.01, J: float = 0.02, G: float = 9.81
-    ) -> "PlantParams":
-        """Parameters for a solid spherical ball, Jb = (2/5) M R^2.
-
-        The resulting mass ratio must equal 5/7 to within 1e-12; this is
-        exact up to rounding, so a violation indicates a bad argument.
-        """
-        plant = cls(M=M, R=R, J=J, Jb=0.4 * M * R * R, G=G)
-        if abs(plant.B - 5.0 / 7.0) > 1e-12:
-            raise ValueError(f"solid-sphere mass ratio is {plant.B!r}, expected 5/7")
-        return plant
-
 
 def benchmark_plant() -> PlantParams:
     """The standard laboratory parameter set used by the shipped scenarios."""

@@ -28,7 +28,8 @@ descriptor exposes the unfrozen g-modification coefficient
 coverage analysis exhibit how modified laws keep vanishing on the
 singularity components they do not target.
 
-The supervisor sigma(x) is memoryless: law 1 when |x1| > eps1 and
+The memoryless supervisor sigma(x) is :data:`SUPERVISOR`, read by
+:func:`supervisor` and ``sim.ClosedLoop``: law 1 when |x1| > eps1 and
 |x4| > eps4, law 3 when |x1| <= eps1 and |x4| <= eps4, law 2 otherwise.
 The outer loop places all tracking-error poles at a single point p via
 the binomial gains of (s - p)^order.
@@ -40,6 +41,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
@@ -49,6 +51,7 @@ from .geometry import SingularityFactor
 __all__ = [
     "GainSet",
     "LawDescriptor",
+    "SUPERVISOR",
     "SingularControlError",
     "SwitchThresholds",
     "TrackingReference",
@@ -91,15 +94,15 @@ class SwitchThresholds:
             raise ValueError("switching thresholds must be finite")
 
 
+#: the supervisor's law for each region, keyed by (|x1| > eps1, |x4| > eps4)
+SUPERVISOR = MappingProxyType(
+    {(True, True): 1, (True, False): 2, (False, True): 2, (False, False): 3}
+)
+
+
 def supervisor(x: Sequence[float], thresholds: SwitchThresholds) -> int:
-    """Memoryless law selection; every state maps to exactly one of 1, 2, 3."""
-    ball_out = abs(x[0]) > thresholds.eps1
-    beam_moving = abs(x[3]) > thresholds.eps4
-    if ball_out and beam_moving:
-        return 1
-    if not ball_out and not beam_moving:
-        return 3
-    return 2
+    """Memoryless law selection: the :data:`SUPERVISOR` entry of x's region."""
+    return SUPERVISOR[abs(x[0]) > thresholds.eps1, abs(x[3]) > thresholds.eps4]
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ class LawDescriptor:
         and coordinates q_j (or read a state variable) as the expr emitter
         writes them, r_j = c_j * (wave_cos or wave_sin), v = r_order - sum_j
         alpha_j (q_j - r_j) summed from 0.0 in j order, the floor check of
-        :func:`_solve` and u = (-offset + v) / coefficient: the operations of
+        :meth:`control` and u = (-offset + v) / coefficient: the operations of
         the exact path, in its order.
         """
         order, tag = self.order, self.law_id
@@ -264,13 +267,9 @@ class LawDescriptor:
     def control(self, x: Sequence[float], v: float, params: Mapping[str, Real]) -> float:
         coefficient = self.coefficient_value(x, params)
         offset = self.offset.evaluate(Bindings(params, tuple(x)))
-        return _solve(self.law_id, coefficient, offset, v)
-
-
-def _solve(law_id: int, coefficient: float, offset: float, v: float) -> float:
-    if abs(coefficient) < COEFFICIENT_FLOOR:
-        raise SingularControlError(law_id, coefficient)
-    return (-offset + v) / coefficient
+        if abs(coefficient) < COEFFICIENT_FLOOR:
+            raise SingularControlError(self.law_id, coefficient)
+        return (-offset + v) / coefficient
 
 
 @functools.cache  # descriptors are immutable; apply_law builds one per call

@@ -4,9 +4,9 @@ Fixed-step classical Runge-Kutta integration of the reduced plant under
 the supervised controller.  The supervisor and the selected law are
 evaluated once per step, at the step's start, and the resulting input is
 held constant across the step (zero-order hold).  A run's step is one
-generated function (:class:`ClosedLoop`): the supervisor's branch with
-each law's control, outer loop included, in its arms, the sample's
-record, and the RK4 step with the plant's field
+generated function (:class:`ClosedLoop`): the branch written from
+``controllers.SUPERVISOR`` with each law's control, outer loop included,
+in its arms, the sample's record, and the RK4 step with the plant's field
 (``ballbeam.REDUCED_FIELD``) inlined, each value computed once; a run
 binds the thresholds, the plant, the reference, the gains and the record.
 It is called through :func:`rk4_step` once per step, where a run's steps
@@ -34,6 +34,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
+from . import controllers
 from .ballbeam import REDUCED_FIELD, PlantParams
 from .controllers import (
     GainSet,
@@ -246,7 +247,8 @@ class ClosedLoop:
     """One run's supervised closed loop: sample ``k`` and the step after it, in one call.
 
     :func:`rk4_step` runs its ``step(loop, x, h)``, generated per run: at
-    sample ``k = loop.k`` it selects the law by ``supervisor``'s branch,
+    sample ``k = loop.k`` it selects one of ``laws`` (keyed by law_id) by
+    the branch :func:`_branch` writes from ``controllers.SUPERVISOR``,
     computes u by that law's statements (``LawDescriptor._control_body``,
     the reference's waves read at row k of cos and sin of ``omega * times``),
     records x, u, the law and |cos x3| in row k of ``states``, ``u``,
@@ -270,8 +272,6 @@ class ClosedLoop:
         p: PlantParams,
         times: np.ndarray,
     ):
-        if [law.law_id for law in laws] != [1, 2, 3]:
-            raise ValueError("the supervisor switches among laws 1, 2 and 3, in that order")
         n, params = len(times), p.symbol_values()
         omega, scales = _reference_scales(ref, max(law.order for law in laws))
         waves = np.cos(omega * times), np.sin(omega * times)
@@ -293,16 +293,11 @@ class ClosedLoop:
             bound.update(zip([f"p{tag}_{k}" for k in range(len(names))], _bind(names, params)))
             bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
             constants += law_constants
-            arms[tag] = [*(f"    {line}" for line in body), f"    law = {tag}"]
+            if tag in arms:
+                raise ValueError(f"law {tag} is given twice")
+            arms[tag] = [*body, f"law = {tag}"]
         lines = [
-            "ball_out = abs(x1) > eps1",
-            "beam_moving = abs(x4) > eps4",
-            "if ball_out and beam_moving:",
-            *arms[1],
-            "elif not ball_out and not beam_moving:",
-            *arms[3],
-            "else:",
-            *arms[2],
+            *_branch(arms),
             *(f"{column}[k] = {value}" for column, value in _RECORD.items()),
             "if k == last:",
             "    return x",
@@ -322,6 +317,25 @@ class ClosedLoop:
         namespace = dict(sin=math.sin, cos=math.cos, abs=abs, isfinite=math.isfinite)
         errors = dict(SingularControlError=SingularControlError, IntegrationError=IntegrationError)
         self.step = _compile(source, "make", **namespace, **errors)(*bound.values())
+
+
+def _branch(arms: dict[int, list[str]]) -> list[str]:
+    """``controllers.SUPERVISOR`` over the laws' statements ``arms``: the law of the most regions
+    (the last on a tie) is the ``else``, each other an ``if``/``elif``; one law, no branch."""
+    regions: dict[int, list[str]] = {}
+    for region, tag in controllers.SUPERVISOR.items():
+        ball_out, beam_moving = ("" if inside else "not " for inside in region)
+        regions.setdefault(tag, []).append(f"{ball_out}ball_out and {beam_moving}beam_moving")
+    if missing := sorted(regions.keys() - arms.keys()):
+        raise ValueError(f"the supervisor selects laws not given: {', '.join(map(str, missing))}")
+    *branched, rest = sorted(regions, key=lambda tag: len(regions[tag]))  # stable: table order
+    if not branched:
+        return arms[rest]
+    lines = ["ball_out = abs(x1) > eps1", "beam_moving = abs(x4) > eps4"]
+    for i, tag in enumerate(branched):
+        lines.append(f"{'elif' if i else 'if'} {' or '.join(regions[tag])}:")
+        lines += [f"    {line}" for line in arms[tag]]
+    return lines + ["else:", *(f"    {line}" for line in arms[rest])]
 
 
 #: the record's columns as the generated step names them, and what it stores in each
@@ -597,6 +611,6 @@ def load_scenario(path) -> Scenario:
             data = json.load(stream)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, an int too long
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(data)

@@ -20,15 +20,6 @@ def test_benchmark_plant_mass_ratio():
     assert abs(p.B - 5 / 7) < 1e-12
 
 
-def test_solid_sphere_constructor():
-    p = PlantParams.solid_sphere()
-    assert abs(p.B - 5 / 7) < 1e-12
-    assert p.Jb == pytest.approx(2e-6, rel=1e-12)
-    # inconsistent ball inertia must be caught
-    with pytest.raises(ValueError):
-        PlantParams.solid_sphere(M=-1.0)
-
-
 def test_plant_params_validation():
     with pytest.raises(ValueError):
         PlantParams(M=0.0, R=0.01, J=0.02, Jb=2e-6)

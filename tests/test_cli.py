@@ -230,6 +230,26 @@ def test_simulate_overflowing_sample_count_exit_code(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+#: scenario files that json cannot decode: bytes that are not UTF-8, arrays nested deeper
+#: than the interpreter's recursion limit, and an integer longer than int() converts
+_UNDECODABLE = {
+    "latin1": b'{"step": 0.001, "na\xefve": 1}',
+    "deep": b"[" * 100_000,
+    "long": b'{"step": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+def test_simulate_undecodable_file_exit_code(tmp_path, capsys, name):
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_bytes(_UNDECODABLE[name])
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "simulate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("switchlin: scenario file is not valid JSON: ") and err.count("\n") == 1
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     out_dir = tmp_path / "outputs"
     monkeypatch.setenv("SWITCHLIN_OUTPUT_DIR", str(out_dir))
@@ -430,6 +450,25 @@ def test_sweep_isolates_failures(tmp_path, capsys):
     assert (out_dir / "good_trajectory.csv").exists()
     summary = (out_dir / "summary.csv").read_text().splitlines()
     assert len(summary) == 2
+
+
+def test_sweep_goes_on_past_undecodable_files(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    for name, data in _UNDECODABLE.items():
+        (scenario_dir / f"a_{name}.json").write_bytes(data)
+    _write_scenario(scenario_dir / "b_good.json", duration=1.0)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "sweep", str(scenario_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "a_latin1: FAILED (scenario file is not valid JSON: 'utf-8' codec" in captured.err
+    assert "a_deep: FAILED (scenario file is not valid JSON:" in captured.err
+    assert "a_long: FAILED (scenario file is not valid JSON:" in captured.err
+    assert "b_good: 1001 samples" in captured.out
+    assert [line.split(",")[0] for line in (out_dir / "summary.csv").read_text().splitlines()] == [
+        "scenario",
+        "b_good",
+    ]
 
 
 def test_sweep_goes_on_past_a_record_too_large(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from switchlin.ballbeam import PlantParams, benchmark_plant, reduced_dynamics, symbolic_system
 from switchlin.controllers import (
+    SUPERVISOR,
     GainSet,
     SingularControlError,
     SwitchThresholds,
@@ -54,6 +55,19 @@ def test_supervisor_partitions_state_space(rng):
         beam_moving = abs(x[3]) > TH.eps4
         expected = 1 if (ball_out and beam_moving) else 3 if (not ball_out and not beam_moving) else 2
         assert law_id == expected
+
+
+def test_supervisor_table_is_the_papers_and_immutable():
+    paper = {(True, True): 1, (True, False): 2, (False, True): 2, (False, False): 3}
+    assert dict(SUPERVISOR) == paper
+    with pytest.raises(TypeError):
+        SUPERVISOR[True, True] = 2
+
+
+def test_supervisor_reads_the_table_at_call_time(supervise):
+    supervise(2, 3, 1, 2)
+    states = [(0.2, 0, 0, 0.5), (0.2, 0, 0, 0), (0, 0, 0, 0.5), (0, 0, 0, 0)]
+    assert [supervisor(x, TH) for x in states] == [2, 3, 1, 2]
 
 
 def test_thresholds_must_be_positive():
@@ -357,7 +371,7 @@ def test_tracking_reference_validation():
         lambda v: TrackingReference(0.4, v),
         lambda v: SwitchThresholds(v, 0.08),
         lambda v: SwitchThresholds(0.05, v),
-        lambda v: PlantParams.solid_sphere(G=v),
+        lambda v: dataclasses.replace(benchmark_plant(), G=v),
         lambda v: PlantParams(M=v, R=1.0, J=1.0, Jb=1.0),
         lambda v: PlantParams(M=1.0, R=1.0, J=v, Jb=1.0),
     ],
@@ -634,7 +648,7 @@ def test_compiled_control_tells_signed_zero_plants_apart():
     assert supervisor(x, TH) == 2
     messages = []
     for g in (0.0, -0.0, 0.0):
-        plant = PlantParams.solid_sphere(G=g)
+        plant = dataclasses.replace(benchmark_plant(), G=g)
         fused = _fused_supervised(laws, gains, ref, plant, TH, [0.5])
         expected = _law_outcome(_exact_supervised(laws, gains, ref, plant, TH), x, 0.5)
         assert _law_outcome(fused, x, 0.5) == expected
@@ -646,7 +660,7 @@ def test_compiled_control_tells_signed_zero_plants_apart():
 def test_supervised_control_is_the_supervisor_over_the_exact_laws(gravity):
     # seeded states around the operating point, and every pair of edge values
     # of x1 and x4: signed zeros, the thresholds themselves, NaN and infinities
-    plant = PlantParams.solid_sphere(G=gravity)
+    plant = dataclasses.replace(benchmark_plant(), G=gravity)
     ref = TrackingReference(0.4, 3.0)
     laws = table_laws()
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
@@ -668,14 +682,22 @@ def test_supervised_control_is_the_supervisor_over_the_exact_laws(gravity):
     assert seen == {1, 2, 3}
 
 
-def test_supervised_control_checks_its_laws(plant):
+def test_supervised_control_checks_its_laws(supervise, plant):
+    # any law the table selects must be given, once, and each law's gains must match its order
     laws = table_laws()
     gains = [pole_gains(-3.0, law.order) for law in laws]
     ref = TrackingReference(0.4, 3.0)
-    with pytest.raises(ValueError, match="laws 1, 2 and 3"):
-        _fused(laws[::-1], gains[::-1], ref, TH, plant)
+    with pytest.raises(ValueError, match="selects laws not given: 3$"):
+        _fused(laws[:2], gains[:2], ref, TH, plant)
+    with pytest.raises(ValueError, match="not given: 1, 3$"):
+        _fused(laws[1:2], gains[1:2], ref, TH, plant)
+    with pytest.raises(ValueError, match="law 2 is given twice"):
+        _fused([*laws, laws[1]], [*gains, gains[1]], ref, TH, plant)
     with pytest.raises(ValueError, match="gain order"):
         _fused(laws, gains[::-1], ref, TH, plant)
+    _fused(laws[::-1], gains[::-1], ref, TH, plant)  # keyed by law_id, in any order
+    supervise(2, 2, 2, 2)
+    _fused(laws[1:2], gains[1:2], ref, TH, plant)
 
 
 def _generated_step(monkeypatch, laws, plant):
@@ -756,7 +778,7 @@ def _on_and_beyond(eps):
 def test_generated_control_matches_the_exact_path_on_boundary_states(gravity, g_modified):
     # 2,500 states per plant and family, 10^4 in all: seeded around the operating point,
     # with x1 and x4 on and just beyond the supervisor's thresholds
-    plant = PlantParams.solid_sphere(G=gravity)
+    plant = dataclasses.replace(benchmark_plant(), G=gravity)
     laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
     gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
     ref = TrackingReference(0.4, 3.0)
@@ -774,3 +796,33 @@ def test_generated_control_matches_the_exact_path_on_boundary_states(gravity, g_
         assert _law_outcome(fused, x, t) == expected
         laws_seen.add(supervisor(x, TH))
     assert laws_seen == {1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [(2, 2, 2, 3), (3, 3, 3, 3), (2, 2, 2, 2), (1, 1, 2, 2)],
+    ids=["2/3/2", "3/3/3", "2/2/2", "1 when the ball is out, else 2"],
+)
+def test_generated_branch_is_the_supervisor_under_any_table(monkeypatch, supervise, plant, table):
+    # the step written from a substituted table: the supervisor's pick and its exact law, bit
+    # for bit, on seeded states and every pair of edge values of x1 and x4
+    supervise(*table)
+    laws = table_laws()
+    gains = [pole_gains(pole, law.order) for law, pole in zip(laws, (-4.0, -3.0, -2.5))]
+    ref = TrackingReference(0.4, 3.0)
+    exact = _exact_supervised(laws, gains, ref, plant, TH)
+    rng = np.random.default_rng(26)
+    states = rng.uniform(-0.2, 0.2, size=(200, 4)).tolist()
+    edges = [*_on_and_beyond(TH.eps1), *_on_and_beyond(TH.eps4), math.nan, math.inf, -math.inf]
+    states += [[x1, 0.1, 0.05, x4] for x1 in edges for x4 in edges]
+    times = rng.uniform(0.0, 30.0, size=len(states)).tolist()
+    fused = _fused_supervised(laws, gains, ref, plant, TH, times)
+    seen = set()
+    for x, t in zip(states, times):
+        seen.add(supervisor(x, TH))
+        assert _law_outcome(fused, x, t) == _law_outcome(exact, x, t)
+    assert seen == set(table)
+    import ast
+
+    branched = "ball_out" in ast.unparse(_generated_step(monkeypatch, laws, plant))
+    assert branched == (len(set(table)) > 1)  # one law everywhere: no branch

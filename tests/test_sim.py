@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -150,7 +151,7 @@ def test_exact_references_compile_nothing():
     from switchlin import expr
     from switchlin.ballbeam import full_dynamics, reduced_dynamics, torque_from_u
 
-    p, x = PlantParams.solid_sphere(), (0.1, -0.2, 0.3, -0.4)
+    p, x = benchmark_plant(), (0.1, -0.2, 0.3, -0.4)
     expr._compile.cache_clear()
     rk4_step(lambda s: (s[1], -s[0]), (1.0, 0.0), 0.1)
     rk4_step(lambda s: reduced_dynamics(s, 0.5, p), x, 1e-3)
@@ -268,8 +269,10 @@ def test_run_with_the_held_plant_matches_the_called_plant():
         load_scenario(SCENARIO_DIR / "near_pivot.json"),
         load_scenario(SCENARIO_DIR / "benchmark.json"),
         # law 2's coefficient -B*G*cos(x3) is -0.0 at t = 0: the control fails
-        _scenario(plant=PlantParams.solid_sphere(G=0.0)),
-        _scenario(plant=PlantParams.solid_sphere(G=-0.0), initial_state=(0.3, 0.1, 0.1, 0.2)),
+        _scenario(plant=dataclasses.replace(benchmark_plant(), G=0.0)),
+        _scenario(
+            plant=dataclasses.replace(benchmark_plant(), G=-0.0), initial_state=(0.3, 0.1, 0.1, 0.2)
+        ),
         # one step whose second stage takes sin(inf)
         _scenario(initial_state=(0.3, 0.0, 0.1, 1e308), step=4.0, duration=4.0, tail_window=1.0),
     ]
@@ -789,7 +792,7 @@ def test_run_generates_each_control_once_per_law(monkeypatch):
     for _ in range(2):
         run(sc)
     assert len(emitted) == 3  # laws 1, 2 and 3
-    run(_scenario(duration=0.05, plant=PlantParams.solid_sphere(G=9.0)))
+    run(_scenario(duration=0.05, plant=dataclasses.replace(benchmark_plant(), G=9.0)))
     assert len(emitted) == 3  # the plant is bound, not generated
     info = expr._compile.cache_info()
     assert info.misses == before.misses
@@ -844,7 +847,8 @@ def test_scenario_rejects_a_sample_count_that_overflows():
 def test_run_reports_a_failing_control_as_integration_error():
     # without gravity law 2's coefficient -B*G*cos(x3) is zero, and the
     # supervisor picks law 2 at the first sample (|x1| > eps1, x4 = 0)
-    sc = _scenario(plant=PlantParams.solid_sphere(G=0.0), initial_state=(0.3, 0.0, 0.1, 0.0))
+    plant = dataclasses.replace(benchmark_plant(), G=0.0)
+    sc = _scenario(plant=plant, initial_state=(0.3, 0.0, 0.1, 0.0))
     with pytest.raises(IntegrationError) as info:
         run(sc)
     assert str(info.value) == (
@@ -859,7 +863,8 @@ def test_run_reports_a_failing_control_as_integration_error():
 def test_a_diverged_run_keeps_one_sample_per_completed_step(name):
     if name == "control":
         # law 1 for six steps, then law 2, whose coefficient -B*G*cos(x3) is zero here
-        sc = _scenario(plant=PlantParams.solid_sphere(G=0.0), initial_state=(0.3, 0.1, 0.1, 0.2))
+        plant = dataclasses.replace(benchmark_plant(), G=0.0)
+        sc = _scenario(plant=plant, initial_state=(0.3, 0.1, 0.1, 0.2))
     else:
         sc = load_scenario(SCENARIO_DIR / "benchmark.json")
     with warnings.catch_warnings():
@@ -967,3 +972,84 @@ def test_assess_reads_the_input_bound_and_names_the_first_bound_on_a_tie():
 def test_envelope_bounds_must_be_positive(name, value):
     with pytest.raises(ValueError, match=f"^envelope bound {name} must be positive$"):
         sim.Envelope(**{name: value})
+
+
+# ---------------------------------------------------------------------------
+# the README's "Known behaviour of the benchmark scenario", claim by claim
+
+
+def _benchmark(**overrides):
+    # benchmark.json with overrides: (trajectory, metrics), or (the IntegrationError, None)
+    sc = dataclasses.replace(load_scenario(SCENARIO_DIR / "benchmark.json"), **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run(sc)
+        except IntegrationError as exc:
+            return exc, None
+
+
+def test_known_behaviour_law_1_and_law_2_alternate_until_the_run_leaves():
+    error, _ = _benchmark()
+    kept, eps1 = error.trajectory, 0.05
+    law, x = kept.law, kept.states
+    first = int(np.argmax(law == 1))
+    x1, _, x3, _ = x[first]
+    assert kept.t[first] == 0.495 and round(9.81 * math.cos(x3) / (2.0 * x1)) == -97
+    # all but 6 switches go between laws 1 and 2 with the ball out: across |x4| = eps4
+    rows = np.flatnonzero(np.diff(law))
+    ball_out = np.abs(x[:, 0]) > eps1
+    across_eps4 = (law[rows] + law[rows + 1] == 3) & ball_out[rows] & ball_out[rows + 1]
+    assert (len(rows), int(np.count_nonzero(across_eps4))) == (1924, 1918)
+    row = round(0.771 / 1e-3)  # |x3| passes pi/2 with law 1 active, after 4 switches
+    assert sim.assess(kept).exit_time == kept.t[row] == 0.771
+    assert law[row] == 1 and np.count_nonzero(np.diff(law[: row + 1])) == 4
+    loud = sim.Envelope(max_abs_x1=math.inf, max_abs_x3=math.inf, max_abs_u=1e3)
+    assert sim.assess(kept, loud) == sim.RunReport("left_envelope", 2.961, "u", 2.961)
+
+
+@pytest.mark.parametrize(
+    "table, rms_mm, max_x3_deg, switches",
+    [
+        ((2, 2, 2, 2), 4.6649, 14.67, 0),
+        ((3, 3, 3, 3), 4.4585, 14.68, 0),
+        ((2, 2, 2, 3), 4.6649, 14.67, 3),
+    ],
+    ids=["law 2 alone", "law 3 alone", "law 2 in law 1's place"],
+)
+def test_known_behaviour_without_law_1_the_benchmark_holds(
+    supervise, table, rms_mm, max_x3_deg, switches
+):
+    supervise(*table)
+    trajectory, metrics = _benchmark()
+    assert sim.assess(trajectory) == sim.RunReport("completed", None, None, None)
+    assert round(metrics.rms_tail_error * 1e3, 4) == rms_mm
+    assert round(math.degrees(metrics.max_abs_x3), 2) == max_x3_deg
+    assert metrics.switch_count == switches and metrics.dwell_fractions[0] == 0.0
+
+
+def test_known_behaviour_every_sampled_start_diverges():
+    starts = np.random.default_rng(0).uniform(-0.1, 0.1, size=(40, 4))
+    for x0 in starts.tolist():
+        error, _ = _benchmark(initial_state=x0)
+        assert isinstance(error, IntegrationError), x0
+
+
+@pytest.mark.parametrize(
+    "step, past_31_5_deg, past_half_pi",
+    [(1e-3, 0.646, 0.771), (5e-4, 0.646, 0.771), (2.5e-4, 0.645, 0.770)],
+)
+def test_known_behaviour_the_envelope_exits_converge_with_the_step(
+    step, past_31_5_deg, past_half_pi
+):
+    trajectory, _ = _benchmark(step=step, duration=1.0, tail_window=0.5)
+    steep = sim.Envelope(max_abs_x3=math.radians(31.5))
+    assert round(sim.assess(trajectory, steep).exit_time, 6) == past_31_5_deg
+    report = sim.assess(trajectory)
+    assert (report.outcome, report.exit_bound) == ("left_envelope", "x3")
+    assert round(report.exit_time, 6) == past_half_pi
+
+
+def test_known_behaviour_the_non_finite_time_moves_with_the_step():
+    assert round(_benchmark()[0].time, 6) == 11.767
+    assert round(_benchmark(step=2e-3)[0].time, 6) == 8.286
