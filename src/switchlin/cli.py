@@ -178,20 +178,19 @@ def cmd_derive(args) -> int:
     system = _load_system(args.system)
     if not 1 <= args.order <= system.dim:
         raise UsageError(f"order must be in 1..{system.dim}")
+    points = [_parse_point(probe, system.dim) for probe in args.probe or []]
     chain = system.chain if args.order == system.dim else derivative_chain(system, args.order)
-    print(f"system {args.system} (n = {system.dim})")
-    for j, output in enumerate(chain.outputs):
-        print(f"L_f^{j} h = {output}")
-    for j, mixed in enumerate(chain.mixed[:-1]):
-        print(f"L_g L_f^{j} h = {mixed}")
-    print(f"a(x) = L_g L_f^{args.order - 1} h = {chain.a}")
-    print(f"b(x) = L_f^{args.order} h = {chain.b}")
-    print(f"uniform chain through order {args.order}: {'yes' if chain.uniform else 'no'}")
-    for probe in args.probe or []:
-        point = _parse_point(probe, system.dim)
+    lines = [f"system {args.system} (n = {system.dim})"]
+    lines += [f"L_f^{j} h = {output}" for j, output in enumerate(chain.outputs)]
+    lines += [f"L_g L_f^{j} h = {mixed}" for j, mixed in enumerate(chain.mixed[:-1])]
+    lines.append(f"a(x) = L_g L_f^{args.order - 1} h = {chain.a}")
+    lines.append(f"b(x) = L_f^{args.order} h = {chain.b}")
+    lines.append(f"uniform chain through order {args.order}: {'yes' if chain.uniform else 'no'}")
+    for point in points:
         gamma = relative_degree_at(system, point)
         verdict = str(gamma) if gamma is not None else f"undefined (through order {system.dim})"
-        print(f"relative degree at {_fmt_vec(point)}: {verdict}")
+        lines.append(f"relative degree at {_fmt_vec(point)}: {verdict}")
+    print("\n".join(lines))
     return 0
 
 
@@ -290,14 +289,15 @@ def cmd_involutivity(args) -> int:
             raise UsageError(f"{path}: no probe points")
     else:
         probes = list(_DEFAULT_PROBES)
-    print(f"system {args.system}: bracket [g, ad_f^2 g] against span{{g, ad_f g, ad_f^2 g}}")
+    lines = [f"system {args.system}: bracket [g, ad_f^2 g] against span{{g, ad_f g, ad_f^2 g}}"]
     for point in probes:
         witness = involutivity_witness(system, point)
         rises = "rank rises" if witness.rank_rises else "no rank rise"
-        print(
+        lines.append(
             f"at {_fmt_vec(point)}: bracket = {_fmt_vec(witness.bracket_value)}, "
             f"rank {witness.rank_without} -> {witness.rank_with} ({rises})"
         )
+    print("\n".join(lines))
     return 0
 
 

@@ -5,10 +5,10 @@ a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, each law's control,
-outer loop included, is emitted once as straight-line statements, one arm
-of the supervisor's branch in the closed-loop step that
-``sim.ClosedLoop`` generates, with the thresholds, the plant, the
-reference and the gains bound per run.
+outer loop included, is built once as one expression tree and written by
+``expr._emit`` as one arm of the supervisor's branch in the closed-loop
+step that ``sim.ClosedLoop`` generates; the plant, the reference's
+scales and the gains are the tree's parameters, bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
-from .expr import Bindings, Real, ScalarField, _emit, parse
+from .expr import Bindings, Constant, Parameter, Real, ScalarField, StateVar, _emit, parse
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -208,45 +208,39 @@ class LawDescriptor:
 
     @functools.cached_property  # emitted once per descriptor; every run reads it
     def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """This law's constants, statements at x1..x4 leaving u, and plant names.
+        """This law's constants, its arm of the supervisor's branch, and its parameter names.
 
-        They read the plant as ``p<id>_<k>``, the emitter's temporaries as
-        ``t<id>_<k>`` (the constants, run once per run, set some) and the
-        gains as ``alpha<id>_<j>`` (<id> is ``law_id``, so laws can share a
-        function), sin and cos of a state variable as ``sin_x<i>``,
-        ``cos_x<i>``, and the reference as ``c<j>`` and its waves at t,
-        ``wave_cos`` and ``wave_sin``.  They compute the coefficient, offset
-        and coordinates q_j (or read a state variable) as the expr emitter
-        writes them, r_j = c_j * (wave_cos or wave_sin), v = r_order - sum_j
-        alpha_j (q_j - r_j) summed from 0.0 in j order, the floor check of
-        :meth:`control` and u = (-offset + v) / coefficient: the operations of
-        the exact path, in its order.
+        The arm computes u and sets ``law`` from x1..x4 and the reference's
+        waves at t, x7 = cos and x8 = sin; its parameters, the plant's, the
+        reference's scales ``c<j>`` and the gains ``alpha<j>``, are read as
+        ``p<id>_<k>``, the emitter's temporaries as ``t<id>_<k>`` (<id> is
+        ``law_id``, so laws can share a function; the constants, run once per
+        run, set some) and sin and cos of a state variable as ``sin_x<i>``,
+        ``cos_x<i>``.  One expr emit writes the coefficient and the numerator
+        -offset + v, where v = r_order - sum_j alpha_j (q_j - r_j) is summed
+        from 0.0 in j order and r_j = c_j times its wave: the operations of
+        :func:`outer_loop_v` and :meth:`control`, in their order.  The floor
+        check of :meth:`control` runs ahead of the numerator.
         """
-        order, tag = self.order, self.law_id
-        exprs = [f.expr for f in (self.coefficient, self.offset, *self.coordinates)]
+        tag, waves = self.law_id, (StateVar(7), StateVar(8))
+        r = [Parameter(f"c{j}") * waves[_CYCLE[j % 4][1]] for j in range(self.order + 1)]
+        feedback = Constant(0.0)
+        for j, coordinate in enumerate(self.coordinates):
+            feedback = feedback + Parameter(f"alpha{j}") * (coordinate.expr - r[j])
+        numerator = -self.offset.expr + (r[-1] - feedback)
         constants: list[str] = []
-        sources, names = _emit(exprs, 4, constants, named_trig=True)
+        sources, names = _emit([self.coefficient.expr, numerator], 8, constants, named_trig=True)
         # _emit writes p<k> and t<k>, and nothing else it writes has a "p" or "t"
         tagged = functools.partial(re.sub, r"\b([pt])(?=\d)", rf"\g<1>{tag}_")
-        constants = [tagged(line) for line in constants]
-        coefficient, offset, *coordinates = map(tagged, sources)
-        q = [source if source.isidentifier() else f"q{j}" for j, source in enumerate(coordinates)]
-        lines = [
+        coefficient, numerator = map(tagged, sources)
+        lines = (
             f"coefficient = {coefficient}",
-            f"offset = {offset}",
-            *(f"{q[j]} = {source}" for j, source in enumerate(coordinates) if q[j] != source),
-            *(
-                f"r{j} = c{j} * {'wave_sin' if _CYCLE[j % 4][1] else 'wave_cos'}"
-                for j in range(order + 1)
-            ),
-            "feedback = 0.0",
-            *(f"feedback += alpha{tag}_{j} * ({q[j]} - r{j})" for j in range(order)),
-            f"v = r{order} - feedback",
             f"if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
             f"    raise SingularControlError({tag!r}, coefficient)",
-            "u = (-offset + v) / coefficient",
-        ]
-        return tuple(constants), tuple(lines), names
+            f"u = {numerator} / coefficient",
+            f"law = {tag}",
+        )
+        return tuple(map(tagged, constants)), lines, names
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))

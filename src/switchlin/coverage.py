@@ -561,10 +561,6 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
     """Deterministic points on each factor zero set and pairwise intersection."""
     solutions = []
     for factor in _unique(factors):
-        pinned = factor.pinned_coordinate
-        if pinned is not None:
-            solutions.append((pinned, (0.0,)))
-            continue
         found = state_indices(factor.field.expr)
         if len(found) != 1:
             continue  # multi-variable factor: probed only via the grid

@@ -208,10 +208,15 @@ def _vanishes_near(field_: ScalarField, x0: Sequence[float], params: Mapping[str
 
 
 def matrix_rank(matrix: np.ndarray) -> int:
-    """Numeric rank: singular values above RANK_RTOL times the largest one."""
+    """Numeric rank: singular values above RANK_RTOL times the largest one.
+
+    A matrix with an infinite or NaN entry has no numeric rank: ValueError.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
+    if not np.isfinite(matrix).all():
+        raise ValueError("cannot take the rank of a matrix with a non-finite entry")
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[0] == 0.0:
         return 0

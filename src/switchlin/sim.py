@@ -249,16 +249,18 @@ class ClosedLoop:
     :func:`rk4_step` runs its ``step(loop, x, h)``, generated per run: at
     sample ``k = loop.k`` it selects one of ``laws`` (keyed by law_id) by
     the branch :func:`_branch` writes from ``controllers.SUPERVISOR``,
-    computes u by that law's statements (``LawDescriptor._control_body``,
-    the reference's waves read at row k of cos and sin of ``omega * times``),
+    computes u by that law's arm (``LawDescriptor._control_body``),
     records x, u, the law and |cos x3| in row k of ``states``, ``u``,
     ``law`` and ``abscos3`` and, unless k is the last row, returns the RK4
-    step from x with u held (:func:`_plant_stages`).  sin and cos of x3
-    are computed once, ahead of the branch (x3 is finite there), and the
-    laws' terms of plant values alone once per run, in the generated
-    ``make``, which binds the thresholds, plant, reference, gains and
-    record.  The source is assembled from parts emitted once; ``y_d`` is
-    the reference at ``times``, as the laws compute it.
+    step from x with u held (:func:`_plant_stages`).  The step names x1..x4
+    the state, x5 = u, x6 = h, and x7 and x8 the reference's waves, row k
+    of cos and sin of ``omega * times``.  sin and cos of x3 are computed
+    once, ahead of the branch (x3 is finite there), and the laws' terms of
+    parameters alone once per run, in the generated ``make``, which binds
+    the thresholds, the record and each emitted parameter: the plant's,
+    the reference's scales ``c<j>`` and each law's gains ``alpha<j>``.  The
+    source is assembled from parts emitted once; ``y_d`` is the reference
+    at ``times``, as the laws compute it.
     """
 
     __slots__ = ("step", "k", "y_d", "states", "u", "law", "abscos3")
@@ -272,8 +274,9 @@ class ClosedLoop:
         p: PlantParams,
         times: np.ndarray,
     ):
-        n, params = len(times), p.symbol_values()
+        n = len(times)
         omega, scales = _reference_scales(ref, max(law.order for law in laws))
+        params = dict(p.symbol_values(), **{f"c{j}": scale for j, scale in enumerate(scales)})
         waves = np.cos(omega * times), np.sin(omega * times)
         self.y_d, self.k = scales[0] * waves[0], 0
         self.states, self.u, self.abscos3 = np.empty((n, 4)), np.empty(n), np.empty(n)
@@ -282,20 +285,19 @@ class ClosedLoop:
         columns = [*_RECORD, "wave_cos_col", "wave_sin_col"]
         bound = dict(zip(columns, map(memoryview, record)), last=n - 1)
         bound.update(eps1=thresholds.eps1, eps4=thresholds.eps4)
-        bound.update((f"c{j}", scale) for j, scale in enumerate(scales))
         stages, names = _plant_stages()
         bound.update(zip([f"p{k}" for k in range(len(names))], _bind(names, params)))
         constants, arms = [], {}
         for law, law_gains in zip(laws, gains, strict=True):
             _check_order(law, law_gains)
-            law_constants, body, names = law._control_body
+            law_constants, arm, names = law._control_body
             tag = law.law_id
-            bound.update(zip([f"p{tag}_{k}" for k in range(len(names))], _bind(names, params)))
-            bound.update((f"alpha{tag}_{j}", alpha) for j, alpha in enumerate(law_gains.alphas))
+            values = dict(params, **{f"alpha{j}": a for j, a in enumerate(law_gains.alphas)})
+            bound.update(zip([f"p{tag}_{k}" for k in range(len(names))], _bind(names, values)))
             constants += law_constants
             if tag in arms:
                 raise ValueError(f"law {tag} is given twice")
-            arms[tag] = [*body, f"law = {tag}"]
+            arms[tag] = arm
         lines = [
             *_branch(arms),
             *(f"{column}[k] = {value}" for column, value in _RECORD.items()),
@@ -308,7 +310,7 @@ class ClosedLoop:
         # each sin and cos of a state variable that _emit named, computed once, ahead of all
         trig = [(f, i) for f in ("sin", "cos") for i in range(1, 5) if f"{f}_x{i}" in body]
         head = ["k = loop.k", "x1, x2, x3, x4 = x", *(f"{f}_x{i} = {f}(x{i})" for f, i in trig)]
-        head += ["wave_cos = wave_cos_col[k]", "wave_sin = wave_sin_col[k]"]
+        head += ["x7 = wave_cos_col[k]", "x8 = wave_sin_col[k]"]
         source = "".join(
             [f"def make({', '.join(bound)}):\n", *(f"    {line}\n" for line in constants)]
             + ["    def step(loop, x, x6):\n", *(f"        {line}\n" for line in head)]

@@ -143,8 +143,10 @@ def test_derive_usage_errors(capsys):
 
 @pytest.mark.parametrize("probe", ["nan,0,0,nan", "0,inf,0,0", "0,0,-inf,0"])
 def test_derive_rejects_non_finite_probe(capsys, probe):
-    assert main(["derive", "--order", "3", "--probe", probe]) == 1
-    assert "must be finite" in capsys.readouterr().err
+    # every probe is checked before anything is printed
+    assert main(["derive", "--order", "3", "--probe", "1,0,0,1", "--probe", probe]) == 1
+    out, err = capsys.readouterr()
+    assert "must be finite" in err and out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +397,21 @@ def test_involutivity_empty_probe_file(tmp_path, capsys):
     probes = tmp_path / "probes.csv"
     probes.write_text("\n")
     assert main(["involutivity", "--probes", str(probes)]) == 1
+
+
+def test_involutivity_prints_nothing_for_a_system_it_cannot_probe(capsys):
+    assert main(["involutivity", "--system", "doubleint"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "switchlin: the involutivity witness is built for 4-dimensional systems\n"
+
+
+def test_involutivity_rejects_a_probe_whose_bracket_overflows(tmp_path, capfd):
+    # at this finite point ad_f g and ad_f^2 g have infinite entries; no rank is taken
+    probes = tmp_path / "probes.csv"
+    probes.write_text("1e200,1e200,0,1e200\n")
+    assert main(["involutivity", "--probes", str(probes)]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err == "switchlin: cannot take the rank of a matrix with a non-finite entry\n"
 
 
 # ---------------------------------------------------------------------------

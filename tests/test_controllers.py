@@ -635,8 +635,8 @@ def test_a_descriptor_emits_its_control_once(monkeypatch, plant):
     gains, ref = _gains(laws), TrackingReference(0.4, 3.0)
     for _ in range(3):
         _fused(laws, gains, ref, TH, plant)
-    # coefficient, offset and coordinates, once per descriptor
-    assert emitted == [2 + law.order for law in laws]
+    # the coefficient and the numerator, once per descriptor
+    assert emitted == [2, 2, 2]
 
 
 def test_compiled_control_tells_signed_zero_plants_apart():
@@ -724,10 +724,12 @@ def test_generated_control_computes_each_value_once(monkeypatch, plant, g_modifi
 
     laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
     for law in laws:
-        constants, body, _ = law._control_body
-        arm = "\n".join(body)
-        assert "sin(" not in arm and "cos(" not in arm  # sin_x3 and cos_x3 are read
-        assert not any(line.startswith(("q0 =", "q1 =")) for line in body)  # x1 and x2 are read
+        constants, arm, _ = law._control_body
+        text = "\n".join(arm)
+        assert "sin(" not in text and "cos(" not in text  # sin_x3 and cos_x3 are read
+        # the arm is the coefficient, the floor check, the division and the law
+        assert [line.split()[0] for line in arm] == ["coefficient", "if", "raise", "u", "law"]
+        assert arm[3].endswith(" / coefficient") and arm[4] == f"law = {law.law_id}"
     # every product in the step reads something that changes between calls
     make = _generated_step(monkeypatch, laws, plant)
     bound = {a.arg for a in make.args.args}

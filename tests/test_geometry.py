@@ -395,3 +395,9 @@ def test_matrix_rank_relative_threshold():
     assert matrix_rank(m) == 2
     m = np.diag([1.0, 1e-10])
     assert matrix_rank(m) == 1
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_matrix_rank_rejects_a_non_finite_entry(entry):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        matrix_rank(np.array([[1.0, 0.0], [0.0, entry]]))
