@@ -72,6 +72,10 @@ class PlantParams:
         for name in ("M", "R", "J", "Jb", "G"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"plant parameter {name} must be finite")
+        try:
+            self.B
+        except ArithmeticError:  # R^2 overflows, or underflows to zero
+            raise ValueError("plant parameter R must keep R^2 inside the float range") from None
 
     @functools.cached_property
     def B(self) -> float:

@@ -5,10 +5,10 @@ a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, each law's control,
-outer loop included, is built once as one expression tree and written by
-``expr._emit`` as one arm of the supervisor's branch in the closed-loop
-step that ``sim.ClosedLoop`` generates; the plant, the reference's
-scales and the gains are the tree's parameters, bound per run.
+outer loop included, is one expression tree (sin x3 and cos x3 read as
+x9 and x10) written by ``expr._emit`` as one arm of the supervisor's
+branch in the step that ``sim.ClosedLoop`` generates; the plant, the
+reference's scales and the gains are its parameters, bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
-from .expr import Bindings, Constant, Parameter, Real, ScalarField, StateVar, _emit, parse
+from .expr import Bindings, Constant, Cos, Parameter, Real, ScalarField, Sin, StateVar, parse
+from .expr import _emit, _substitute
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -92,6 +92,10 @@ class SwitchThresholds:
             raise ValueError("switching thresholds must be strictly positive")
         if not (math.isfinite(self.eps1) and math.isfinite(self.eps4)):
             raise ValueError("switching thresholds must be finite")
+
+
+#: sin x3 and cos x3 as the closed-loop step reads them, x9 and x10, each computed once a step
+_STEP_TRIG = MappingProxyType({Sin(StateVar(3)): StateVar(9), Cos(StateVar(3)): StateVar(10)})
 
 
 #: the supervisor's law for each region, keyed by (|x1| > eps1, |x4| > eps4)
@@ -172,10 +176,13 @@ def pole_gains(pole: float, multiplicity: int) -> GainSet:
         raise ValueError(f"pole must be finite, got {pole!r}")
     if isinstance(multiplicity, bool) or not isinstance(multiplicity, int) or multiplicity < 1:
         raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
-    alphas = tuple(
-        math.comb(multiplicity, j) * (-pole) ** (multiplicity - j)
-        for j in range(multiplicity)
-    )
+    try:
+        alphas = tuple(
+            math.comb(multiplicity, j) * (-pole) ** (multiplicity - j)
+            for j in range(multiplicity)
+        )
+    except OverflowError:
+        raise ValueError(f"pole {pole!r} gives gains beyond the float range") from None
     return GainSet(pole=pole, order=multiplicity, alphas=alphas)
 
 
@@ -207,20 +214,19 @@ class LawDescriptor:
             raise ValueError(f"{self.name} needs {self.order} output coordinates")
 
     @functools.cached_property  # emitted once per descriptor; every run reads it
-    def _control_body(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """This law's constants, its arm of the supervisor's branch, and its parameter names.
+    def _control_body(self) -> tuple[tuple[str, ...], dict[str, str]]:
+        """This law's arm of the supervisor's branch, and each parameter's code name.
 
-        The arm computes u and sets ``law`` from x1..x4 and the reference's
-        waves at t, x7 = cos and x8 = sin; its parameters, the plant's, the
-        reference's scales ``c<j>`` and the gains ``alpha<j>``, are read as
-        ``p<id>_<k>``, the emitter's temporaries as ``t<id>_<k>`` (<id> is
-        ``law_id``, so laws can share a function; the constants, run once per
-        run, set some) and sin and cos of a state variable as ``sin_x<i>``,
-        ``cos_x<i>``.  One expr emit writes the coefficient and the numerator
-        -offset + v, where v = r_order - sum_j alpha_j (q_j - r_j) is summed
-        from 0.0 in j order and r_j = c_j times its wave: the operations of
-        :func:`outer_loop_v` and :meth:`control`, in their order.  The floor
-        check of :meth:`control` runs ahead of the numerator.
+        The arm computes u and sets ``law`` from the closed-loop step's
+        variables: x1..x4, the reference's waves at t, x7 = cos and x8 = sin,
+        and x9 = sin x3 and x10 = cos x3 (``_STEP_TRIG``).  Its
+        parameters, the plant's, the reference's scales ``c<j>`` and the
+        gains ``alpha<j>``, are written ``p<id>_<k>`` (<id> is ``law_id``, so
+        laws can share a function).  One expr emit writes the coefficient and
+        the numerator -offset + v, where v = r_order - sum_j alpha_j (q_j -
+        r_j) is summed from 0.0 in j order and r_j = c_j times its wave: the
+        operations of :func:`outer_loop_v` and :meth:`control`, in their
+        order.  The floor check of :meth:`control` runs ahead of the numerator.
         """
         tag, waves = self.law_id, (StateVar(7), StateVar(8))
         r = [Parameter(f"c{j}") * waves[_CYCLE[j % 4][1]] for j in range(self.order + 1)]
@@ -228,11 +234,8 @@ class LawDescriptor:
         for j, coordinate in enumerate(self.coordinates):
             feedback = feedback + Parameter(f"alpha{j}") * (coordinate.expr - r[j])
         numerator = -self.offset.expr + (r[-1] - feedback)
-        constants: list[str] = []
-        sources, names = _emit([self.coefficient.expr, numerator], 8, constants, named_trig=True)
-        # _emit writes p<k> and t<k>, and nothing else it writes has a "p" or "t"
-        tagged = functools.partial(re.sub, r"\b([pt])(?=\d)", rf"\g<1>{tag}_")
-        coefficient, numerator = map(tagged, sources)
+        trees = [_substitute(e, _STEP_TRIG) for e in (self.coefficient.expr, numerator)]
+        (coefficient, numerator), names = _emit(trees, 10, f"p{tag}_")
         lines = (
             f"coefficient = {coefficient}",
             f"if abs(coefficient) < {COEFFICIENT_FLOOR!r}:",
@@ -240,7 +243,7 @@ class LawDescriptor:
             f"u = {numerator} / coefficient",
             f"law = {tag}",
         )
-        return tuple(map(tagged, constants)), lines, names
+        return lines, names
 
     def coefficient_value(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
         return self.coefficient.evaluate(Bindings(params, tuple(x)))

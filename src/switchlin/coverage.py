@@ -519,13 +519,13 @@ def _mask_kernel(
     sources, names = _emit([f.field.expr for law in laws for f in law.factors], dim)
     compared = iter(f"(abs({source}) > threshold)" for source in sources)
     masks = "".join(f"{' & '.join(next(compared) for _ in law.factors) or True}, " for law in laws)
-    arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
+    arguments = [*(f"x{i}" for i in range(1, dim + 1)), *names.values(), "threshold"]
     kernel = _compile(
-        f"def masks({', '.join([*arguments, 'threshold'])}):\n"
+        f"def masks({', '.join(arguments)}):\n"
         f"    with errstate(divide='ignore', invalid='ignore'):\n        return ({masks})\n",
         "masks", abs=np.abs, sin=np.sin, cos=np.cos, errstate=np.errstate,
     )
-    bound = _bind(names, params)
+    bound = _bind(names, params).values()
     return lambda states: kernel(*states.T, *bound, threshold)
 
 

@@ -409,11 +409,11 @@ def evaluate_many(
         raise ValueError("states must be a 2-d array of shape (n, dim)")
     dim = states.shape[1]
     (source,), names = _emit((expr,), dim)
-    arguments = [f"x{i}" for i in range(1, dim + 1)] + [f"p{k}" for k in range(len(names))]
+    arguments = [*(f"x{i}" for i in range(1, dim + 1)), *names.values()]
     code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
     kernel = _compile(code, "kernel", sin=np.sin, cos=np.cos)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = kernel(*states.T, *_bind(names, params))
+        result = kernel(*states.T, *_bind(names, params).values())
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
 
 
@@ -432,43 +432,35 @@ def _compile(source: str, name: str, **names) -> Callable:
     return namespace[name]
 
 
-def _emit(
-    exprs: Sequence[Expr], dim: int, constants: list[str] | None = None, named_trig: bool = False
-) -> tuple[list[str], tuple[str, ...]]:
-    """Python source of each expression over x1..x<dim>, and its parameter names.
+def _emit(exprs: Sequence[Expr], dim: int, prefix: str = "p") -> tuple[list[str], dict[str, str]]:
+    """Python source of each expression over x1..x<dim>, and each parameter's code name.
 
     The k-th distinct parameter, in order of first appearance, is written
-    ``p<k>`` and :func:`_bind` supplies its value when the code is called,
-    so user names never reach the code and the code depends only on the
-    expressions: a law's control is generated once, and the plant,
+    ``<prefix><k>`` and :func:`_bind` supplies its value when the code is
+    called, so user names never reach the code and the code depends only on
+    the expressions: a law's control is generated once, and the plant,
     reference and gains are bound per run.  ``sin`` and ``cos`` are left
     for the namespace to supply.  Every code generator shares this emitter,
     so each performs the operations of :func:`evaluate` in the same order.
 
     Each value is computed once: a repeated subtree is written ``(t<k> :=
     ...)`` where first computed, so the sources must run in order, and each
-    operation runs where it would unshared.  Keyed by code, (0.0) and (-0.0)
-    stay apart.  Given a list ``constants``, subtrees of constants and
-    parameters under -, + and * only (which cannot raise) are appended to it
-    instead, as ``t<k> = ...``, for a generated ``make`` to run once per run.
-    With ``named_trig``, sin and cos of a state variable are written
-    ``sin_x<i>`` and ``cos_x<i>``, names the caller computes once, ahead of
-    the sources, and can share among several emits.
+    operation runs where it would unshared.  As every temporary is assigned
+    before it is read, emits whose sources share a function may reuse the
+    names.  Keyed by code, (0.0) and (-0.0) stay apart.
     """
     names: dict[str, str] = {}
-    forms: dict[str, tuple[str, list[str], bool]] = {}  # by code: template, operands, constant
+    forms: dict[str, tuple[str, list[str]]] = {}  # by code: template, operands
     uses: dict[str, int] = {}  # by code: times computed once shared subtrees are not
     temps: dict[str, str] = {}  # by code: the temporary that holds it
 
     def key(node: Expr) -> str:  # its code in full; counts operands once per new code
         parts = [key(child) for child in _children(node)]
         match node:
-            case Sin(argument=StateVar(index=i)) | Cos(argument=StateVar(index=i)) if named_trig:
-                form, parts = f"{type(node).__name__.lower()}_x{i}", []
             case Constant(value=v):
                 form = f"({float(v)!r})"
             case Parameter(name=n):
-                form = names.setdefault(n, f"p{len(names)}")
+                form = names.setdefault(n, f"{prefix}{len(names)}")
             case StateVar(index=i):
                 if i > dim:
                     raise EvaluationError(
@@ -481,43 +473,47 @@ def _emit(
                 form = _FORMS[type(node)]
         code = form.format(*parts)
         if code not in forms:
-            fixed = constants is not None and isinstance(node, _FIXED)
-            constant = fixed and all(forms[part][2] for part in parts)
-            forms[code] = form, parts, constant
-            for part in () if constant else parts:
+            forms[code] = form, parts
+            for part in parts:
                 uses[part] = uses.get(part, 0) + 1
         return code
 
-    def emit(code: str, inside_constant: bool = False) -> str:
-        form, parts, constant = forms[code]
+    def emit(code: str) -> str:
+        form, parts = forms[code]
         if not parts or code in temps:
             return temps.get(code, code)
-        written = form.format(*[emit(part, constant) for part in parts])
-        if not (constant and not inside_constant or uses.get(code, 0) > 1):
+        written = form.format(*map(emit, parts))
+        if uses[code] == 1:
             return written
         temps[code] = name = f"t{len(temps)}"
-        if constant:
-            constants.append(f"{name} = {written}")
-            return name
         return f"({name} := {written})"
 
     codes = [key(expr) for expr in exprs]
     for code in codes:
         uses[code] = uses.get(code, 0) + 1
-    return [emit(code) for code in codes], tuple(names)
+    return [emit(code) for code in codes], names
 
 
 _FORMS = {Negate: "(-{})", Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})",
           Div: "({} / {})", Sin: "sin({})", Cos: "cos({})"}
-_FIXED = (Constant, Parameter, Negate, Add, Sub, Mul)  # what ``_emit`` puts in constants
 
 
-def _bind(names: Sequence[str], params: Mapping[str, Real]) -> list[float]:
-    """The float value of each parameter in ``names``, in order, from ``params``."""
+def _bind(names: Mapping[str, str], params: Mapping[str, Real]) -> dict[str, float]:
+    """``{code name: float value}`` for each parameter in ``names``, as :func:`_emit` maps them."""
     for n in names:
         if n not in params:
             raise EvaluationError(f"unbound parameter '{n}'", Parameter(n))
-    return [float(params[n]) for n in names]
+    return {code: float(params[n]) for n, code in names.items()}
+
+
+def _substitute(expr: Expr, replacements: Mapping[Expr, Expr]) -> Expr:
+    """``expr`` with each subtree equal to a key of ``replacements`` replaced by its value."""
+    if expr in replacements:
+        return replacements[expr]
+    operands = [_substitute(child, replacements) for child in _children(expr)]
+    if isinstance(expr, IntPow):
+        return IntPow(*operands, expr.exponent)
+    return type(expr)(*operands) if operands else expr
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ held constant across the step (zero-order hold).  A run's step is one
 generated function (:class:`ClosedLoop`): the branch written from
 ``controllers.SUPERVISOR`` with each law's control, outer loop included,
 in its arms, the sample's record, and the RK4 step with the plant's field
-(``ballbeam.REDUCED_FIELD``) inlined, each value computed once; a run
-binds the thresholds, the plant, the reference, the gains and the record.
-It is called through :func:`rk4_step` once per step, where a run's steps
-are counted; the t, a1 and error columns and the |x3| > pi warning come
-from the record after the loop, and :func:`assess` reads a run's outcome
-against an :class:`Envelope`.  Identical scenarios produce
-bitwise-identical trajectories.
+(``ballbeam.REDUCED_FIELD``) inlined, each value, sin x3 and cos x3
+included, computed once per step; a run binds the thresholds, the plant,
+the reference, the gains and the record.  It is called through
+:func:`rk4_step` once per step, where a run's steps are counted; the t,
+a1 and error columns and the |x3| > pi warning come from the record
+after the loop, and :func:`assess` reads a run's outcome against an
+:class:`Envelope`.  Identical scenarios produce bitwise-identical
+trajectories.
 
 Scenario files are JSON objects read through one table (``_OBJECTS``)
 that maps each key to the dataclass field it fills; unknown keys are
@@ -42,13 +43,14 @@ from .controllers import (
     SingularControlError,
     SwitchThresholds,
     TrackingReference,
+    _STEP_TRIG,
     _check_order,
     _reference_scales,
     law_descriptor,
     pole_gains,
     table_laws,
 )
-from .expr import Expr, IntPow, StateVar, _bind, _children, _compile, _emit, format_number as _fmt
+from .expr import StateVar, _bind, _compile, _emit, _substitute, format_number as _fmt
 
 __all__ = [
     "CSV_HEADER",
@@ -121,14 +123,24 @@ class Scenario:
             raise ScenarioError("duration must be at least one step")
         if not self.tail_window > 0:
             raise ScenarioError("tail_window must be positive")
-        for name in ("pole_law1", "pole_law2", "pole_law3"):
-            if not getattr(self, name) < 0:
-                raise ScenarioError(f"{name} must be strictly negative")
         for name in ("step", "duration", "tail_window", "pole_law1", "pole_law2", "pole_law3"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
         if not math.isfinite(self.duration / self.step):
             raise ScenarioError("duration / step must be finite")
+        # a run's gains and reference derivatives must not overflow; pole_gains checks signs too
+        orders = [law.order for law in table_laws()]
+        for name, order in zip(("pole_law1", "pole_law2", "pole_law3"), orders):
+            try:
+                pole_gains(getattr(self, name), order)
+            except ValueError as exc:
+                raise ScenarioError(f"{name}: {exc}") from None
+        try:
+            finite = all(map(math.isfinite, _reference_scales(self.reference, max(orders))[1]))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ScenarioError(f"reference derivatives up to order {max(orders)} overflow")
 
     @property
     def sample_count(self) -> int:
@@ -253,14 +265,13 @@ class ClosedLoop:
     records x, u, the law and |cos x3| in row k of ``states``, ``u``,
     ``law`` and ``abscos3`` and, unless k is the last row, returns the RK4
     step from x with u held (:func:`_plant_stages`).  The step names x1..x4
-    the state, x5 = u, x6 = h, and x7 and x8 the reference's waves, row k
-    of cos and sin of ``omega * times``.  sin and cos of x3 are computed
-    once, ahead of the branch (x3 is finite there), and the laws' terms of
-    parameters alone once per run, in the generated ``make``, which binds
-    the thresholds, the record and each emitted parameter: the plant's,
-    the reference's scales ``c<j>`` and each law's gains ``alpha<j>``.  The
-    source is assembled from parts emitted once; ``y_d`` is the reference
-    at ``times``, as the laws compute it.
+    the state, x5 = u, x6 = h, x7 and x8 the reference's waves, row k of
+    cos and sin of ``omega * times``, and x9 and x10 sin and cos of x3; x7
+    to x10 are read once, ahead of the branch (x3 is finite there).  The
+    generated ``make`` binds the thresholds, the record and each emitted
+    parameter: the plant's, the reference's scales ``c<j>`` and each law's
+    gains ``alpha<j>``.  The source is assembled from parts emitted once;
+    ``y_d`` is the reference at ``times``, as the laws compute it.
     """
 
     __slots__ = ("step", "k", "y_d", "states", "u", "law", "abscos3")
@@ -286,19 +297,21 @@ class ClosedLoop:
         bound = dict(zip(columns, map(memoryview, record)), last=n - 1)
         bound.update(eps1=thresholds.eps1, eps4=thresholds.eps4)
         stages, names = _plant_stages()
-        bound.update(zip([f"p{k}" for k in range(len(names))], _bind(names, params)))
-        constants, arms = [], {}
+        bound.update(_bind(names, params))
+        arms = {}
         for law, law_gains in zip(laws, gains, strict=True):
             _check_order(law, law_gains)
-            law_constants, arm, names = law._control_body
-            tag = law.law_id
+            arm, names = law._control_body
             values = dict(params, **{f"alpha{j}": a for j, a in enumerate(law_gains.alphas)})
-            bound.update(zip([f"p{tag}_{k}" for k in range(len(names))], _bind(names, values)))
-            constants += law_constants
-            if tag in arms:
-                raise ValueError(f"law {tag} is given twice")
-            arms[tag] = arm
+            bound.update(_bind(names, values))
+            if law.law_id in arms:
+                raise ValueError(f"law {law.law_id} is given twice")
+            arms[law.law_id] = arm
         lines = [
+            "k = loop.k",
+            "x1, x2, x3, x4 = x",
+            "x7, x8 = wave_cos_col[k], wave_sin_col[k]",
+            "x9, x10 = sin(x3), cos(x3)",
             *_branch(arms),
             *(f"{column}[k] = {value}" for column, value in _RECORD.items()),
             "if k == last:",
@@ -306,16 +319,8 @@ class ClosedLoop:
             "x5 = u",
             *stages,
         ]
-        body = "\n        ".join(lines)
-        # each sin and cos of a state variable that _emit named, computed once, ahead of all
-        trig = [(f, i) for f in ("sin", "cos") for i in range(1, 5) if f"{f}_x{i}" in body]
-        head = ["k = loop.k", "x1, x2, x3, x4 = x", *(f"{f}_x{i} = {f}(x{i})" for f, i in trig)]
-        head += ["x7 = wave_cos_col[k]", "x8 = wave_sin_col[k]"]
-        source = "".join(
-            [f"def make({', '.join(bound)}):\n", *(f"    {line}\n" for line in constants)]
-            + ["    def step(loop, x, x6):\n", *(f"        {line}\n" for line in head)]
-            + [f"        {body}\n    return step\n"]
-        )
+        source = f"def make({', '.join(bound)}):\n    def step(loop, x, x6):\n"
+        source += "".join(f"        {line}\n" for line in lines) + "    return step\n"
         namespace = dict(sin=math.sin, cos=math.cos, abs=abs, isfinite=math.isfinite)
         errors = dict(SingularControlError=SingularControlError, IntegrationError=IntegrationError)
         self.step = _compile(source, "make", **namespace, **errors)(*bound.values())
@@ -342,34 +347,25 @@ def _branch(arms: dict[int, list[str]]) -> list[str]:
 
 #: the record's columns as the generated step names them, and what it stores in each
 _RECORD = {"x1_col": "x1", "x2_col": "x2", "x3_col": "x3", "x4_col": "x4", "u_col": "u"}
-_RECORD.update(law_col="law", abscos_col="abs(cos_x3)")
+_RECORD.update(law_col="law", abscos_col="abs(x10)")
 
 
 @functools.cache  # emitted on first use; every ClosedLoop binds it
-def _plant_stages() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The plant's RK4 step as statements ending in ``return``, and the parameter each p<k> is.
+def _plant_stages() -> tuple[tuple[str, ...], dict[str, str]]:
+    """The plant's RK4 step as statements ending in ``return``, and each parameter's code name.
 
     The step from x1..x4 with x5 = u held and x6 = h is :func:`rk4_step`'s
     on ``ballbeam.REDUCED_FIELD``, its stages and update built as trees and
     written by one ``expr._emit``: each value, stage states with equal text
-    included, is computed once, and sin(x3) is read as ``sin_x3``.
+    included, is computed once, and stage a reads sin x3 as x9.
     """
-    x, u, h = [StateVar(i) for i in range(1, 5)], StateVar(5), StateVar(6)
-
-    def at(expr: Expr, state: list[Expr]) -> Expr:  # expr with each x<i> as state[i - 1]
-        if isinstance(expr, StateVar):
-            return state[expr.index - 1]
-        operands = [at(child, state) for child in _children(expr)]
-        if isinstance(expr, IntPow):
-            return IntPow(*operands, expr.exponent)
-        return type(expr)(*operands) if operands else expr
-
-    slopes = [REDUCED_FIELD]
+    x, h = [StateVar(i) for i in range(1, 5)], StateVar(6)
+    slopes = [[_substitute(f, _STEP_TRIG) for f in REDUCED_FIELD]]
     for step in (0.5 * h, 0.5 * h, h):
-        state = [*(s + step * k for s, k in zip(x, slopes[-1])), u, h]
-        slopes.append([at(f, state) for f in REDUCED_FIELD])
+        stage = {s: s + step * k for s, k in zip(x, slopes[-1])}  # x5 = u is held
+        slopes.append([_substitute(f, stage) for f in REDUCED_FIELD])
     y = [s + h / 6.0 * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(x, *slopes)]
-    sources, names = _emit(y, 6, named_trig=True)
+    sources, names = _emit(y, 10)
     return (
         *(f"y{i} = {source}" for i, source in enumerate(sources)),
         "if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):",

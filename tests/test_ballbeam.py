@@ -23,6 +23,10 @@ def test_benchmark_plant_mass_ratio():
 def test_plant_params_validation():
     with pytest.raises(ValueError):
         PlantParams(M=0.0, R=0.01, J=0.02, Jb=2e-6)
+    # R^2 underflows to 0, or overflows
+    for radius in (1e-300, 1e200):
+        with pytest.raises(ValueError, match=r"^plant parameter R must keep R\^2 inside the float"):
+            PlantParams(M=0.05, R=radius, J=0.02, Jb=2e-6)
 
 
 def test_reduced_dynamics_equilibrium():
@@ -148,7 +152,7 @@ def test_ball_equation_is_written_once(rng):
     assert REDUCED_FIELD[1] is BALL_ACCELERATION.expr
     sources, names = _emit(REDUCED_FIELD, 5)
     assert sources == ["x2", "(p0 * (((x1 * x4) * x4) - (p1 * sin(x3))))", "x4", "x5"]
-    assert names == ("B", "G")
+    assert names == {"B": "p0", "G": "p1"}
     states = rng.uniform(-3.0, 3.0, size=(500, 4))
     states[::50] = -0.0
     inputs = rng.uniform(-50.0, 50.0, size=500)

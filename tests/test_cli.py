@@ -232,6 +232,44 @@ def test_simulate_overflowing_sample_count_exit_code(tmp_path, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+#: scenarios whose numbers overflow in what a run computes from them alone (B, the gains,
+#: the reference's derivatives), each with the start of the error it is reported by
+_OVERFLOWING = {
+    "r_tiny": (
+        {"plant": dict(_scenario_dict()["plant"], R=1e-300)},
+        "plant parameter R must keep R^2 inside the float range",
+    ),
+    "r_huge": (
+        {"plant": dict(_scenario_dict()["plant"], R=1e200)},
+        "plant parameter R must keep R^2 inside the float range",
+    ),
+    "pole": (
+        {"poles": dict(_scenario_dict()["poles"], law2=-1e100)},
+        "pole_law2: pole -1e+100 gives gains beyond the float range",
+    ),
+    "period": (
+        {"reference": {"amplitude": 0.0, "period": 1e-300}},
+        "reference derivatives up to order 4 overflow",
+    ),
+    "amplitude": (
+        {"reference": {"amplitude": 1e306, "period": 0.01}},
+        "reference derivatives up to order 4 overflow",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_simulate_rejects_a_scenario_whose_numbers_overflow(tmp_path, capsys, name):
+    overrides, message = _OVERFLOWING[name]
+    scenario = _write_scenario(tmp_path / f"{name}.json", **overrides)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "simulate", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"switchlin: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 #: scenario files that json cannot decode: bytes that are not UTF-8, arrays nested deeper
 #: than the interpreter's recursion limit, and an integer longer than int() converts
 _UNDECODABLE = {
@@ -515,6 +553,25 @@ def test_sweep_goes_on_past_a_record_beyond_numpy(tmp_path, capsys):
     )
     assert "b_good: 1001 samples" in captured.out
     assert not (out_dir / "a_huge_trajectory.csv").exists()
+
+
+def test_sweep_goes_on_past_scenarios_whose_numbers_overflow(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    for name, (overrides, _) in _OVERFLOWING.items():
+        _write_scenario(scenario_dir / f"a_{name}.json", **overrides)
+    _write_scenario(scenario_dir / "b_good.json", duration=1.0)
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), "sweep", str(scenario_dir)]) == 2
+    captured = capsys.readouterr()
+    for name, (_, message) in _OVERFLOWING.items():
+        assert f"a_{name}: FAILED ({message}" in captured.err
+    assert captured.err.count("\n") == len(_OVERFLOWING)
+    assert "b_good: 1001 samples" in captured.out
+    assert [line.split(",")[0] for line in (out_dir / "summary.csv").read_text().splitlines()] == [
+        "scenario",
+        "b_good",
+    ]
 
 
 def test_sweep_not_a_directory(tmp_path, capsys):

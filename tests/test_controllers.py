@@ -234,6 +234,9 @@ def test_pole_gains_reject_non_finite_pole():
         pole_gains(-math.inf, 3)
     with pytest.raises(ValueError, match="strictly negative"):
         pole_gains(math.nan, 3)
+    # finite, but (-pole)**4 overflows
+    with pytest.raises(ValueError, match=r"^pole -1e\+100 gives gains beyond the float range$"):
+        pole_gains(-1e100, 4)
 
 
 def test_pole_gains_positive_for_negative_pole(rng):
@@ -724,27 +727,15 @@ def test_generated_control_computes_each_value_once(monkeypatch, plant, g_modifi
 
     laws = (*table_laws()[:2], law_descriptor(3, g_modified=g_modified))
     for law in laws:
-        constants, arm, _ = law._control_body
+        arm, _ = law._control_body
         text = "\n".join(arm)
-        assert "sin(" not in text and "cos(" not in text  # sin_x3 and cos_x3 are read
+        assert "sin(" not in text and "cos(" not in text  # x9 = sin x3 and x10 = cos x3 are read
         # the arm is the coefficient, the floor check, the division and the law
         assert [line.split()[0] for line in arm] == ["coefficient", "if", "raise", "u", "law"]
         assert arm[3].endswith(" / coefficient") and arm[4] == f"law = {law.law_id}"
-    # every product in the step reads something that changes between calls
+    # make binds its arguments and defines the step, and runs nothing else
     make = _generated_step(monkeypatch, laws, plant)
-    bound = {a.arg for a in make.args.args}
-    bound |= {node.targets[0].id for node in make.body if isinstance(node, ast.Assign)}
-    (step,) = [node for node in make.body if isinstance(node, ast.FunctionDef)]
-    products = [
-        node
-        for node in ast.walk(step)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-    ]
-    assert len(products) > 20
-    for node in products:
-        read = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
-        assert read - bound, ast.unparse(node)
-    assert {"t1_0", "t2_0", "t3_0"} <= bound  # 2*B, -B*G and -B*G, once per run
+    assert [type(node) for node in make.body] == [ast.FunctionDef, ast.Return]
 
 
 @pytest.mark.parametrize("g_modified", [False, True], ids=["law3", "law3g"])
@@ -768,7 +759,7 @@ def test_the_step_computes_sin_and_cos_of_x3_once_on_every_path(monkeypatch, pla
     arms = [branch.body, branch.orelse[0].body, branch.orelse[0].orelse]
     for part in [*arms, tail]:
         read = {n.id for s in part for n in ast.walk(s) if isinstance(n, ast.Name)}
-        assert {"sin_x3", "cos_x3"} <= read
+        assert {"x9", "x10"} <= read
 
 
 def _on_and_beyond(eps):

@@ -372,6 +372,22 @@ def test_coverage_helper_keeps_the_callers_floating_point_error_state(params, mo
     assert np.geterr() == before
 
 
+def test_mask_kernel_binds_parameters_named_like_code_by_value(rng):
+    # p<k>, t<k> and p<id>_<k> are the kernel's own names; a user's are bound by value
+    params = {"p0": 0.5, "p1": -2.0, "t0": 3.0, "p1_0": 0.25}
+    texts = ("p1_0*x1 - t0*sin(p0*x2) + p1/(x1*x1 + 1.5) + x1*x1", "p1 + t0*x2")
+    laws = [_law_with_factors("code-like", *texts), law_descriptor(1)]
+    states = rng.uniform(-2.0, 2.0, size=(512, 4))
+    masks = coverage._mask_kernel(laws, params, 0.3, 4)(states)
+    for law, mask in zip(laws, masks):
+        expected = [
+            all(abs(f.field.evaluate(Bindings(params, tuple(x)))) > 0.3 for f in law.factors)
+            for x in states.tolist()
+        ]
+        assert mask.tolist() == expected
+        assert 0 < sum(expected) < len(states)
+
+
 def _law_with_factors(name, *texts):
     factors = tuple(SingularityFactor(parse(text, 4), text) for text in texts)
     return dataclasses.replace(law_descriptor(1), name=name, factors=factors)

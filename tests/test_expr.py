@@ -605,14 +605,25 @@ def test_emit_computes_each_shared_subtree_once():
     coordinate = parse("-B*G*sin(x3)", 4).expr
     exprs = [offset, coordinate, parse("cos(x3)", 4).expr]
     sources, names = _emit(exprs, 4)
-    assert names == ("B", "G")
+    assert names == {"B": "p0", "G": "p1"}
     assert sources[0] == "((((p0 * p1) * x4) * x4) * (t0 := sin(x3)))"
     assert sources[1:] == ["(((-p0) * p1) * t0)", "cos(x3)"]
-    # given a list, parameters and constants under negation, +, - and * go there instead
-    constants = []
-    sources, names = _emit(exprs, 4, constants)
-    assert constants == ["t0 = (p0 * p1)", "t2 = ((-p0) * p1)"]
-    assert sources == ["(((t0 * x4) * x4) * (t1 := sin(x3)))", "(t2 * t1)", "cos(x3)"]
+
+
+def test_code_names_never_meet_user_names(rng):
+    # parameters named like the code _emit writes: p<k>, t<k> and the laws' p<id>_<k>
+    from switchlin.expr import _emit
+
+    params = {"p0": 0.5, "p1": -2.0, "t0": 3.0, "p1_0": 0.25}
+    expr = parse("p1_0*x1 - t0*sin(p0*x2) + p1/(x1*x1 + 1.5) + x1*x1", 2).expr
+    states = rng.uniform(-2.0, 2.0, size=(64, 2))
+    expected = [evaluate(expr, Bindings(params, tuple(x))) for x in states.tolist()]
+    assert evaluate_many(expr, params, states).tobytes() == np.array(expected).tobytes()
+    assert ":=" in _emit_source(expr)  # x1*x1 is shared, so a t<k> is written
+    _, names = _emit([expr], 2, prefix="p3_")
+    assert names == {"p1_0": "p3_0", "t0": "p3_1", "p0": "p3_2", "p1": "p3_3"}
+    _, names = _emit([law_descriptor(2).coefficient.expr], 4, prefix="p3_")
+    assert names == {"B": "p3_0", "G": "p3_1"}
 
 
 def test_emit_keeps_signed_zero_subtrees_apart():

@@ -1,6 +1,7 @@
 import importlib
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -27,6 +28,19 @@ def test_only_expr_executes_generated_code():
     package = pathlib.Path(switchlin.__file__).parent
     executing = sorted(path.name for path in package.glob("*.py") if "exec(" in path.read_text())
     assert executing == ["expr.py"]
+
+
+def test_only_expr_names_generated_code():
+    # expr._emit gives every parameter its code name: no other module writes a p<k> or
+    # p<id>_<k> name of its own, or rewrites emitted code with a regex
+    package = pathlib.Path(switchlin.__file__).parent
+    code_name = re.compile(r"""f["']p\{[^}]*\}(_\{[^}]*\})?["']""")
+    naming = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if code_name.search(text := path.read_text()) or "re.sub" in text
+    )
+    assert set(naming) <= {"expr.py"}
 
 
 def _loaded_by_importing_the_package_and_cli(top):

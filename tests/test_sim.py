@@ -897,8 +897,8 @@ def test_plant_step_computes_each_value_once():
     sim._plant_stages.cache_clear()
     stages, names = sim._plant_stages()
     source = "\n".join(stages)
-    assert names == ("B", "G")
-    assert source.count("sin(") == 3 and source.count("sin_x3") == 1  # one per stage
+    assert names == {"B": "p0", "G": "p1"}
+    assert source.count("sin(") == 3 and len(re.findall(r"\bx9\b", source)) == 1  # one per stage
     assert not re.search(r"\bx\d+ = s\d+\b", source)  # no stage copies
     assert "params" not in source  # the plant is bound once, by make
     # stages b and c share their x4, x4 + half*u; slopes x2, x4 and u are read where they stand
