@@ -73,9 +73,11 @@ class PlantParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"plant parameter {name} must be finite")
         try:
-            self.B
+            positive = self.B > 0
         except ArithmeticError:  # R^2 overflows, or underflows to zero
             raise ValueError("plant parameter R must keep R^2 inside the float range") from None
+        if not positive:  # Jb/R^2 overflows, or the ratio underflows to zero
+            raise ValueError("plant parameters must give a positive B = M / (M + Jb/R^2)")
 
     @functools.cached_property
     def B(self) -> float:

@@ -10,9 +10,9 @@ evidence machinery around that structure:
   shows up as a large residual;
 * ``pure_part_sample`` draws points from one component's pure part
   X_i = S_i minus the other components, where exactly one factor is zero;
-* ``coverage_check`` samples a box (plus deterministic probes placed on
-  each component and each pairwise intersection) and reports every state
-  at which no supplied law is valid;
+* ``coverage_check`` samples a box (plus deterministic probes placed on each component and
+  each pairwise intersection) and reports every state at which no supplied law is valid; no
+  sample is tested on a factor that interval arithmetic (``expr.bounds``) proves nonzero;
 * one line-root finder serves both: a factor that is not a bare
   coordinate is solved along a random line (pure parts) or along its
   axis (probes) by a vectorised scan refined by Brent's method (``_brent``);
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .controllers import LawDescriptor
-from .expr import Bindings, EvaluationError, Real, ScalarField, _bind, _compile, _emit
+from .expr import Bindings, EvaluationError, Real, ScalarField, _bind, _compile, _emit, bounds
 from .expr import format_number as _fmt, format_vector as _fmt_vec, state_indices
 from .geometry import SingularityFactor, transversality_rank
 
@@ -82,12 +82,12 @@ class SamplingError(RuntimeError):
     """A sampling routine could not find enough admissible points."""
 
 
-def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray]:
-    """``draw(*shape)``: the floats ``rng.uniform(lows, highs, shape)`` draws for the box.
+def _box_scaler(box: Box) -> Callable[..., np.ndarray]:
+    """``scale(out, columns=all)``: ``rng.random`` draws, scaled in place as ``uniform`` scales.
 
-    Formed in place as lows + (highs - lows) * rng.random(shape), with ``uniform``'s multiply
-    and add per element: a 2-D draw a column at a time (numpy's inner loop then runs down the
-    rows), a point at once.  The box is checked first, as ``uniform`` checks it.
+    Each element u becomes low + (high - low) * u by ``uniform``'s multiply and add, whichever
+    call scales it: a 2-D ``out`` a listed column at a time (numpy's inner loop then runs down
+    the rows), a point at once.  The box is checked first, as ``uniform`` checks it.
     """
     lows, highs = np.asarray(box, dtype=float).T
     widths = highs - lows
@@ -96,15 +96,19 @@ def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray
     if np.any(np.signbit(widths)):  # a width of -0.0 counts as negative, as in uniform
         raise ValueError("high - low < 0")
 
-    def draw(*shape: int) -> np.ndarray:
-        out = rng.random(shape)
-        scaled = zip(out.T, widths, lows) if out.ndim == 2 else [(out, widths, lows)]
-        for column, width, low in scaled:
-            column *= width
-            column += low
+    def scale(out: np.ndarray, columns: Iterable[int] = range(len(lows))) -> np.ndarray:
+        for column, i in [(out[:, i], i) for i in columns] if out.ndim == 2 else [(out, ...)]:
+            column *= widths[i]
+            column += lows[i]
         return out
 
-    return draw
+    return scale
+
+
+def _box_sampler(box: Box, rng: np.random.Generator) -> Callable[..., np.ndarray]:
+    """``draw(*shape)``: the floats ``rng.uniform(lows, highs, shape)`` draws for the box."""
+    scale = _box_scaler(box)
+    return lambda *shape: scale(rng.random(shape))
 
 
 def _stream_from(rng: np.random.Generator, skip: int) -> np.random.Generator:
@@ -427,6 +431,12 @@ def coverage_check(
     supplied laws' factors, so gaps of measure zero are found even though
     random samples almost never land on them.
 
+    Samples are tallied by a ``_mask_kernel`` without the factors ``expr.bounds`` proves
+    exceed the threshold in magnitude on the box, scaling only the columns it reads (a stored
+    witness is scaled in full: the row ``uniform`` draws); the probes, which may lie outside
+    the box, by the kernel of every factor.  Both kernels are built before the helper starts,
+    so their errors, and the helper's, are raised here; the helper is always joined.
+
     The n samples are split at a block boundary into two contiguous halves.
     The calling thread draws and evaluates the first, and one helper thread
     the second, each ``_BLOCK_ROWS // 2`` rows at a time, so the rows in
@@ -434,10 +444,7 @@ def coverage_check(
     Each half draws its own rows of the one seeded PCG64 stream: the helper
     draws from a copy of the generator advanced past the first half (one
     64-bit output per double).  The halves are merged in row order and the
-    probes tallied last, so the result is that of one draw of all n.  All are
-    tallied by one ``_mask_kernel``, built before the helper starts, so its
-    errors are raised here, as is an error in the helper's half; the helper is
-    always joined.
+    probes tallied last, so the result is that of one draw of all n.
     """
     if not 0 <= margin < math.inf:  # NaN and inf would cover nothing
         raise ValueError(f"margin must be a non-negative number, got {margin!r}")
@@ -445,43 +452,50 @@ def coverage_check(
         raise ValueError("sample count must be non-negative")
     dim = len(box)
     rng = np.random.default_rng(seed)
-    draw = _box_sampler(box, rng)
-    probes = _factor_probes([f for law in laws for f in law.factors], dim)
-    masks = _mask_kernel(laws, params, max(margin, ZERO_FLOOR), dim)
+    scale = _box_scaler(box)
+    factors = [f for law in laws for f in law.factors]
+    probes = _factor_probes(factors, dim)
+    threshold = max(margin, ZERO_FLOOR)
+    probe_masks = _mask_kernel(laws, params, threshold, dim)
+    masks = _mask_kernel(laws, params, threshold, dim, box)
+    read = {i - 1 for f in _needed(factors, box, params, threshold)
+            for i in state_indices(f.field.expr)}
+    unread = set(range(dim)) - read
     rows = _BLOCK_ROWS // 2
     split = min(n, (-(-n // rows) + 1) // 2 * rows)  # the first half's blocks, rounded up
 
-    def sweep(draw: Callable[..., np.ndarray], start: int, stop: int) -> _Tally:
-        blocks = (draw(min(rows, stop - k), dim) for k in range(start, stop, rows))
-        return _tally(masks, len(laws), blocks)
+    def sweep(rng: np.random.Generator, start: int, stop: int) -> tuple:
+        sizes = (min(rows, stop - k) for k in range(start, stop, rows))
+        blocks = (scale(rng.random((size, dim)), read) for size in sizes)
+        return _tally(masks, len(laws), blocks, lambda stored: scale(stored, unread))
 
     if split < n:
-        second_draw = _box_sampler(box, _stream_from(rng, split * dim))
+        second_rng = _stream_from(rng, split * dim)
         errstate = {"call": np.geterrcall(), **np.geterr()}  # the helper keeps the caller's
         second: list = []  # the helper's tally, or the exception it raised
 
         def sweep_second_half() -> None:
             try:
                 with np.errstate(**errstate):
-                    second.append(sweep(second_draw, split, n))
+                    second.append(sweep(second_rng, split, n))
             except BaseException as error:
                 second.append(error)
 
         helper = threading.Thread(target=sweep_second_half, name="coverage_check")
         helper.start()
         try:
-            first = sweep(draw, 0, split)
+            first = sweep(rng, 0, split)
         finally:
             helper.join()
         if isinstance(second[0], BaseException):
             raise second.pop()
         tallies = [first, *second]
     else:
-        tallies = [sweep(draw, 0, n)]
-    tallies.append(_tally(masks, len(laws), [probes]))
+        tallies = [sweep(rng, 0, n)]
+    tallies.append(_tally(probe_masks, len(laws), [probes]))
 
-    covered_counts = [sum(counts) for counts in zip(*(t.covered for t in tallies))]
-    witness_states = [s for t in tallies for s in t.witness_states][:_WITNESS_CAP]
+    covered_counts = [sum(counts) for counts in zip(*(covered for covered, _, _ in tallies))]
+    witness_states = [s for _, _, states in tallies for s in states][:_WITNESS_CAP]
     # count / total is the correctly rounded float np.mean gives a boolean column
     total = n + len(probes)
     fractions = [(law.name, c / total if total else 1.0) for law, c in zip(laws, covered_counts)]
@@ -494,31 +508,30 @@ def coverage_check(
         probe_count=len(probes),
         margin=margin,
         witnesses=tuple(witnesses),
-        witness_total=sum(t.witness_total for t in tallies),
+        witness_total=sum(total for _, total, _ in tallies),
         law_fractions=tuple(fractions),
     )
 
 
-@dataclass(frozen=True)
-class _Tally:
-    covered: tuple[int, ...]  # states each law covers
-    witness_total: int
-    witness_states: tuple[tuple[float, ...], ...]  # the first _WITNESS_CAP, in row order
-
-
 def _mask_kernel(
-    laws: Sequence[LawDescriptor], params: Mapping[str, Real], threshold: float, dim: int
+    laws: Sequence[LawDescriptor], params: Mapping[str, Real], threshold: float, dim: int,
+    box: Box | None = None,
 ) -> Callable[[np.ndarray], tuple]:
     """``masks(states)``: for each law, whether all its factors exceed ``threshold`` in magnitude.
 
     All factors are emitted at once (``expr._emit``) into one function compiled by
     ``expr._compile``.  Each is computed with ``evaluate_many``'s numpy operations under its
-    ``errstate``, so the masks are bit for bit those ``evaluate_many`` gives.  A law with no
-    factors gives ``True``.  Unbound parameters and states beyond ``dim`` raise here.
+    ``errstate``, so the masks are bit for bit those ``evaluate_many`` gives.  With a ``box``,
+    a factor ``expr.bounds`` proves exceeds ``threshold`` in magnitude on it is left out: it
+    cannot overflow, divide by zero or give NaN there, but an underflow in it no longer reaches
+    a caller's ``np.errstate(under=...)``.  A law with no factors left gives ``True``.  Unbound
+    parameters and states beyond ``dim`` raise here.
     """
-    sources, names = _emit([f.field.expr for law in laws for f in law.factors], dim)
+    kept = [law.factors if box is None else _needed(law.factors, box, params, threshold)
+            for law in laws]
+    sources, names = _emit([f.field.expr for factors in kept for f in factors], dim)
     compared = iter(f"(abs({source}) > threshold)" for source in sources)
-    masks = "".join(f"{' & '.join(next(compared) for _ in law.factors) or True}, " for law in laws)
+    masks = "".join(f"{' & '.join(next(compared) for _ in factors) or True}, " for factors in kept)
     arguments = [*(f"x{i}" for i in range(1, dim + 1)), *names.values(), "threshold"]
     kernel = _compile(
         f"def masks({', '.join(arguments)}):\n"
@@ -529,10 +542,19 @@ def _mask_kernel(
     return lambda states: kernel(*states.T, *bound, threshold)
 
 
+def _needed(
+    factors: Sequence[SingularityFactor], box: Box, params: Mapping[str, Real], threshold: float
+) -> list[SingularityFactor]:
+    """The factors but those ``expr.bounds`` proves exceed ``threshold`` in magnitude on the box."""
+    intervals = [bounds(f.field.expr, box, params) for f in factors]
+    return [f for f, i in zip(factors, intervals) if i is None or max(i[0], -i[1]) <= threshold]
+
+
 def _tally(
-    masks: Callable[[np.ndarray], tuple], law_count: int, blocks: Iterable[np.ndarray]
-) -> _Tally:
-    """Covered counts and witnesses over ``blocks`` of states, in order, from ``masks``."""
+    masks: Callable[[np.ndarray], tuple], law_count: int, blocks: Iterable[np.ndarray],
+    finish: Callable[[np.ndarray], np.ndarray] = lambda states: states,
+) -> tuple[list[int], int, list[tuple[float, ...]]]:
+    """Covered counts per law, witness count, and the first witnesses (completed by ``finish``)."""
     covered_counts = [0] * law_count
     witness_states: list[tuple[float, ...]] = []
     witness_total = 0
@@ -544,8 +566,9 @@ def _tally(
             covered_counts[i] += int(np.count_nonzero(covered))
         missed = states[~covered_any]
         witness_total += len(missed)
-        witness_states += map(tuple, missed[: _WITNESS_CAP - len(witness_states)].tolist())
-    return _Tally(tuple(covered_counts), witness_total, tuple(witness_states))
+        stored = finish(missed[: _WITNESS_CAP - len(witness_states)])
+        witness_states += map(tuple, stored.tolist())
+    return covered_counts, witness_total, witness_states
 
 
 def _unique(factors: Sequence[SingularityFactor]) -> list[SingularityFactor]:

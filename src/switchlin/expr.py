@@ -76,6 +76,7 @@ __all__ = [
     "Sub",
     "VectorField",
     "as_expr",
+    "bounds",
     "differentiate",
     "evaluate",
     "evaluate_many",
@@ -504,6 +505,60 @@ def _bind(names: Mapping[str, str], params: Mapping[str, Real]) -> dict[str, flo
         if n not in params:
             raise EvaluationError(f"unbound parameter '{n}'", Parameter(n))
     return {code: float(params[n]) for n, code in names.items()}
+
+
+#: widening of sin and cos intervals: numpy's and math's are within a few ulps, not exact
+_TRIG_SLACK = 2.0**-48
+
+
+def bounds(
+    expr: Expr, box: Sequence[tuple[float, float]], params: Mapping[str, Real]
+) -> tuple[float, float] | None:
+    """``(lo, hi)`` holding every value :func:`evaluate_many` gives on states drawn from ``box``.
+
+    Interval arithmetic in floats (Moore, Kearfott & Cloud, 2009): x<i> is
+    ``[low, low + (high - low)]``, as draws are scaled; negation, +, -, * and / apply the
+    generated code's float operation at the endpoints (* and / at the four corners), sound as
+    rounding is monotone; sin and cos take their endpoint values, and +-1 where the argument
+    may hold a peak, widened by ``_TRIG_SLACK`` ([-1, 1] so widened for an argument pi wide or
+    more).  None for an unbound parameter, a state beyond the box, ``IntPow``, a denominator
+    holding 0 or a non-finite bound: a bounded expression cannot overflow, divide by zero or
+    give NaN on the box.
+    """
+    operands = [bounds(child, box, params) for child in _children(expr)]
+    if None in operands:
+        return None
+    (a, b), (c, d) = (*operands, (0.0, 0.0), (0.0, 0.0))[:2]
+    match expr:
+        case Constant(value=v):
+            lo = hi = float(v)
+        case Parameter(name=n) if n in params:
+            lo = hi = float(params[n])
+        case StateVar(index=i) if i <= len(box):
+            lo, high = map(float, box[i - 1])
+            hi = lo + (high - lo)
+        case Negate():
+            lo, hi = -b, -a
+        case Add():
+            lo, hi = a + c, b + d
+        case Sub():
+            lo, hi = a - d, b - c
+        case Mul():
+            lo, hi = min(corners := (a * c, a * d, b * c, b * d)), max(corners)
+        case Div() if not c <= 0.0 <= d:
+            lo, hi = min(corners := (a / c, a / d, b / c, b / d)), max(corners)
+        case Sin() | Cos():  # peaks, of value (-1)^k, where arg / pi - shift is an integer k
+            shift, f = (0.5, math.sin) if isinstance(expr, Sin) else (0.0, math.cos)
+            m_lo, m_hi = a / math.pi - shift, b / math.pi - shift  # within (|m| + 1) 2^-51
+            first = math.ceil(m_lo - (abs(m_lo) + 1) * 2.0**-50)
+            last = math.floor(m_hi + (abs(m_hi) + 1) * 2.0**-50)
+            if b - a >= math.pi or last > first:
+                return -1.0 - _TRIG_SLACK, 1.0 + _TRIG_SLACK
+            ends = [f(a), f(b), *([-1.0 if first % 2 else 1.0] if first == last else [])]
+            lo, hi = min(ends) - _TRIG_SLACK, max(ends) + _TRIG_SLACK
+        case _:  # an unbound parameter, a state beyond the box, IntPow, a denominator holding 0
+            return None
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
 
 
 def _substitute(expr: Expr, replacements: Mapping[Expr, Expr]) -> Expr:

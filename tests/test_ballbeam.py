@@ -27,6 +27,10 @@ def test_plant_params_validation():
     for radius in (1e-300, 1e200):
         with pytest.raises(ValueError, match=r"^plant parameter R must keep R\^2 inside the float"):
             PlantParams(M=0.05, R=radius, J=0.02, Jb=2e-6)
+    # Jb/R^2 overflows to inf, so B would be 0; at R = 1e-155 it is tiny but positive
+    with pytest.raises(ValueError, match=r"^plant parameters must give a positive B = M / \(M"):
+        PlantParams(M=0.05, R=1e-160, J=0.02, Jb=2e-6)
+    assert 0 < PlantParams(M=0.05, R=1e-155, J=0.02, Jb=2e-6).B < 1e-305
 
 
 def test_reduced_dynamics_equilibrium():

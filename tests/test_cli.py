@@ -206,6 +206,14 @@ def test_simulate_integration_failure_exit_code(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_simulate_with_a_tiny_positive_b_fails_at_the_law_floor(tmp_path, capsys):
+    # R = 1e-155 gives B = 2.5e-306 > 0: a valid scenario whose law 2 coefficient is below 1e-300
+    plant = dict(_scenario_dict()["plant"], R=1e-155)
+    scenario = _write_scenario(tmp_path / "tiny_b.json", plant=plant)
+    assert main(["--output-dir", str(tmp_path / "out"), "simulate", str(scenario)]) == 2
+    assert "is below the floor 1e-300" in capsys.readouterr().err
+
+
 def test_simulate_record_too_large_exit_code(tmp_path, capsys):
     # 10**18 samples cannot be allocated: exit 2 with the count, and no files
     scenario = _write_scenario(tmp_path / "huge.json", duration=1e12, step=1e-6)
@@ -242,6 +250,10 @@ _OVERFLOWING = {
     "r_huge": (
         {"plant": dict(_scenario_dict()["plant"], R=1e200)},
         "plant parameter R must keep R^2 inside the float range",
+    ),
+    "r_b_zero": (
+        {"plant": dict(_scenario_dict()["plant"], R=1e-160)},
+        "plant parameters must give a positive B = M / (M + Jb/R^2)",
     ),
     "pole": (
         {"poles": dict(_scenario_dict()["poles"], law2=-1e100)},

@@ -157,6 +157,7 @@ def test_coverage_laws_1_2_fail_on_joint_singularity(params):
         if abs(w.state[0] * w.state[3]) < 1e-12 and abs(math.cos(w.state[2])) < 1e-9
     ]
     assert hits, "expected a probe on the intersection of both singular sets"
+    assert {math.copysign(1.0, w.state[2]) for w in hits} == {-1.0, 1.0}  # x3 = +-pi/2
     # a state is a witness exactly when every law's validity margin fails
     for witness in report.witnesses:
         for law in laws:
@@ -399,6 +400,11 @@ def _non_finite_laws():
 
 
 _X4_ZERO_BOX = [(-1.0, 1.0)] * 3 + [(0.0, 0.0)]
+_WIDE_BOX = [(-1.0, 1.0)] * 2 + [(-math.pi, math.pi), (-1.0, 1.0)]  # cos(x3) takes every sign
+
+
+def _laws_1_2_3g():
+    return [law_descriptor(1), law_descriptor(2), law_descriptor(3, g_modified=True)]
 
 
 @pytest.mark.parametrize(
@@ -410,8 +416,18 @@ _X4_ZERO_BOX = [(-1.0, 1.0)] * 3 + [(0.0, 0.0)]
         (lambda: [law_descriptor(1), _law_with_parameter()], BOX, 0.3, 2 * _HALF + 3),
         # the caller's block holds fewer witnesses than the cap, the helper's crosses it
         (lambda: [law_descriptor(1)], BOX, 0.3, 2 * _HALF),
+        # factors proved nonzero on the box are left out of the samples' kernel
+        (_LAW_SETS["1,2"], BOX, 0.3, 2 * _HALF + 3),
+        (_LAW_SETS["1,3g"], BOX, 0.3, 2 * _HALF + 3),
+        (lambda: [law_descriptor(1), _law_with_factors("x1 cos", "x1", "cos(x3)")], BOX, 0.0, 5),
+        (lambda: [_law_with_factors("x1 cos", "x1", "cos(x3)")], BOX, 0.5, 2 * _HALF),
+        (_laws_1_2_3g, _WIDE_BOX, 0.3, 2 * _HALF + 3),
+        (_laws_1_2_3g, BOX, 0.6, 2 * _HALF + 3),
     ],
-    ids=["inf and nan, x4 = 0", "inf and nan", "law 3", "parameter", "cap in the helper"],
+    ids=[
+        "inf and nan, x4 = 0", "inf and nan", "law 3", "parameter", "cap in the helper",
+        "1,2 pruned", "1,3g pruned", "x1 cos, few", "x1 cos, cap", "1,2,3g wide", "margin 0.6",
+    ],
 )
 def test_mask_kernel_tally_matches_one_shot_reference(params, laws, box, margin, n):
     laws = laws()
@@ -444,6 +460,22 @@ def test_mask_kernel_shares_subtrees_across_laws_bit_for_bit(params):
             for factor in law.factors:
                 expected &= np.abs(factor.field.evaluate_many(params, states)) > 0.3
             assert mask.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("law_set", list(_LAW_SETS))
+def test_mask_kernel_leaves_out_the_factors_proved_nonzero_on_the_box(params, monkeypatch, law_set):
+    # cos(x3) >= 0.54 and law 3g's factor <= -2.35 on [-1, 1]^4; the probes can lie outside
+    sources = []
+    compile_ = coverage._compile
+    monkeypatch.setattr(coverage, "_compile", lambda *args, **names: (
+        sources.append(args[0]) or compile_(*args, **names)
+    ))
+    laws = _LAW_SETS[law_set]()
+    coverage._mask_kernel(laws, params, coverage.ZERO_FLOOR, 4)
+    coverage._mask_kernel(laws, params, coverage.ZERO_FLOOR, 4, BOX)
+    probe, sample = sources
+    assert "cos(" in probe and "cos(" not in sample
+    assert "x1" in sample and "x4" in sample
 
 
 def test_coverage_compiles_nothing_for_a_new_seed_or_margin(params):

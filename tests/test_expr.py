@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import threading
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from switchlin import coverage
 from switchlin.ballbeam import symbolic_system
 from switchlin.controllers import law_descriptor
 from switchlin.expr import (
@@ -27,6 +29,7 @@ from switchlin.expr import (
     StateVar,
     Sub,
     VectorField,
+    bounds,
     evaluate,
     evaluate_many,
     parse,
@@ -685,3 +688,103 @@ def _emit_source(expr):
     from switchlin.expr import _emit
 
     return "".join(_emit([expr], 4)[0])
+
+
+# ---------------------------------------------------------------------------
+# interval bounds
+
+_UNIT_BOX = [(-1.0, 1.0)] * 4
+_LAW_3G_FACTOR = law_descriptor(3, g_modified=True).factors[0].field.expr
+_BOUNDED = {
+    **{f.label: f.field.expr for law in (law_descriptor(1), law_descriptor(2)) for f in law.factors},
+    "law 3g": _LAW_3G_FACTOR,
+    **{text: parse(text, 4).expr for text in (
+        "sin(x3) - x1*x2", "cos(x1*x3)/(x4 + 3)", "B*x1 - G*sin(x2 + x3)"
+    )},
+}
+
+
+def _seeded_boxes(count, seed, digits=2):
+    """Boxes with centres up to +-10^digits (of log-spread magnitude), widths from 1e-6 to 3."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(0.0, digits, (count, 4))
+    centres = rng.uniform(-1.0, 1.0, (count, 4)) * magnitudes
+    widths = 10.0 ** rng.uniform(-6.0, math.log10(3.0), (count, 4))
+    return [list(zip((c - w / 2).tolist(), (c + w / 2).tolist())) for c, w in zip(centres, widths)]
+
+
+def _rows(box, rng, n=2_000):
+    """n rows ``_box_sampler`` draws, and the 16 corners its scaling gives for u = 0 and u = 1."""
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=len(box))))
+    drawn = coverage._box_sampler(box, rng)(n, len(box))
+    return np.vstack([drawn, coverage._box_scaler(box)(corners)])
+
+
+def test_bounds_hold_every_value_evaluate_many_gives_on_the_box(params):
+    rng = np.random.default_rng(29)
+    checked = declined = 0
+    for box in _seeded_boxes(3_000, seed=30):
+        states = _rows(box, rng)
+        for text, node in _BOUNDED.items():
+            interval = bounds(node, box, params)
+            if interval is None:  # only x4 + 3 may hold 0
+                assert text == "cos(x1*x3)/(x4 + 3)" and box[3][0] <= -3.0 <= box[3][1]
+                declined += 1
+                continue
+            values = evaluate_many(node, params, states)
+            assert interval[0] <= values.min() and values.max() <= interval[1], (text, box)
+            checked += 1
+    assert checked > 20_000 and declined < 100
+
+
+def test_bounds_of_sin_and_cos_hold_values_some_ulps_off():
+    # neither numpy's nor math's sin and cos are correctly rounded everywhere: the bounds
+    # must also hold what a sin or cos 8 ulps (of 1) away from this platform's gives; with
+    # arguments up to 1e15, where a peak's place is known only to a fraction of pi
+    rng = np.random.default_rng(31)
+    off = 8 * np.spacing(1.0)
+    for box in _seeded_boxes(1_000, seed=32, digits=15):
+        states = _rows(box, rng, n=200)
+        for node in (Sin(X3), Cos(X3), Cos(X1 * X3)):
+            lo, hi = bounds(node, box, {})
+            values = evaluate_many(node, {}, states)
+            assert lo <= values.min() - off and values.max() + off <= hi
+
+
+def test_bounds_of_a_state_are_what_the_sampler_makes_of_0_and_1():
+    # [low, low + (high - low)], which need not end at high
+    box = [(-2.1008643283878454, 1.2680616635929753)]
+    low, high = box[0]
+    assert low + (high - low) != high
+    assert bounds(X1, box, {}) == (low, low + (high - low))
+    assert coverage._box_scaler(box)(np.array([[0.0], [1.0]])).ravel().tolist() == [
+        low, low + (high - low)
+    ]
+
+
+def test_bounds_prove_the_shipped_factors_nonzero_on_the_unit_box(params):
+    lo, hi = bounds(Cos(X3), _UNIT_BOX, params)
+    assert 0.54 < lo < math.cos(1.0) and hi >= 1.0
+    lo, hi = bounds(_LAW_3G_FACTOR, _UNIT_BOX, params)
+    assert hi < -2.35
+    assert bounds(X1, _UNIT_BOX, params) == (-1.0, 1.0)
+    # sin's peak at pi/2 lies in [1.5, 1.6], and [-1, 1] is all an interval pi wide gives
+    assert bounds(Sin(X1), [(1.5, 1.6)], {})[1] >= 1.0
+    assert bounds(Cos(X1), [(0.0, math.pi)], {}) == (-1 - 2.0**-48, 1 + 2.0**-48)
+
+
+@pytest.mark.parametrize(
+    "node, box",
+    [
+        (B * X1, _UNIT_BOX),  # an unbound parameter
+        (X2 / (X1 + 0.5), _UNIT_BOX),  # a denominator interval holding 0
+        (X2 / X1, [(0.0, 1.0)] * 2),  # ... at its end
+        (IntPow(X1, 2), _UNIT_BOX),
+        (Constant(1e200) * X1 * Constant(1e200), _UNIT_BOX),  # an overflowing node
+        (X1 - X2, [(-1.7e308, -1e308), (1e308, 1.7e308)]),
+        (X4, _UNIT_BOX[:3]),  # a state beyond the box
+    ],
+    ids=["unbound", "zero denominator", "zero end", "intpow", "overflow", "overflow in -", "x4"],
+)
+def test_bounds_decline_what_they_cannot_bound(node, box):
+    assert bounds(node, box, {"G": 9.81}) is None

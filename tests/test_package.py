@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -5,9 +6,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import switchlin
+from switchlin import expr
 
 MODULES = ["switchlin"] + [
     f"switchlin.{info.name}" for info in pkgutil.iter_modules(switchlin.__path__)
@@ -41,6 +44,25 @@ def test_only_expr_names_generated_code():
         if code_name.search(text := path.read_text()) or "re.sub" in text
     )
     assert set(naming) <= {"expr.py"}
+
+
+def _node_types(base=expr.Expr):
+    return [t for sub in base.__subclasses__() for t in [sub, *_node_types(sub)]]
+
+
+@pytest.mark.parametrize("node_type", _node_types(), ids=lambda t: t.__name__)
+def test_bounds_give_every_node_type_an_interval_or_decline(node_type):
+    # one node of each type, over operands on a box where every operation is defined: a node
+    # type added later neither reaches _children's TypeError nor is given an interval unchecked
+    child = expr.Add(expr.StateVar(1), expr.Constant(2.0))
+    examples = {"Expr": child, "int": 2, "str": "B", "int | float": 0.5}
+    node = node_type(*(examples[field.type] for field in dataclasses.fields(node_type)))
+    box, params = [(0.5, 1.0), (-3.0, 2.0)], {"B": 0.75}
+    interval = expr.bounds(node, box, params)
+    if interval is not None:
+        rng = np.random.default_rng(5)
+        values = expr.evaluate_many(node, params, rng.uniform(*zip(*box), size=(1000, 2)))
+        assert interval[0] <= values.min() and values.max() <= interval[1]
 
 
 def _loaded_by_importing_the_package_and_cli(top):
