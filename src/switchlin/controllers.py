@@ -19,11 +19,11 @@ the resulting chain in the approximate coordinates
     xi = (x1, x2, -B G sin x3, -B G x4 cos x3),
 
 trading the old singularity for a new one at cos(x3) = 0, transverse to
-the old.  Law 3 additionally freezes the coefficient at its value on the
-operating manifold x1 = x4 = 0, giving a constant, nowhere-singular
-coefficient a_3 = -B G with b_3 = 0; the supervisor only engages it where
-|x1| and |x4| are small, so the frozen terms are small there.  A fourth
-descriptor exposes the unfrozen g-modification coefficient
+the old.  Law 3 is law 2 frozen at the operating point x = 0: its
+coefficient and offset are law 2's with x1..x4 set to 0, simplified to a
+constant, nowhere-singular a_3 = -B G and b_3 = 0; the supervisor only
+engages it where |x1| and |x4| are small, so the frozen terms are small
+there.  A fourth descriptor exposes the unfrozen g-modification coefficient
 2 B x2 x4 - B G cos(x3); it is not used by the supervisor but lets the
 coverage analysis exhibit how modified laws keep vanishing on the
 singularity components they do not target.
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .ballbeam import BALL_ACCELERATION, PlantParams
 from .expr import Bindings, Constant, Cos, Parameter, Real, ScalarField, Sin, StateVar, parse
-from .expr import _emit, _substitute
+from .expr import _emit, _substitute, simplify
 from .geometry import SingularityFactor
 
 __all__ = [
@@ -282,7 +282,6 @@ def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
     """
     if g_modified and law_id != 3:
         raise ValueError("only law 3 has a g-modified variant")
-    xi = _fields("x1", "x2", "-B*G*sin(x3)", "-B*G*x4*cos(x3)")
     if law_id == 1:
         return LawDescriptor(
             law_id=1,
@@ -304,24 +303,19 @@ def law_descriptor(law_id: int, *, g_modified: bool = False) -> LawDescriptor:
             coefficient=parse("-B*G*cos(x3)", 4),
             offset=parse("B*G*x4*x4*sin(x3)", 4),
             factors=(SingularityFactor(parse("cos(x3)", 4), "cos(x3)"),),
-            coordinates=xi,
+            coordinates=_fields("x1", "x2", "-B*G*sin(x3)", "-B*G*x4*cos(x3)"),
         )
-    if law_id == 3:
+    if law_id == 3:  # law 2 frozen at the operating point x = 0
+        law2, at_rest = law_descriptor(2), {StateVar(i): Constant(0) for i in range(1, 5)}
+        coefficient, offset = (ScalarField(simplify(_substitute(f.expr, at_rest)), 4)
+                               for f in (law2.coefficient, law2.offset))
+        factors = ()
         if g_modified:
             text = "2*B*x2*x4 - B*G*cos(x3)"
             coefficient = parse(text, 4)
             factors = (SingularityFactor(coefficient, text),)
-        else:
-            coefficient, factors = parse("-B*G", 4), ()
-        return LawDescriptor(
-            law_id=3,
-            name="law3g" if g_modified else "law3",
-            order=4,
-            coefficient=coefficient,
-            offset=parse("0", 4),
-            factors=factors,
-            coordinates=xi,
-        )
+        return replace(law2, law_id=3, name="law3g" if g_modified else "law3",
+                       coefficient=coefficient, offset=offset, factors=factors)
     raise ValueError(f"unknown law id {law_id!r}")
 
 

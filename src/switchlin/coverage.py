@@ -431,11 +431,14 @@ def coverage_check(
     supplied laws' factors, so gaps of measure zero are found even though
     random samples almost never land on them.
 
-    Samples are tallied by a ``_mask_kernel`` without the factors ``expr.bounds`` proves
-    exceed the threshold in magnitude on the box, scaling only the columns it reads (a stored
-    witness is scaled in full: the row ``uniform`` draws); the probes, which may lie outside
-    the box, by the kernel of every factor.  Both kernels are built before the helper starts,
-    so their errors, and the helper's, are raised here; the helper is always joined.
+    Samples are tallied by a ``_mask_kernel`` of each law's factors but those ``expr.bounds``
+    proves exceed the threshold in magnitude on the box (``_needed``), scaling only the columns
+    it reads (a stored witness is scaled in full: the row ``uniform`` draws); the probes, which
+    may lie outside the box, by the kernel of every factor.  A factor left out cannot overflow,
+    divide by zero or give NaN on the box, but an underflow in it no longer reaches a caller's
+    ``np.errstate(under=...)``.  Both kernels are built before the helper starts, so their
+    errors, and the helper's, are raised here; the helper is always joined.  Each stored
+    witness's coefficients are computed by ``evaluate_many``, one call per law.
 
     The n samples are split at a block boundary into two contiguous halves.
     The calling thread draws and evaluates the first, and one helper thread
@@ -453,13 +456,12 @@ def coverage_check(
     dim = len(box)
     rng = np.random.default_rng(seed)
     scale = _box_scaler(box)
-    factors = [f for law in laws for f in law.factors]
-    probes = _factor_probes(factors, dim)
+    probes = _factor_probes([f for law in laws for f in law.factors], dim)
     threshold = max(margin, ZERO_FLOOR)
-    probe_masks = _mask_kernel(laws, params, threshold, dim)
-    masks = _mask_kernel(laws, params, threshold, dim, box)
-    read = {i - 1 for f in _needed(factors, box, params, threshold)
-            for i in state_indices(f.field.expr)}
+    probe_masks = _mask_kernel([law.factors for law in laws], params, threshold, dim)
+    kept = [_needed(law.factors, box, params, threshold) for law in laws]
+    masks = _mask_kernel(kept, params, threshold, dim)
+    read = {i - 1 for factors in kept for f in factors for i in state_indices(f.field.expr)}
     unread = set(range(dim)) - read
     rows = _BLOCK_ROWS // 2
     split = min(n, (-(-n // rows) + 1) // 2 * rows)  # the first half's blocks, rounded up
@@ -500,9 +502,11 @@ def coverage_check(
     total = n + len(probes)
     fractions = [(law.name, c / total if total else 1.0) for law, c in zip(laws, covered_counts)]
     witnesses = []
-    for state in witness_states:
-        coeffs = tuple((law.name, law.coefficient_value(state, params)) for law in laws)
-        witnesses.append(Witness(state=state, coefficients=coeffs))
+    if witness_states:  # a coefficient's parameters are bound only where there is a witness
+        rows = np.array(witness_states)
+        values = zip(*(law.coefficient.evaluate_many(params, rows).tolist() for law in laws))
+        names = [law.name for law in laws]
+        witnesses = [Witness(s, tuple(zip(names, v))) for s, v in zip(witness_states, values)]
     return CoverageReport(
         sample_count=int(n),
         probe_count=len(probes),
@@ -514,21 +518,16 @@ def coverage_check(
 
 
 def _mask_kernel(
-    laws: Sequence[LawDescriptor], params: Mapping[str, Real], threshold: float, dim: int,
-    box: Box | None = None,
+    kept: Sequence[Sequence[SingularityFactor]], params: Mapping[str, Real], threshold: float,
+    dim: int,
 ) -> Callable[[np.ndarray], tuple]:
-    """``masks(states)``: for each law, whether all its factors exceed ``threshold`` in magnitude.
+    """``masks(states)``: for each list of factors, whether all exceed ``threshold`` in magnitude.
 
     All factors are emitted at once (``expr._emit``) into one function compiled by
     ``expr._compile``.  Each is computed with ``evaluate_many``'s numpy operations under its
-    ``errstate``, so the masks are bit for bit those ``evaluate_many`` gives.  With a ``box``,
-    a factor ``expr.bounds`` proves exceeds ``threshold`` in magnitude on it is left out: it
-    cannot overflow, divide by zero or give NaN there, but an underflow in it no longer reaches
-    a caller's ``np.errstate(under=...)``.  A law with no factors left gives ``True``.  Unbound
-    parameters and states beyond ``dim`` raise here.
+    ``errstate``, so the masks are bit for bit those ``evaluate_many`` gives.  An empty list
+    gives ``True``.  Unbound parameters and states beyond ``dim`` raise here.
     """
-    kept = [law.factors if box is None else _needed(law.factors, box, params, threshold)
-            for law in laws]
     sources, names = _emit([f.field.expr for factors in kept for f in factors], dim)
     compared = iter(f"(abs({source}) > threshold)" for source in sources)
     masks = "".join(f"{' & '.join(next(compared) for _ in factors) or True}, " for factors in kept)
@@ -627,12 +626,12 @@ def necessity_witness(
 ) -> tuple[float, ...] | None:
     """Deterministic search for a state where every supplied law fails.
 
-    The search walks the declared singularity structure in three stages:
-    first the pure part of each coordinate factor (pinned to zero, with the
-    remaining factors held clear of zero), then every intersection of two
-    or more pinned factors, then a plain grid.  Coordinate grids run over
-    [-1, 1] at 21 points per axis, plus beam-angle probes at 0, +-pi/4,
-    +-pi/2.  Each grid is evaluated as one vectorised batch, and the first
+    The search walks the declared singularity structure in one loop over
+    pin sets: first the pure part of each coordinate factor (pinned to zero,
+    with the remaining factors held clear of zero), then every intersection
+    of two or more pinned factors, then the empty pin set, a plain grid.
+    Coordinate grids run over [-1, 1] at 21 points per axis, plus beam-angle
+    probes at 0, +-pi/4, +-pi/2.  Each grid is evaluated as one vectorised batch, and the first
     state in ``itertools.product`` order at which every law's coefficient
     magnitude is below ``NECESSITY_TOL`` is returned, or None.
 
@@ -645,26 +644,15 @@ def necessity_witness(
     factors = _unique([f for law in laws for f in law.factors])
     dim = laws[0].coefficient.dim
     pinnable = [f for f in factors if f.pinned_coordinate is not None]
-
-    # stage 1: pure parts of single coordinate factors
-    for target in pinnable:
-        others = [f for f in factors if f.field != target.field]
-        witness = _grid_search(dim, {target.pinned_coordinate: 0.0}, laws, others, params)
-        if witness is not None:
-            return witness
-
-    # stage 2: intersections of two or more pinned factors
-    for size in range(2, len(pinnable) + 1):
+    for size in [*range(1, len(pinnable) + 1), 0]:
         for combo in itertools.combinations(pinnable, size):
             pins = {f.pinned_coordinate: 0.0 for f in combo}
-            if len(pins) < size:
-                continue
-            witness = _grid_search(dim, pins, laws, (), params)
-            if witness is not None:
-                return witness
-
-    # stage 3: unconstrained grid, for factor lists with nothing to pin
-    return _grid_search(dim, {}, laws, (), params)
+            clear = [f for f in factors if f.field != combo[0].field] if size == 1 else ()
+            if len(pins) == size:  # no two factors pin the same coordinate
+                witness = _grid_search(dim, pins, laws, clear, params)
+                if witness is not None:
+                    return witness
+    return None
 
 
 def _grid_search(

@@ -701,23 +701,13 @@ def to_text(expr: Expr) -> str:
             return n
         case StateVar(index=i):
             return f"x{i}"
-        case Negate(operand=e):
-            return f"(-{to_text(e)})"
-        case Add(left=l, right=r):
-            return f"({to_text(l)} + {to_text(r)})"
-        case Sub(left=l, right=r):
-            return f"({to_text(l)} - {to_text(r)})"
-        case Mul(left=l, right=r):
-            return f"({to_text(l)}*{to_text(r)})"
-        case Div(left=l, right=r):
-            return f"({to_text(l)}/{to_text(r)})"
         case IntPow(base=b, exponent=n):
             return f"({to_text(b)}^{n})"
-        case Sin(argument=a):
-            return f"sin({to_text(a)})"
-        case Cos(argument=a):
-            return f"cos({to_text(a)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    parts = [to_text(child) for child in _children(expr)]  # TypeError for a non-node
+    return _TEXT[type(expr)].format(*parts)
+
+
+_TEXT = {**_FORMS, Mul: "({}*{})", Div: "({}/{})"}
 
 
 def format_number(value: float) -> str:
@@ -981,9 +971,6 @@ class VectorField:
 
     def evaluate(self, bindings: Bindings) -> tuple[float, ...]:
         return tuple(evaluate(c, bindings) for c in self.components)
-
-    def simplified(self) -> "VectorField":
-        return VectorField(tuple(simplify(c) for c in self.components))
 
     def __str__(self):
         return "(" + ", ".join(to_text(c) for c in self.components) + ")"

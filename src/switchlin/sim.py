@@ -445,9 +445,7 @@ def run(sc: Scenario) -> tuple[Trajectory, Metrics]:
 
 def _metrics(trajectory: Trajectory, sc: Scenario) -> Metrics:
     tail_start = sc.duration - sc.tail_window
-    tail = trajectory.t >= tail_start - 1e-12
-    if not np.any(tail):
-        tail = np.ones_like(trajectory.t, dtype=bool)
+    tail = trajectory.t >= min(tail_start - 1e-12, trajectory.t[-1])  # at least the last sample
     rms = float(np.sqrt(np.mean(trajectory.error[tail] ** 2)))
     switches = int(np.count_nonzero(np.diff(trajectory.law) != 0))
     total = len(trajectory)

@@ -120,6 +120,9 @@ def test_derive_rejects_non_finite_system_parameter(tmp_path, capsys, value):
         ("param x1 = 3", "no expression can refer to parameter 'x1'"),
         ("param x7 = 3", "no expression can refer to parameter 'x7'"),
         ("param B C = 3", "no expression can refer to parameter 'B C'"),
+        ("param C = two", "bad parameter value 'two'"),
+        ("f3", "expected 'key = value'"),
+        ("f1 = x1", "duplicate key 'f1'"),
     ],
 )
 def test_derive_rejects_bad_system_parameter_names(tmp_path, capsys, line, message):
@@ -129,8 +132,47 @@ def test_derive_rejects_bad_system_parameter_names(tmp_path, capsys, line, messa
     )
     assert main(["derive", "--system", f"file:{system_file}", "--order", "2"]) == 1
     captured = capsys.readouterr()
-    assert "relative degree" not in captured.out
-    assert f"{system_file}:8: {message}" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"switchlin: {system_file}:8: {message}\n"
+
+
+_SYSTEM = "n = 2\nf1 = x2\nf2 = 0\ng1 = 0\ng2 = 1\nh = x1\n"
+_FROM_FILE = ["derive", "--order", "1", "--system"]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (_FROM_FILE, None, "cannot read system file: "),
+        (_FROM_FILE, _SYSTEM.replace("n = 2\n", ""), "{path}: missing 'n'"),
+        (_FROM_FILE, _SYSTEM.replace("n = 2", "n = 2.0"), "{path}: 'n' must be an integer"),
+        (_FROM_FILE, _SYSTEM.replace("h = x1\n", ""), "{path}: missing 'h'"),
+        (_FROM_FILE, _SYSTEM + "k = 1\n", "{path}: unknown keys ['k']"),
+        (["involutivity", "--probes"], None, "cannot read probes file: "),
+        (["derive", "--order", "3", "--probe"], "1,0,x,1", "bad probe point '1,0,x,1'"),
+        (["coverage", "--samples", "10", "--box"], "-1:1:2", "bad box '-1:1:2'; expected LO:HI"),
+        (["coverage", "--samples", "10", "--box"], "low:1", "bad box 'low:1'; expected LO:HI"),
+    ],
+    ids=[
+        "unreadable system", "no n", "n not an integer", "no h", "unknown key",
+        "unreadable probes", "probe not a number", "box of three", "box not a number",
+    ],
+)
+def test_bad_input_prints_one_line_and_writes_nothing(tmp_path, capsys, command, text, message):
+    # a file argument is written from ``text`` (None: no such file); other arguments are ``text``
+    path = tmp_path / "input.txt"
+    if command[-1] in ("--system", "--probes"):
+        if text is not None:
+            path.write_text(text)
+        argument = f"file:{path}" if command[-1] == "--system" else str(path)
+    else:
+        argument = text
+    out_dir = tmp_path / "out"
+    assert main(["--output-dir", str(out_dir), *command, argument]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("switchlin: " + message.format(path=path))
+    assert not out_dir.exists()
 
 
 def test_derive_usage_errors(capsys):

@@ -10,6 +10,7 @@ from switchlin.ballbeam import PlantParams, benchmark_plant, reduced_dynamics, s
 from switchlin.controllers import (
     SUPERVISOR,
     GainSet,
+    LawDescriptor,
     SingularControlError,
     SwitchThresholds,
     TrackingReference,
@@ -128,6 +129,21 @@ def test_law3_agrees_with_law2_at_origin(rng):
         assert apply_law(3, (0, 0, 0, 0), float(v), p) == pytest.approx(
             apply_law(2, (0, 0, 0, 0), float(v), p), rel=1e-14
         )
+
+
+def test_law3_is_law2_frozen_at_the_operating_point():
+    # the derived trees equal the hand-written ones, so the generated arm is the same code
+    law2, law3 = law_descriptor(2), law_descriptor(3)
+    assert law3.coefficient.expr == parse("-B*G", 4).expr
+    assert law3.offset.expr == Constant(0) and type(law3.offset.expr.value) is int
+    assert law3.coordinates == law2.coordinates and law3.factors == ()
+    written = LawDescriptor(
+        law_id=3, name="law3", order=4, coefficient=parse("-B*G", 4), offset=parse("0", 4),
+        factors=(),
+        coordinates=tuple(parse(t, 4) for t in ("x1", "x2", "-B*G*sin(x3)", "-B*G*x4*cos(x3)")),
+    )
+    assert law3 == written
+    assert law3._control_body == written._control_body
 
 
 def test_apply_law_dispatch():

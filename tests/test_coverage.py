@@ -379,7 +379,7 @@ def test_mask_kernel_binds_parameters_named_like_code_by_value(rng):
     texts = ("p1_0*x1 - t0*sin(p0*x2) + p1/(x1*x1 + 1.5) + x1*x1", "p1 + t0*x2")
     laws = [_law_with_factors("code-like", *texts), law_descriptor(1)]
     states = rng.uniform(-2.0, 2.0, size=(512, 4))
-    masks = coverage._mask_kernel(laws, params, 0.3, 4)(states)
+    masks = coverage._mask_kernel([law.factors for law in laws], params, 0.3, 4)(states)
     for law, mask in zip(laws, masks):
         expected = [
             all(abs(f.field.evaluate(Bindings(params, tuple(x)))) > 0.3 for f in law.factors)
@@ -454,7 +454,7 @@ def test_mask_kernel_shares_subtrees_across_laws_bit_for_bit(params):
     states[:5] = [[0.0, 0.0, 0.0, 0.0], [-0.0] * 4, [np.inf] * 4, [np.nan] * 4, [1e200] * 4]
     states[5::7, 3] = 0.0  # x1/x4 is +-inf or NaN
     with np.errstate(over="ignore"):  # x1*x4 at 1e200; inf and NaN are silent as in evaluate_many
-        masks = coverage._mask_kernel(laws, params, 0.3, 4)(states)
+        masks = coverage._mask_kernel([law.factors for law in laws], params, 0.3, 4)(states)
         for law, mask in zip(laws, masks, strict=True):
             expected = np.ones(len(states), dtype=bool)
             for factor in law.factors:
@@ -470,9 +470,7 @@ def test_mask_kernel_leaves_out_the_factors_proved_nonzero_on_the_box(params, mo
     monkeypatch.setattr(coverage, "_compile", lambda *args, **names: (
         sources.append(args[0]) or compile_(*args, **names)
     ))
-    laws = _LAW_SETS[law_set]()
-    coverage._mask_kernel(laws, params, coverage.ZERO_FLOOR, 4)
-    coverage._mask_kernel(laws, params, coverage.ZERO_FLOOR, 4, BOX)
+    coverage_check(_LAW_SETS[law_set](), BOX, 10, 0.0, params)
     probe, sample = sources
     assert "cos(" in probe and "cos(" not in sample
     assert "x1" in sample and "x4" in sample

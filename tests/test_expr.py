@@ -36,6 +36,7 @@ from switchlin.expr import (
     simplify,
     to_text,
 )
+from switchlin.expr import _substitute
 
 B, G = Parameter("B"), Parameter("G")
 X1, X2, X3, X4 = StateVar(1), StateVar(2), StateVar(3), StateVar(4)
@@ -257,6 +258,34 @@ def test_diff_sine_chain():
 def test_diff_power_coefficient():
     result = parse("B*x4^2*x1", 4).differentiate(1)
     assert result.expr == parse("B*x4^2", 4).expr
+
+
+@pytest.mark.parametrize(
+    "text, var, expected",
+    [
+        ("(x1*x2 + B)/(x1 - x4)", 1, "(x2*(x1 - x4) - (x1*x2 + B))/(x1 - x4)^2"),
+        ("(x1*x2 + B)/(x1 - x4)", 4, "(x1*x2 + B)/(x1 - x4)^2"),
+        ("x2*x1^0 + x1^0", 1, "0"),
+        ("x2*x1^0", 2, "1"),
+    ],
+    ids=["quotient", "quotient, denominator only", "power 0", "power 0 as a factor"],
+)
+def test_diff_is_exact_on_rational_states(rng, text, var, expected):
+    # the quotient rule, and x^0 whose derivative is 0, against closed forms at exact states
+    derivative = parse(text, 4).differentiate(var)
+    closed_form = parse(expected, 4)
+    for _ in range(20):
+        state = tuple(Fraction(int(v), 7) for v in rng.integers(-20, 21, size=4))
+        if state[0] == state[3]:
+            continue
+        at_state = bind(state, B=Fraction(5, 7))
+        assert derivative.evaluate(at_state) == closed_form.evaluate(at_state)
+
+
+def test_substitute_reaches_inside_an_integer_power():
+    field = parse("sin(x3)^2 + x1*cos(x3)^0", 4).expr
+    replaced = _substitute(field, {Sin(X3): StateVar(9), Cos(X3): StateVar(10)})
+    assert replaced == Add(IntPow(StateVar(9), 2), Mul(X1, IntPow(StateVar(10), 0)))
 
 
 def test_diff_out_of_range():

@@ -224,23 +224,24 @@ def test_held_plant_step_matches_the_called_plant_bit_for_bit(rng, g):
 
 def _run_outcome(sc):
     try:
-        trajectory, metrics = run(sc)
+        trajectory, _ = run(sc)
     except IntegrationError as exc:
         trajectory, failure = exc.trajectory, (str(exc), exc.time)
     else:
-        failure = metrics
+        failure = None
     columns = ("t", "states", "u", "law", "error", "abscos3")
-    return [getattr(trajectory, column).tobytes() for column in columns], failure
+    return [getattr(trajectory, column) for column in columns], failure
 
 
-def _exact_run(sc):
-    # the closed loop by the reference path: at each sample the supervisor, the exact
-    # law and outer loop, and the reference, then rk4_step on the called plant with u held
+def _exact_run(sc, start, x, stop):
+    # samples start .. stop - 1 by the reference path, from state x at sample start: at
+    # each sample the supervisor, the exact law and outer loop, and the reference, then
+    # rk4_step on the called plant with u held
     from switchlin.ballbeam import reduced_dynamics
 
-    p, h, n = sc.plant, sc.step, sc.sample_count
-    x, rows, failure = sc.initial_state, [], None
-    for k in range(n):
+    p, h = sc.plant, sc.step
+    rows, failure = [], None
+    for k in range(start, stop):
         t = k * h
         try:
             law_id, u = _exact_sample(sc, x, t)
@@ -248,7 +249,7 @@ def _exact_run(sc):
             failure = (f"control failed at t={t:.6f}: {exc}", t)
             break
         rows.append((t, *x, u, law_id, x[0] - sc.reference.value(t), abs(math.cos(x[2]))))
-        if k + 1 < n:
+        if k + 1 < stop:
             try:
                 x = rk4_step(lambda s: reduced_dynamics(s, u, p), x, h)
             except IntegrationError as exc:
@@ -264,6 +265,9 @@ def _exact_run(sc):
 
 
 def test_run_with_the_held_plant_matches_the_called_plant():
+    # the generated run against the reference path over each scenario's first 2 s and, for
+    # a run that fails, over the last 300 samples before the failure, restarted from the
+    # generated run's state there: the records bit for bit, and the failure's message and time
     scenarios = [
         load_scenario(SCENARIO_DIR / "regulation.json"),
         load_scenario(SCENARIO_DIR / "near_pivot.json"),
@@ -279,13 +283,20 @@ def test_run_with_the_held_plant_matches_the_called_plant():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fused = [_run_outcome(sc) for sc in scenarios]
-    exact = [_exact_run(sc) for sc in scenarios]
-    for (columns, failure), (expected, expected_failure) in zip(fused, exact):
-        assert columns == expected
-        if expected_failure is not None:
+    for sc, (columns, failure) in zip(scenarios, fused):
+        head = min(sc.sample_count, int(2.0 / sc.step) + 1)
+        expected, _ = _exact_run(sc, 0, sc.initial_state, head)
+        assert [column[:head].tobytes() for column in columns] == expected
+        if failure is not None:
+            start = max(0, len(columns[0]) - 300)
+            state = tuple(columns[1][start].tolist()) if start else sc.initial_state
+            expected, expected_failure = _exact_run(sc, start, state, sc.sample_count)
+            assert [column[start:].tobytes() for column in columns] == expected
             assert failure == expected_failure
+    assert [failure is not None for _, failure in fused] == [False, False, True, True, True, True]
     assert fused[2][1] == ("integration produced a non-finite state at t=11.767000", 11.767)
     assert fused[3][1][0].startswith("control failed at t=0.000000: law 2 coefficient")
+    assert fused[4][1][0].startswith("control failed at t=0.006000: law 2 coefficient")
     assert fused[5][1] == ("integration failed at t=4.000000: math domain error", 4.0)
 
 
@@ -518,6 +529,17 @@ def test_write_csv_matches_format_number(rng):
     text = stream.getvalue()
     assert text == _format_number_csv(trajectory)
     assert ",-0," not in text and "nan" in text and "1e+21" in text
+
+
+@pytest.mark.parametrize("tail_window, rows", [(0.05, 1), (0.15, 1), (0.45, 2), (1.0, 4)])
+def test_rms_tail_error_is_taken_over_the_samples_in_the_window(tail_window, rows):
+    # samples at t = 0, 0.3, 0.6, 0.9: a window that holds none takes the last sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |x3| passes pi at t = 0.9
+        trajectory, metrics = run(_scenario(duration=1.0, step=0.3, tail_window=tail_window))
+    assert len(trajectory) == 4
+    expected = float(np.sqrt(np.mean(trajectory.error[-rows:] ** 2)))
+    assert metrics.rms_tail_error == expected
 
 
 def test_metrics_report_fields():
