@@ -12,7 +12,8 @@ evidence machinery around that structure:
   X_i = S_i minus the other components, where exactly one factor is zero;
 * ``coverage_check`` samples a box (plus deterministic probes placed on each component and
   each pairwise intersection) and reports every state at which no supplied law is valid; no
-  sample is tested on a factor that interval arithmetic (``expr.bounds``) proves nonzero;
+  sample is tested on a factor that interval arithmetic (``expr.bounds``) proves nonzero, and
+  a block where some law is then left no factor is only counted, never scanned for witnesses;
 * one line-root finder serves both: a factor that is not a bare
   coordinate is solved along a random line (pure parts) or along its
   axis (probes) by a vectorised scan refined by Brent's method (``_brent``);
@@ -22,8 +23,8 @@ evidence machinery around that structure:
   state space; each stage of the search is one grid evaluated as a
   vectorised batch, and the first hit in ``itertools.product`` order is
   returned;
-* ``transversality_report`` stacks factor differentials at given points
-  and reports their ranks.
+* ``transversality_report`` stacks factor differentials, evaluated over all
+  points at once, and reports their ranks from one batched SVD.
 
 Validity is margin-based: a law covers a state when every declared factor
 exceeds the margin in magnitude.  Because zeros of transcendental factors
@@ -50,7 +51,7 @@ import numpy as np
 from .controllers import LawDescriptor
 from .expr import Bindings, EvaluationError, Real, ScalarField, _bind, _compile, _emit, bounds
 from .expr import format_number as _fmt, format_vector as _fmt_vec, state_indices
-from .geometry import SingularityFactor, transversality_rank
+from .geometry import SingularityFactor, matrix_rank, transversality_rank
 
 __all__ = [
     "CoverageReport",
@@ -436,9 +437,11 @@ def coverage_check(
     it reads (a stored witness is scaled in full: the row ``uniform`` draws); the probes, which
     may lie outside the box, by the kernel of every factor.  A factor left out cannot overflow,
     divide by zero or give NaN on the box, but an underflow in it no longer reaches a caller's
-    ``np.errstate(under=...)``.  Both kernels are built before the helper starts, so their
-    errors, and the helper's, are raised here; the helper is always joined.  Each stored
-    witness's coefficients are computed by ``evaluate_many``, one call per law.
+    ``np.errstate(under=...)``.  Where a kernel gives some law the constant True (no factor to
+    test), no row is a witness: ``_tally`` only counts that block, or the probes.  Both kernels
+    are built before the helper starts, so their errors, and the helper's, are raised here; the
+    helper is always joined.  Each stored witness's coefficients are computed by
+    ``evaluate_many``, one call per law.
 
     The n samples are split at a block boundary into two contiguous halves.
     The calling thread draws and evaluates the first, and one helper thread
@@ -453,6 +456,8 @@ def coverage_check(
         raise ValueError(f"margin must be a non-negative number, got {margin!r}")
     if n < 0:
         raise ValueError("sample count must be non-negative")
+    if seed is not None and seed < 0:  # numpy's own message names neither option nor value
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     dim = len(box)
     rng = np.random.default_rng(seed)
     scale = _box_scaler(box)
@@ -553,16 +558,23 @@ def _tally(
     masks: Callable[[np.ndarray], tuple], law_count: int, blocks: Iterable[np.ndarray],
     finish: Callable[[np.ndarray], np.ndarray] = lambda states: states,
 ) -> tuple[list[int], int, list[tuple[float, ...]]]:
-    """Covered counts per law, witness count, and the first witnesses (completed by ``finish``)."""
+    """Covered counts per law, witness count, and the first witnesses (completed by ``finish``).
+
+    A block where some law's mask is the constant True holds no witness: it is only counted.
+    """
     covered_counts = [0] * law_count
     witness_states: list[tuple[float, ...]] = []
     witness_total = 0
     for states in blocks:
+        masked = masks(states)  # each an array, or a bool: True, or a constant factor's
+        for i, covered in enumerate(masked):
+            count = np.count_nonzero(covered) if np.ndim(covered) else covered * len(states)
+            covered_counts[i] += int(count)
+        if any(np.ndim(covered) == 0 and covered for covered in masked):
+            continue  # a law valid on every row: the block holds no witness
         covered_any = np.zeros(len(states), dtype=bool)
-        for i, covered in enumerate(masks(states)):
-            covered = np.broadcast_to(covered, covered_any.shape)  # True, or a constant factor
+        for covered in masked:
             covered_any |= covered
-            covered_counts[i] += int(np.count_nonzero(covered))
         missed = states[~covered_any]
         witness_total += len(missed)
         stored = finish(missed[: _WITNESS_CAP - len(witness_states)])
@@ -718,19 +730,33 @@ def transversality_report(
     The points are expected to lie on the relevant zero sets; full rank
     (the number of stacked factors) at a point means the hypersurfaces
     meet transversally there.
+
+    Each gradient component is evaluated once over all points (``evaluate_many``) and the
+    stacked rows ranked by one batched ``matrix_rank``.  A point whose row holds an infinite
+    or NaN entry, or every point when the batch cannot be formed (no points or factors, an
+    unbound parameter, ragged points or factors), is evaluated exactly (``evaluate``) and
+    ranked alone, in point order, so the errors raised and their order are those of a
+    point-by-point loop.
     """
-    all_factors = list(factors_a) + list(factors_b)
-    gradients = [f.field.gradient() for f in all_factors]
+    gradients = [f.field.gradient() for f in [*factors_a, *factors_b]]
+    points = [tuple(point) for point in points]
+    try:
+        states = np.array(points, dtype=float)
+        with np.errstate(all="ignore"):  # an overflow reads as inf, and is evaluated exactly
+            rows = np.stack([
+                np.column_stack([c.evaluate_many(params, states) for c in gradient])
+                for gradient in gradients
+            ], axis=1)
+    except (EvaluationError, ValueError):
+        rows = np.full((len(points), 1, 1), np.nan)
+    batched = np.isfinite(rows).all(axis=(1, 2))
+    ranks = iter(matrix_rank(rows[batched]).tolist())
     records = []
-    for point in points:
-        at_point = Bindings(params, tuple(point))
-        rows = [
-            [component.evaluate(at_point) for component in gradient]
-            for gradient in gradients
-        ]
-        records.append(
-            TransversalityRecord(
-                point=tuple(float(v) for v in point), rank=transversality_rank(rows)
-            )
-        )
+    for point, in_batch in zip(points, batched.tolist()):
+        if in_batch:
+            rank = next(ranks)
+        else:
+            at_point = Bindings(params, point)
+            rank = transversality_rank([[c.evaluate(at_point) for c in g] for g in gradients])
+        records.append(TransversalityRecord(point=tuple(float(v) for v in point), rank=rank))
     return tuple(records)

@@ -207,20 +207,22 @@ def _vanishes_near(field_: ScalarField, x0: Sequence[float], params: Mapping[str
     return bool(np.max(np.abs(values)) <= RELDEG_TOL)
 
 
-def matrix_rank(matrix: np.ndarray) -> int:
-    """Numeric rank: singular values above RANK_RTOL times the largest one.
+def matrix_rank(matrix: np.ndarray) -> int | np.ndarray:
+    """Numeric rank: singular values above RANK_RTOL times the largest one (0 if all are 0).
 
-    A matrix with an infinite or NaN entry has no numeric rank: ValueError.
+    A stack of shape (..., k, n) gives an integer array of shape (...) from one batched SVD,
+    each matrix ranked as if alone.  An infinite or NaN entry anywhere leaves no numeric rank:
+    ValueError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
-        return 0
-    if not np.isfinite(matrix).all():
+        ranks = np.zeros(matrix.shape[:-2], dtype=int)
+    elif not np.isfinite(matrix).all():
         raise ValueError("cannot take the rank of a matrix with a non-finite entry")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
+    else:
+        sigma = np.linalg.svd(matrix, compute_uv=False)
+        ranks = np.count_nonzero(sigma > RANK_RTOL * sigma[..., :1], axis=-1)
+    return int(ranks) if matrix.ndim <= 2 else ranks
 
 
 def transversality_rank(differentials: Sequence[Sequence[float]]) -> int:

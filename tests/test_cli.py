@@ -429,6 +429,14 @@ def test_coverage_rejects_infinite_margin(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_coverage_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's own refusal names neither the option nor the value
+    assert main(["--output-dir", str(tmp_path), "coverage",
+                 "--seed", "-1", "--samples", "10"]) == 1
+    assert capsys.readouterr().err == "switchlin: seed must be a non-negative integer, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [

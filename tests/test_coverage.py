@@ -19,7 +19,7 @@ from switchlin.coverage import (
     transversality_report,
 )
 from switchlin.expr import Bindings, EvaluationError, ScalarField, parse
-from switchlin.geometry import SingularityFactor
+from switchlin.geometry import SingularityFactor, transversality_rank
 
 BOX = [(-1.0, 1.0)] * 4
 
@@ -438,6 +438,38 @@ def test_mask_kernel_tally_matches_one_shot_reference(params, laws, box, margin,
     if len(laws) == 1:
         caller_half = coverage_check(laws, box, _HALF, margin, params, seed=3)
         assert caller_half.witness_total < coverage._WITNESS_CAP < report.witness_total
+
+
+_LAW_TOKENS = {
+    "1": lambda: law_descriptor(1),
+    "2": lambda: law_descriptor(2),
+    "3": lambda: law_descriptor(3),
+    "3g": lambda: law_descriptor(3, g_modified=True),
+}
+
+
+@pytest.mark.parametrize("box", [BOX, [(-2.0, 2.0)] * 4], ids=["1", "2"])
+@pytest.mark.parametrize("margin", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("law_set", ["1,2,3", "1,2", "1,3g", "1,2,3g", "2,3g", "3"])
+def test_coverage_matches_a_plain_test_of_every_factor_on_every_row(params, law_set, margin, box):
+    # on [-1, 1]^4 a law that bounds prove valid (2 at margins below cos 1 = 0.54, and 3g) or
+    # that declares no factor (3) leaves blocks only counted; on [-2, 2]^4 only law 3 does, and
+    # samples are witnesses
+    tokens = law_set.split(",")
+    laws = [_LAW_TOKENS[token]() for token in tokens]
+    n = 20_000
+    threshold = max(margin, coverage.ZERO_FLOOR)
+    kept = [coverage._needed(law.factors, box, params, threshold) for law in laws]
+    counted_only = any(not factors for factors in kept)
+    assert counted_only == ("3" in tokens or box == BOX and (margin < 0.6 or law_set != "1,2"))
+    report = coverage_check(laws, box, n, margin, params, seed=11)
+    reference = _one_shot_coverage(laws, box, n, margin, params, seed=11)
+    _assert_same_report(report, reference)
+    assert report.report_text() == reference.report_text()
+    if box != BOX:
+        assert kept == [list(law.factors) for law in laws]  # nothing pruned
+        if margin and "3" not in tokens:
+            assert report.witness_total > report.probe_count
 
 
 def test_mask_kernel_shares_subtrees_across_laws_bit_for_bit(params):
@@ -931,10 +963,110 @@ def test_transversality_many_points(params, rng):
         point = [0.0, float(rng.uniform(-1, 1)), x3, 0.0]
         point[0 if side else 3] = float(rng.uniform(0.2, 1.0))
         points.append(tuple(point))
-    records = transversality_report(
-        law_descriptor(1).factors, law_descriptor(2).factors, points, params
-    )
+    fa, fb = law_descriptor(1).factors, law_descriptor(2).factors
+    records = transversality_report(fa, fb, points, params)
     assert all(record.rank == 3 for record in records)
+    assert records == _pointwise_transversality(fa, fb, points, params)
+
+
+def _pointwise_transversality(factors_a, factors_b, points, params):
+    """The reference: each point's differentials evaluated exactly and ranked alone."""
+    gradients = [f.field.gradient() for f in [*factors_a, *factors_b]]
+    records = []
+    for point in points:
+        at_point = Bindings(params, tuple(point))
+        rows = [[component.evaluate(at_point) for component in g] for g in gradients]
+        records.append(coverage.TransversalityRecord(
+            point=tuple(float(v) for v in point), rank=transversality_rank(rows)
+        ))
+    return tuple(records)
+
+
+def _analysis_points(seed, count=100):
+    """The points perfbench's ``analysis`` workload ranks at a seed, by pair of laws."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(2, count))
+    free = rng.uniform(-1.0, 1.0, size=(2, count))
+    beam_rate = signs[1] * rng.uniform(0.1, 1.0, count)
+    half_pi = signs[0] * (math.pi / 2)
+    return {
+        ("1", "2"): [(0.0, x2, x3, 0.0) for x2, x3 in zip(free[0], half_pi)],
+        ("2", "3g"): [(x1, 0.0, x3, x4) for x1, x3, x4 in zip(free[1], half_pi, beam_rate)],
+    }
+
+
+def _seeded_points(count=200):
+    # every third point on x3 = +-pi/2, where cos(x3) and law 3g's factor vanish
+    points = np.random.default_rng(23).uniform(-2.0, 2.0, size=(count, 4))
+    points[::3, 2] = np.where(np.arange(0, count, 3) % 2, math.pi / 2, -math.pi / 2)
+    return [tuple(point) for point in points.tolist()]
+
+
+def _transversality_cases():
+    cases = {f"analysis {a},{b}": ((a, b), points) for (a, b), points in _analysis_points(0).items()}
+    for a, b in [("1", "2"), ("2", "3g"), ("1", "3g")]:
+        cases[f"seeded {a},{b}"] = ((a, b), _seeded_points())
+    cases["joint singularity"] = (("1", "2"), [(0.0, 1.0, math.pi / 2, 0.0)])
+    cases["integer point"] = (("1", "2"), [(0.5, 0, 1, 0)])
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_transversality_cases()))
+def test_transversality_batched_ranks_match_exact_rows(params, case):
+    (a, b), points = _transversality_cases()[case]
+    fa, fb = _LAW_TOKENS[a]().factors, _LAW_TOKENS[b]().factors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = transversality_report(fa, fb, points, params)
+    assert records == _pointwise_transversality(fa, fb, points, params)
+    assert all(type(record.rank) is int for record in records)
+
+
+@pytest.mark.parametrize(
+    "factors_a, factors_b", [((F_X1,), (F_X1,)), ((F_X1,), (F_X4,)), ((), ()), ((F_COS,), ())]
+)
+def test_transversality_batched_ranks_match_exact_rows_at_the_origin(params, factors_a, factors_b):
+    points = [(0.0, 0.0, 0.0, 0.0), (0, 0, 0, 0), (0.0, 1.0, math.pi / 2, 0.0)]
+    records = transversality_report(factors_a, factors_b, points, params)
+    assert records == _pointwise_transversality(factors_a, factors_b, points, params)
+
+
+def _factor(text):
+    return SingularityFactor(parse(text, 4), text)
+
+
+def _raised(error, report, *args):
+    with pytest.raises(error) as raised:
+        report(*args)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "factors, points, params, error",
+    [
+        # d(1/x1) divides by zero at x1 = 0, the second point
+        (("1/x1", "x2"), [(1.0, 0, 0, 0), (0.0, 0, 0, 0), (2.0, 0, 0, 0)], {}, EvaluationError),
+        # an unbound parameter at the first point, before the division by zero at the second
+        (("1/x1", "B*x2"), [(1.0, 0, 0, 0), (0.0, 0, 0, 0)], {}, EvaluationError),
+        # the division by zero at the first point comes before the unbound parameter
+        (("1/x1", "B*x2"), [(0.0, 0, 0, 0), (1.0, 0, 0, 0)], {}, EvaluationError),
+        # 2 x1 overflows at the second point: no numeric rank
+        (("x1*x1", "x2"), [(1.0, 0, 0, 0), (1e308, 0, 0, 0)], {}, ValueError),
+    ],
+)
+def test_transversality_raises_what_a_pointwise_loop_raises(factors, points, params, error):
+    fa, fb = (_factor(factors[0]),), (_factor(factors[1]),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = _raised(error, transversality_report, fa, fb, points, params)
+    assert message == _raised(error, _pointwise_transversality, fa, fb, points, params)
+
+
+def test_transversality_of_no_points_is_empty(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transversality_report((F_X1,), (F_COS,), [], params) == ()
+        assert transversality_report((_factor("B*x1"),), (), iter([]), {}) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -401,3 +401,20 @@ def test_matrix_rank_relative_threshold():
 def test_matrix_rank_rejects_a_non_finite_entry(entry):
     with pytest.raises(ValueError, match="non-finite entry"):
         matrix_rank(np.array([[1.0, 0.0], [0.0, entry]]))
+
+
+def test_matrix_rank_of_a_stack_ranks_each_matrix_alone(rng):
+    stack = rng.normal(size=(6, 3, 4))
+    stack[1] = 0.0
+    stack[2, 2] = stack[2, 0] + stack[2, 1]
+    stack[3] = [[1.0, 0, 0, 0], [0, 1e-10, 0, 0], [0, 0, 0, 0]]
+    stack[4] = [[1.0, 0, 0, 0], [0, 1e-8, 0, 0], [0, 0, 0, 0]]
+    ranks = matrix_rank(stack)
+    assert ranks.tolist() == [matrix_rank(m) for m in stack] == [3, 0, 2, 1, 2, 3]
+    assert matrix_rank(stack.reshape(2, 3, 3, 4)).tolist() == [[3, 0, 2], [1, 2, 3]]
+    assert type(matrix_rank(stack[0])) is int and type(matrix_rank(stack[1])) is int
+    assert matrix_rank(np.empty((0, 3, 4))).tolist() == []
+    assert matrix_rank(np.empty((2, 0, 4))).tolist() == [0, 0]
+    stack[5, 1, 2] = math.nan
+    with pytest.raises(ValueError, match="non-finite entry"):
+        matrix_rank(stack)

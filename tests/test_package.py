@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import switchlin
-from switchlin import expr
+from switchlin import expr, geometry
 
 MODULES = ["switchlin"] + [
     f"switchlin.{info.name}" for info in pkgutil.iter_modules(switchlin.__path__)
@@ -44,6 +45,16 @@ def test_only_expr_names_generated_code():
         if code_name.search(text := path.read_text()) or "re.sub" in text
     )
     assert set(naming) <= {"expr.py"}
+
+
+def test_only_matrix_rank_takes_singular_values():
+    # one rank rule (RANK_RTOL times the largest singular value): every svd in the package is
+    # geometry.matrix_rank's, so no other module ranks a matrix, or a stack, by its own rule
+    package = pathlib.Path(switchlin.__file__).parent
+    svd = re.compile(r"\bsvd\b")
+    found = {path.name: len(svd.findall(path.read_text())) for path in package.glob("*.py")}
+    assert {name: count for name, count in found.items() if count} == {"geometry.py": 1}
+    assert "np.linalg.svd(" in inspect.getsource(geometry.matrix_rank)
 
 
 def _node_types(base=expr.Expr):
