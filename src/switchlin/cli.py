@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,16 +391,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # ScenarioError, ParseError and ExprError are ValueErrors
+    # ScenarioError, ParseError and ExprError are ValueErrors; a warning shown is one line
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"switchlin: warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, EvaluationError) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 1
-    except (SimulationError, OSError) as exc:
+    except (SimulationError, OSError, Warning) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ a :class:`LawDescriptor` built by :func:`law_descriptor`: coefficient a_i,
 offset b_i, the singularity factors of a_i, and the output coordinates in
 which its outer loop places poles.  ``apply_law`` and ``outer_loop_v``
 evaluate the descriptors exactly.  For simulation, each law's control,
-outer loop included, is one expression tree (sin x3 and cos x3 read as
-x9 and x10) written by ``expr._emit`` as one arm of the supervisor's
-branch in the step that ``sim.ClosedLoop`` generates; the plant, the
-reference's scales and the gains are its parameters, bound per run.
+outer loop included (``outer_loop_v``'s sum, run on trees), is one tree
+written by ``expr._emit`` as one arm of the supervisor's branch in the
+step that ``sim.ClosedLoop`` generates; the plant, the reference's scales
+and the gains are its parameters, bound per run.
 
 Law 1 (order 3, a_1 = 2 B x1 x4) inverts the exact output chain; its
 coefficient vanishes when the ball sits at the pivot (x1 = 0) or the beam
@@ -219,21 +219,17 @@ class LawDescriptor:
 
         The arm computes u and sets ``law`` from the closed-loop step's
         variables: x1..x4, the reference's waves at t, x7 = cos and x8 = sin,
-        and x9 = sin x3 and x10 = cos x3 (``_STEP_TRIG``).  Its
-        parameters, the plant's, the reference's scales ``c<j>`` and the
-        gains ``alpha<j>``, are written ``p<id>_<k>`` (<id> is ``law_id``, so
-        laws can share a function).  One expr emit writes the coefficient and
-        the numerator -offset + v, where v = r_order - sum_j alpha_j (q_j -
-        r_j) is summed from 0.0 in j order and r_j = c_j times its wave: the
-        operations of :func:`outer_loop_v` and :meth:`control`, in their
-        order.  The floor check of :meth:`control` runs ahead of the numerator.
+        and x9 = sin x3 and x10 = cos x3 (``_STEP_TRIG``).  Its parameters,
+        the plant's, the reference's scales ``c<j>`` and the gains ``alpha<j>``,
+        are written ``p<id>_<k>`` (<id> is ``law_id``, so laws can share a
+        function).  One expr emit writes the coefficient and the numerator
+        -offset + v of :meth:`control`, v being :func:`_virtual_input` on
+        trees, with r_j = c_j times its wave; the floor check precedes the numerator.
         """
         tag, waves = self.law_id, (StateVar(7), StateVar(8))
         r = [Parameter(f"c{j}") * waves[_CYCLE[j % 4][1]] for j in range(self.order + 1)]
-        feedback = Constant(0.0)
-        for j, coordinate in enumerate(self.coordinates):
-            feedback = feedback + Parameter(f"alpha{j}") * (coordinate.expr - r[j])
-        numerator = -self.offset.expr + (r[-1] - feedback)
+        a = [Parameter(f"alpha{j}") for j in range(self.order)]
+        numerator = -self.offset.expr + _virtual_input(a, [c.expr for c in self.coordinates], r)
         trees = [_substitute(e, _STEP_TRIG) for e in (self.coefficient.expr, numerator)]
         (coefficient, numerator), names = _emit(trees, 10, f"p{tag}_")
         lines = (
@@ -352,13 +348,18 @@ def outer_loop_v(
     """Pole-placement virtual input v = y_d^(order) - sum_j alpha_j e^(j).
 
     The error derivatives are e^(j) = coordinates[j] - y_d^(j) in the
-    law's output coordinates.
+    law's output coordinates; the sum is :func:`_virtual_input`'s.
     """
     _check_order(law, gains)
     coordinates = law.coordinate_values(x, p.symbol_values())
     targets = [ref.derivative(t, j) for j in range(gains.order + 1)]
+    return _virtual_input(gains.alphas, coordinates, targets)
+
+
+def _virtual_input(alphas: Sequence, coordinates: Sequence, targets: Sequence):
+    """The outer-loop sum targets[-1] - sum_j alphas[j] (coordinates[j] - targets[j]), from 0.0."""
     feedback = 0.0
-    for alpha, coordinate, target in zip(gains.alphas, coordinates, targets):
+    for alpha, coordinate, target in zip(alphas, coordinates, targets):
         feedback += alpha * (coordinate - target)
     return targets[-1] - feedback
 

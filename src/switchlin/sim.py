@@ -7,14 +7,14 @@ held constant across the step (zero-order hold).  A run's step is one
 generated function (:class:`ClosedLoop`): the branch written from
 ``controllers.SUPERVISOR`` with each law's control, outer loop included,
 in its arms, the sample's record, and the RK4 step with the plant's field
-(``ballbeam.REDUCED_FIELD``) inlined, each value, sin x3 and cos x3
-included, computed once per step; a run binds the thresholds, the plant,
-the reference, the gains and the record.  It is called through
-:func:`rk4_step` once per step, where a run's steps are counted; the t,
-a1 and error columns and the |x3| > pi warning come from the record
-after the loop, and :func:`assess` reads a run's outcome against an
-:class:`Envelope`.  Identical scenarios produce bitwise-identical
-trajectories.
+(``ballbeam.REDUCED_FIELD``) inlined, each value computed once per step;
+its arms and RK4 step are the exact path's own functions run on trees.
+A run binds the thresholds, the plant, the reference, the gains and the
+record.  It is called through :func:`rk4_step` once per step, where a
+run's steps are counted; the t, a1 and error columns and the |x3| > pi
+warning come from the record after the loop, and :func:`assess` reads a
+run's outcome against an :class:`Envelope`.  Identical scenarios produce
+bitwise-identical trajectories.
 
 Scenario files are JSON objects read through one table (``_OBJECTS``)
 that maps each key to the dataclass field it fills; unknown keys are
@@ -215,29 +215,30 @@ def rk4_step(
     ``deriv`` must already hold any input constant (zero-order hold is the
     caller's responsibility) and return one component per state component;
     a derivative of another length raises ValueError.  A :class:`ClosedLoop`
-    brings its own step, generated with its input and the plant inlined;
-    any other derivative is stepped by :func:`_rk4_loop`, in plain Python,
-    the exact reference the generated step is checked against.  Raises
+    brings its own step, generated from :func:`_rk4_loop` run on trees; any
+    other derivative is stepped by ``_rk4_loop`` on floats.  Raises
     IntegrationError if the update is not finite.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
     if type(deriv) is ClosedLoop:
         return deriv.step(deriv, x, h)
-    return _rk4_loop(deriv, x, h)
+    if all(map(math.isfinite, y := _rk4_loop(deriv, x, h))):
+        return y
+    raise IntegrationError("integration produced a non-finite state")
 
 
-def _rk4_loop(deriv: Callable, x: Sequence[float], h: float) -> tuple[float, ...]:
-    """The textbook per-component RK4 loop, kept out of :func:`rk4_step`.
+def _rk4_loop(deriv: Callable, x: Sequence, h) -> tuple:
+    """The classical RK4 scheme, per component, on floats or on expression trees.
 
-    In ``rk4_step`` the names that ``slope`` and the comprehensions read
-    would be cells, made on every call, a closed loop's step included.
+    :func:`rk4_step` runs it on floats and :func:`_plant_stages` on trees.  In
+    ``rk4_step`` the names ``slope`` and the comprehensions read would be cells.
     """
     n = len(x)
     if n < 1:
         raise ValueError("the state must have at least one component")
 
-    def slope(state: Sequence[float]) -> Sequence[float]:
+    def slope(state: Sequence) -> Sequence:
         k = deriv(state)
         if len(k) != n:
             raise ValueError(f"derivative has {len(k)} components but the state has {n}")
@@ -249,10 +250,7 @@ def _rk4_loop(deriv: Callable, x: Sequence[float], h: float) -> tuple[float, ...
     c = slope(tuple([x[i] + half * b[i] for i in range(n)]))
     d = slope(tuple([x[i] + h * c[i] for i in range(n)]))
     sixth = h / 6.0
-    y = tuple([x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + d[i]) for i in range(n)])
-    if not all(map(math.isfinite, y)):
-        raise IntegrationError("integration produced a non-finite state")
-    return y
+    return tuple([x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + d[i]) for i in range(n)])
 
 
 class ClosedLoop:
@@ -354,18 +352,18 @@ _RECORD.update(law_col="law", abscos_col="abs(x10)")
 def _plant_stages() -> tuple[tuple[str, ...], dict[str, str]]:
     """The plant's RK4 step as statements ending in ``return``, and each parameter's code name.
 
-    The step from x1..x4 with x5 = u held and x6 = h is :func:`rk4_step`'s
-    on ``ballbeam.REDUCED_FIELD``, its stages and update built as trees and
-    written by one ``expr._emit``: each value, stage states with equal text
-    included, is computed once, and stage a reads sin x3 as x9.
+    The step from x1..x4 with x5 = u held and x6 = h is :func:`_rk4_loop`
+    on trees of ``ballbeam.REDUCED_FIELD``, written by one ``expr._emit``:
+    each value, stage states with equal text included, is computed once,
+    and stage a reads sin x3 as x9.
     """
-    x, h = [StateVar(i) for i in range(1, 5)], StateVar(6)
-    slopes = [[_substitute(f, _STEP_TRIG) for f in REDUCED_FIELD]]
-    for step in (0.5 * h, 0.5 * h, h):
-        stage = {s: s + step * k for s, k in zip(x, slopes[-1])}  # x5 = u is held
-        slopes.append([_substitute(f, stage) for f in REDUCED_FIELD])
-    y = [s + h / 6.0 * (a + 2.0 * (b + c) + d) for s, a, b, c, d in zip(x, *slopes)]
-    sources, names = _emit(y, 10)
+    x = tuple(StateVar(i) for i in range(1, 5))
+
+    def slope(stage):  # the field at the stage's state, x5 = u held
+        return [_substitute(f, dict(zip(x, stage))) for f in REDUCED_FIELD]
+
+    y = _rk4_loop(slope, x, StateVar(6))
+    sources, names = _emit([_substitute(e, _STEP_TRIG) for e in y], 10)
     return (
         *(f"y{i} = {source}" for i, source in enumerate(sources)),
         "if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):",

@@ -1,8 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import switchlin
 from switchlin.cli import main
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _scenario_dict(**overrides):
@@ -246,6 +254,51 @@ def test_simulate_integration_failure_exit_code(tmp_path, capsys):
         code = main(["--output-dir", str(tmp_path), "simulate", str(scenario)])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+_PAST_PI = (
+    "beam angle |x3| exceeded pi at t=0.900s; the planar model has left its meaningful regime"
+)
+
+
+def _coarse_regulation(tmp_path):
+    # regulation at a 0.3 s step leaves the planar regime within its 1 s
+    data = json.loads((SCENARIO_DIR / "regulation.json").read_text())
+    scenario = tmp_path / "coarse.json"
+    scenario.write_text(json.dumps(dict(data, duration=1.0, step=0.3)))
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "flags, code, err",
+    [
+        ([], 0, f"switchlin: warning: {_PAST_PI}\n"),
+        (["-W", "error"], 2, f"switchlin: {_PAST_PI}\n"),
+    ],
+    ids=["shown", "error"],
+)
+def test_a_warning_is_one_line_and_as_an_error_exits_2(tmp_path, flags, code, err):
+    # a shown warning is one switchlin: line, and under -W error the run ends as a runtime
+    # error, with no traceback
+    scenario = _coarse_regulation(tmp_path)
+    src = str(pathlib.Path(switchlin.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "switchlin.cli", "--output-dir", str(tmp_path),
+         "simulate", str(scenario)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (result.returncode, result.stderr) == (code, err)
+
+
+def test_a_warning_recorder_still_gets_the_warning(tmp_path):
+    # main formats a shown warning only while it runs; a recorder gets the warning itself
+    formatwarning = warnings.formatwarning
+    scenario = _coarse_regulation(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--output-dir", str(tmp_path), "simulate", str(scenario)]) == 0
+    assert [str(w.message) for w in caught] == [_PAST_PI]
+    assert warnings.formatwarning is formatwarning
 
 
 def test_simulate_with_a_tiny_positive_b_fails_at_the_law_floor(tmp_path, capsys):

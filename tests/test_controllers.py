@@ -324,6 +324,38 @@ def test_outer_loop_order_mismatch(plant):
         outer_loop_v((0, 0, 0, 0), ref, 0.0, law_descriptor(1), pole_gains(-3.0, 4), plant)
 
 
+@pytest.mark.parametrize("law", [*table_laws(), law_descriptor(3, g_modified=True)],
+                         ids=["law1", "law2", "law3", "law3g"])
+def test_one_outer_loop_sum_gives_the_arm_and_outer_loop_v(rng, plant, law):
+    # _virtual_input is the outer-loop sum of both paths: on trees it is the sum from 0.0 in
+    # j order that the arm's numerator holds, and that tree evaluates to outer_loop_v's float
+    from switchlin.controllers import _STEP_TRIG, _virtual_input
+    from switchlin.expr import Bindings, Parameter, StateVar, _emit, _substitute, evaluate
+
+    ref, gains = TrackingReference(0.4, 3.0), pole_gains(-3.0, law.order)
+    waves = (StateVar(7), StateVar(8))
+    r = [Parameter(f"c{j}") * waves[_CYCLE[j % 4][1]] for j in range(law.order + 1)]
+    alphas = [Parameter(f"alpha{j}") for j in range(law.order)]
+    v = _virtual_input(alphas, [c.expr for c in law.coordinates], r)
+    feedback = Constant(0.0)
+    for alpha, coordinate, target in zip(alphas, law.coordinates, r):
+        feedback = feedback + alpha * (coordinate.expr - target)
+    assert v == r[-1] - feedback
+    trees = [_substitute(e, _STEP_TRIG) for e in (law.coefficient.expr, -law.offset.expr + v)]
+    (coefficient, numerator), names = _emit(trees, 10, f"p{law.law_id}_")
+    arm, arm_names = law._control_body
+    assert (arm[0], arm[3], arm_names) == (
+        f"coefficient = {coefficient}", f"u = {numerator} / coefficient", names
+    )
+    omega, scales = _reference_scales(ref, law.order)
+    params = dict(plant.symbol_values(), **{f"c{j}": c for j, c in enumerate(scales)})
+    params.update({f"alpha{j}": a for j, a in enumerate(gains.alphas)})
+    states, times = rng.uniform(-1.0, 1.0, size=(40, 4)).tolist(), rng.uniform(0.0, 30.0, 40)
+    for x, t in zip(states, times.tolist()):
+        at = Bindings(params, (*x, 0.0, 0.0, math.cos(omega * t), math.sin(omega * t)))
+        assert evaluate(v, at).hex() == outer_loop_v(x, ref, t, law, gains, plant).hex()
+
+
 def test_tracking_reference_derivatives_are_exact():
     ref = TrackingReference(0.4, 3.0)
     w = 2 * math.pi / 3

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import switchlin
-from switchlin import expr, geometry
+from switchlin import controllers, expr, geometry, sim
 
 MODULES = ["switchlin"] + [
     f"switchlin.{info.name}" for info in pkgutil.iter_modules(switchlin.__path__)
@@ -55,6 +55,21 @@ def test_only_matrix_rank_takes_singular_values():
     found = {path.name: len(svd.findall(path.read_text())) for path in package.glob("*.py")}
     assert {name: count for name, count in found.items() if count} == {"geometry.py": 1}
     assert "np.linalg.svd(" in inspect.getsource(geometry.matrix_rank)
+
+
+def test_rk4_weights_and_the_outer_loop_sum_are_written_once():
+    # one RK4 scheme and one outer-loop sum, run on floats and on expression trees alike: the
+    # generated closed-loop step gets both from the exact path's own functions
+    package = pathlib.Path(switchlin.__file__).parent
+    texts = {path.name: path.read_text() for path in package.glob("*.py")}
+    for pattern, module, function in (
+        (r"\b0\.5 \* h\b|\bh / 6\.0\b", "sim.py", sim._rk4_loop),
+        (r"\balpha\S* \* \(", "controllers.py", controllers._virtual_input),
+    ):
+        found = {name: len(re.findall(pattern, text)) for name, text in texts.items()}
+        written = len(re.findall(pattern, inspect.getsource(function)))
+        assert written
+        assert {name: count for name, count in found.items() if count} == {module: written}
 
 
 def _node_types(base=expr.Expr):

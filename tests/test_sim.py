@@ -141,6 +141,33 @@ def test_rk4_kernel_matches_textbook_loop(rng):
                     assert x == expected
 
 
+def test_rk4_loop_steps_trees_and_the_plant_step_is_their_emit(rng):
+    # one RK4 scheme: on StateVars, _rk4_loop builds the textbook step's trees, which evaluate
+    # to rk4_step's floats bit for bit, and the generated plant step is exactly their emit,
+    # stage a reading sin x3 as x9
+    from switchlin.ballbeam import REDUCED_FIELD, reduced_dynamics
+    from switchlin.controllers import _STEP_TRIG
+    from switchlin.expr import Bindings, StateVar, _emit, _substitute, evaluate
+
+    x, h = tuple(StateVar(i) for i in range(1, 5)), StateVar(6)
+
+    def slope(stage):  # the reduced field at the stage's state, x5 = u held
+        return [_substitute(f, dict(zip(x, stage))) for f in REDUCED_FIELD]
+
+    y = sim._rk4_loop(slope, x, h)
+    assert y == _textbook_rk4(slope, x, h)
+    p = benchmark_plant()
+    for row in rng.uniform(-1.0, 1.0, size=(20, 5)).tolist():
+        state, u = tuple(row[:4]), row[4]
+        at = Bindings(p.symbol_values(), (*state, u, 1e-3))
+        exact = rk4_step(lambda s: reduced_dynamics(s, u, p), state, 1e-3)
+        assert [evaluate(e, at).hex() for e in y] == [v.hex() for v in exact]
+    sources, names = _emit([_substitute(e, _STEP_TRIG) for e in y], 10)
+    stages, stage_names = sim._plant_stages()
+    assert stages[:4] == tuple(f"y{i} = {source}" for i, source in enumerate(sources))
+    assert stage_names == names
+
+
 def test_rk4_step_makes_no_cells():
     # every closed-loop step goes through rk4_step: a cell made per call would slow each one
     assert rk4_step.__code__.co_cellvars == ()
