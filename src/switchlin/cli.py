@@ -314,7 +314,7 @@ def cmd_sweep(args) -> int:
         try:
             scenario = load_scenario(path)
             trajectory, metrics = run(scenario)
-        except (ScenarioError, SimulationError) as exc:
+        except (ScenarioError, SimulationError, Warning) as exc:  # a Warning: raised under -W error
             failures += 1
             print(f"{stem}: FAILED ({exc})", file=sys.stderr)
             continue

@@ -21,7 +21,8 @@ Identifiers ``x1 .. x<dim>`` are state variables; ``sin`` and ``cos`` must
 be applied as functions; every other identifier is a named parameter.
 
 ``simplify`` applies a fixed rewrite system bottom-up, at each node until
-stable, so the result is deterministic.  The complete rule set:
+stable, so the result is deterministic; a subtree the rules leave alone is
+returned as the same object.  The complete rule set:
 
 * constant folding for ``+ - * ^`` and negation (integer arithmetic stays
   exact; ``/`` folds only to an exact integer or when a float is involved,
@@ -40,15 +41,20 @@ expression whose denominator vanishes raises :class:`EvaluationError`
 carrying the offending subexpression.
 
 All node types are immutable values: they hash, compare structurally, and
-are safe to share between threads.  ``to_text`` emits fully parenthesised
-text; parsing it back yields a structurally identical tree for every tree
-the parser or the simplifier can produce.
+are safe to share between threads.  A node also keeps the kernels
+:func:`evaluate_many` compiles for it; that cache is not part of its value,
+its equality, its hash, its ``repr`` or its pickle, and no other node reads
+it, so ``(0.0)`` and ``(-0.0)``, which compare equal, keep kernels of their
+own.  ``to_text`` emits fully parenthesised text; parsing it back yields a
+structurally identical tree for every tree the parser or the simplifier can
+produce.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,6 +165,16 @@ class Expr:
 
     def __str__(self):
         return to_text(self)
+
+    @functools.cached_property  # this node's own: no other node, even an equal one, reads it
+    def _kernels(self) -> dict[int, tuple[Callable, dict[str, str]]]:
+        """:func:`evaluate_many`'s kernel of this tree, and its parameters' code names, by width."""
+        return {}
+
+    def __getstate__(self):  # pickles and copies carry the node's value, never its kernels
+        state = dict(self.__dict__)
+        state.pop("_kernels", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -284,13 +300,7 @@ def as_expr(value) -> Expr:
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
-    match node:
-        case Constant() | Parameter() | StateVar():
-            return ()
-        case Negate(operand=e) | Sin(argument=e) | Cos(argument=e):
-            return (e,)
-        case IntPow(base=b):
-            return (b,)
+    match node:  # the binary nodes, most of every tree, first
         case (
             Add(left=l, right=r)
             | Sub(left=l, right=r)
@@ -298,6 +308,12 @@ def _children(node: Expr) -> tuple[Expr, ...]:
             | Div(left=l, right=r)
         ):
             return (l, r)
+        case Constant() | Parameter() | StateVar():
+            return ()
+        case Negate(operand=e) | Sin(argument=e) | Cos(argument=e):
+            return (e,)
+        case IntPow(base=b):
+            return (b,)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -401,18 +417,23 @@ def evaluate_many(
     inf/nan rather than an error); intended for sampling loops where the
     expressions are known to be benign.  The expression is emitted as one
     straight-line numpy function, which takes the parameters as float
-    arguments under generated names, and compiled once per distinct source
-    (see :func:`_compile`).  Trees nested beyond roughly 190 levels, where
-    :func:`parse` also gives up, exceed what Python's parser accepts.
+    arguments under generated names, and compiled (see :func:`_compile`)
+    on the first call for each state width; the tree object keeps that
+    kernel, so later calls only bind and check the parameters and run it.
+    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
+    up, exceed what Python's parser accepts.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError("states must be a 2-d array of shape (n, dim)")
     dim = states.shape[1]
-    (source,), names = _emit((expr,), dim)
-    arguments = [*(f"x{i}" for i in range(1, dim + 1)), *names.values()]
-    code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
-    kernel = _compile(code, "kernel", sin=np.sin, cos=np.cos)
+    kernels = expr._kernels
+    if dim not in kernels:  # threads that race here emit equal kernels; either one serves
+        (source,), names = _emit((expr,), dim)
+        arguments = [*(f"x{i}" for i in range(1, dim + 1)), *names.values()]
+        code = f"def kernel({', '.join(arguments)}):\n    return {source}\n"
+        kernels[dim] = _compile(code, "kernel", sin=np.sin, cos=np.cos), names
+    kernel, names = kernels[dim]
     with np.errstate(divide="ignore", invalid="ignore"):
         result = kernel(*states.T, *_bind(names, params).values())
     return np.broadcast_to(np.asarray(result, dtype=float), (states.shape[0],)).copy()
@@ -615,17 +636,22 @@ def _diff(node: Expr, var: int) -> Expr:
 
 
 def simplify(expr: Expr) -> Expr:
-    """Apply the module's fixed rewrite rules bottom-up (see module docs)."""
-    children = [simplify(child) for child in _children(expr)]
-    match expr:
-        case Constant() | Parameter() | StateVar():
-            return expr
-        case IntPow(exponent=n):
-            node: Expr = IntPow(*children, n)
-        case Div(right=r) if _is_zero(children[1]):
-            node = Div(children[0], r)  # keep: no syntactically zero denominators
-        case _:
-            node = type(expr)(*children)
+    """Apply the module's fixed rewrite rules bottom-up (see module docs).
+
+    A node none of whose children the rules change is kept, not rebuilt, so
+    a tree already simplified comes back as the very same object; then the
+    node's own rules (:func:`_rewrite_step`) run until none applies.
+    """
+    originals = _children(expr)
+    children = [simplify(child) for child in originals]
+    if all(map(operator.is_, children, originals)):
+        node = expr  # leaves too: they have no rules
+    elif isinstance(expr, IntPow):
+        node = IntPow(*children, expr.exponent)
+    elif isinstance(expr, Div) and _is_zero(children[1]):
+        node = Div(children[0], expr.right)  # keep: no syntactically zero denominators
+    else:
+        node = type(expr)(*children)
     while True:
         rewritten = _rewrite_step(node)
         if rewritten is None:
@@ -638,18 +664,37 @@ def _is_zero(node: Expr) -> bool:
 
 
 def _rewrite_step(node: Expr) -> Expr | None:
-    """One local rewrite, or None when the node is stable."""
+    """One local rewrite, or None when the node is stable.
+
+    Only the rules of the node's own type (``_RULES``) are tried, in the
+    order written, and the first that matches applies; leaves have none.
+    """
+    rules = _RULES.get(type(node))
+    return None if rules is None else rules(node)
+
+
+def _negate_rules(node: Negate) -> Expr | None:
     match node:
         case Negate(operand=Constant(value=v)):
             return Constant(-v)
         case Negate(operand=Negate(operand=e)):
             return e
+    return None
+
+
+def _add_rules(node: Add) -> Expr | None:
+    match node:
         case Add(left=Constant(value=a), right=Constant(value=b)):
             return Constant(a + b)
         case Add(left=l, right=r) if _is_zero(l):
             return r
         case Add(left=l, right=r) if _is_zero(r):
             return l
+    return None
+
+
+def _sub_rules(node: Sub) -> Expr | None:
+    match node:
         case Sub(left=Constant(value=a), right=Constant(value=b)):
             return Constant(a - b)
         case Sub(left=l, right=r) if _is_zero(r):
@@ -658,6 +703,11 @@ def _rewrite_step(node: Expr) -> Expr | None:
             return Negate(r)
         case Sub(left=l, right=r) if l == r:
             return Constant(0)
+    return None
+
+
+def _mul_rules(node: Mul) -> Expr | None:
+    match node:
         case Mul(left=Constant(value=a), right=Constant(value=b)):
             return Constant(a * b)
         case Mul(left=l, right=r) if _is_zero(l) or _is_zero(r):
@@ -666,6 +716,11 @@ def _rewrite_step(node: Expr) -> Expr | None:
             return r
         case Mul(left=l, right=Constant(value=1)):
             return l
+    return None
+
+
+def _div_rules(node: Div) -> Expr | None:
+    match node:
         case Div(left=Constant(value=a), right=Constant(value=b)):
             if isinstance(a, float) or isinstance(b, float):
                 return Constant(a / b)
@@ -675,17 +730,36 @@ def _rewrite_step(node: Expr) -> Expr | None:
             return None  # exact non-integer ratio: keep the division node
         case Div(left=l, right=Constant(value=1)):
             return l
+    return None
+
+
+def _intpow_rules(node: IntPow) -> Expr | None:
+    match node:
         case IntPow(exponent=0):
             return Constant(1)
         case IntPow(base=b, exponent=1):
             return b
         case IntPow(base=Constant(value=v), exponent=n):
             return Constant(v**n)
+    return None
+
+
+def _sin_rules(node: Sin) -> Expr | None:
+    match node:
         case Sin(argument=Constant(value=v)) if v == 0:
             return Constant(0)
+    return None
+
+
+def _cos_rules(node: Cos) -> Expr | None:
+    match node:
         case Cos(argument=Constant(value=v)) if v == 0:
             return Constant(1)
     return None
+
+
+_RULES = {Negate: _negate_rules, Add: _add_rules, Sub: _sub_rules, Mul: _mul_rules,
+          Div: _div_rules, IntPow: _intpow_rules, Sin: _sin_rules, Cos: _cos_rules}
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,25 @@ def test_sweep_goes_on_past_scenarios_whose_numbers_overflow(tmp_path, capsys):
     ]
 
 
+def test_sweep_goes_on_past_a_warning_raised_as_an_error(tmp_path, capsys):
+    # as under python -W error: the warning fails its scenario, not the sweep
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    _coarse_regulation(tmp_path).rename(scenario_dir / "regulation.json")
+    _write_scenario(scenario_dir / "zz_good.json", duration=1.0)
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--output-dir", str(out_dir), "sweep", str(scenario_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"regulation: FAILED ({_PAST_PI})\n"
+    assert "zz_good: 1001 samples" in captured.out
+    assert [line.split(",")[0] for line in (out_dir / "summary.csv").read_text().splitlines()] == [
+        "scenario",
+        "zz_good",
+    ]
+
+
 def test_sweep_not_a_directory(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "nope")]) == 1
 

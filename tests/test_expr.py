@@ -36,7 +36,7 @@ from switchlin.expr import (
     simplify,
     to_text,
 )
-from switchlin.expr import _substitute
+from switchlin.expr import _children, _is_zero, _substitute
 
 B, G = Parameter("B"), Parameter("G")
 X1, X2, X3, X4 = StateVar(1), StateVar(2), StateVar(3), StateVar(4)
@@ -222,6 +222,68 @@ def test_evaluate_many_tells_signed_zero_constants_apart():
     states = np.array([[1.0]])
     assert math.copysign(1.0, evaluate_many(plus, {}, states)[0]) == 1.0
     assert math.copysign(1.0, evaluate_many(minus, {}, states)[0]) == -1.0
+
+
+def test_evaluate_many_emits_each_tree_once_per_width(monkeypatch):
+    from switchlin import expr
+
+    emitted = []
+
+    def counting_emit(exprs, *args, **options):
+        emitted.append(exprs)
+        return emit(exprs, *args, **options)
+
+    emit = expr._emit
+    monkeypatch.setattr(expr, "_emit", counting_emit)
+    field = parse("B*x1 + sin(x2)", 2)
+    for b in (2.0, -1.0, 0.5):
+        assert field.evaluate_many({"B": b}, [[1.0, 0.0]]).tolist() == [b]
+    assert emitted == [(field.expr,)]
+    assert field.evaluate_many({"B": 3.0}, [[1.0, 0.0, 7.0]]).tolist() == [3.0]  # a second width
+    assert emitted == [(field.expr,)] * 2
+    with pytest.raises(EvaluationError, match="unbound parameter 'B'"):  # bound per call
+        field.evaluate_many({}, [[1.0, 0.0]])
+    assert len(emitted) == 2
+
+
+def test_signed_zero_trees_keep_their_own_kernels():
+    plus, minus = X1 * 0.0, X1 * -0.0
+    assert plus == minus
+    states = np.array([[1.0]])
+    assert math.copysign(1.0, evaluate_many(plus, {}, states)[0]) == 1.0
+    assert math.copysign(1.0, evaluate_many(minus, {}, states)[0]) == -1.0
+    assert plus._kernels[1][0] is not minus._kernels[1][0]
+
+
+def _law_descriptors():
+    return [law_descriptor(1), law_descriptor(2), law_descriptor(3),
+            law_descriptor(3, g_modified=True)]
+
+
+def _law_trees(law):
+    fields = (law.coefficient, law.offset, *(f.field for f in law.factors), *law.coordinates)
+    return [f.expr for f in fields]
+
+
+def test_trees_fields_and_laws_pickle_without_their_kernels(rng):
+    import pickle
+
+    from switchlin.expr import _nodes
+
+    params, states = {"B": 5 / 7, "G": 9.81}, rng.uniform(-1, 1, (5, 4))
+    field = parse("B*x1/(x2 - G) + cos(x3)^2", 4)
+    laws = _law_descriptors()
+    for f in (field, *(ScalarField(t, 4) for law in laws for t in _law_trees(law))):
+        f.evaluate_many(params, states)
+    assert 4 in field.expr._kernels and 4 in laws[0].coefficient.expr._kernels
+    for value in (field.expr, field, *laws):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value
+        trees = [copy] if value is field.expr else [copy.expr] if value is field else _law_trees(copy)
+        for tree in trees:
+            assert not any("_kernels" in vars(node) for node in _nodes(tree))
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy.evaluate_many(params, states).tobytes() == field.evaluate_many(params, states).tobytes()
 
 
 def test_walk_helpers():
@@ -446,6 +508,141 @@ def test_simplify_soundness_float_trees(rng):
         simplified = evaluate(simplify(tree), bindings)
         assert simplified == pytest.approx(original, rel=1e-12, abs=1e-12)
         checked += 1
+
+
+def _shipped_trees():
+    system = symbolic_system()
+    chain = system.chain
+    return [
+        *(f.expr for f in (*chain.outputs, *chain.mixed)),
+        *(c for v in system.bracket_tower for c in v.components),
+        *(t for law in _law_descriptors() for t in _law_trees(law)),
+    ]
+
+
+def test_simplify_returns_a_simplified_tree_itself():
+    for tree in _shipped_trees():
+        simplified = simplify(tree)
+        assert simplify(simplified) is simplified
+
+
+def _reference_rewrite_step(node):
+    # the rule set as one match over every node type, first match wins
+    match node:
+        case Negate(operand=Constant(value=v)):
+            return Constant(-v)
+        case Negate(operand=Negate(operand=e)):
+            return e
+        case Add(left=Constant(value=a), right=Constant(value=b)):
+            return Constant(a + b)
+        case Add(left=l, right=r) if _is_zero(l):
+            return r
+        case Add(left=l, right=r) if _is_zero(r):
+            return l
+        case Sub(left=Constant(value=a), right=Constant(value=b)):
+            return Constant(a - b)
+        case Sub(left=l, right=r) if _is_zero(r):
+            return l
+        case Sub(left=l, right=r) if _is_zero(l):
+            return Negate(r)
+        case Sub(left=l, right=r) if l == r:
+            return Constant(0)
+        case Mul(left=Constant(value=a), right=Constant(value=b)):
+            return Constant(a * b)
+        case Mul(left=l, right=r) if _is_zero(l) or _is_zero(r):
+            return Constant(0)
+        case Mul(left=Constant(value=1), right=r):
+            return r
+        case Mul(left=l, right=Constant(value=1)):
+            return l
+        case Div(left=Constant(value=a), right=Constant(value=b)):
+            if isinstance(a, float) or isinstance(b, float):
+                return Constant(a / b)
+            quotient = Fraction(a, b)
+            if quotient.denominator == 1:
+                return Constant(int(quotient))
+            return None  # exact non-integer ratio: keep the division node
+        case Div(left=l, right=Constant(value=1)):
+            return l
+        case IntPow(exponent=0):
+            return Constant(1)
+        case IntPow(base=b, exponent=1):
+            return b
+        case IntPow(base=Constant(value=v), exponent=n):
+            return Constant(v**n)
+        case Sin(argument=Constant(value=v)) if v == 0:
+            return Constant(0)
+        case Cos(argument=Constant(value=v)) if v == 0:
+            return Constant(1)
+    return None
+
+
+def _reference_simplify(expr):
+    # bottom-up, every node rebuilt from its simplified children
+    children = [_reference_simplify(child) for child in _children(expr)]
+    match expr:
+        case Constant() | Parameter() | StateVar():
+            return expr
+        case IntPow(exponent=n):
+            node = IntPow(*children, n)
+        case Div(right=r) if _is_zero(children[1]):
+            node = Div(children[0], r)
+        case _:
+            node = type(expr)(*children)
+    while (rewritten := _reference_rewrite_step(node)) is not None:
+        node = rewritten
+    return node
+
+
+_REWRITE_CONSTANTS = (0, 1, 0.0, -0.0, 1.0, -1, 2, -3, 2.5, -0.75, 1e-3)
+
+
+def _rewrite_tree(rng, depth):
+    # every node type; leaves often the constants the rules single out
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.integers(0, 4)
+        if kind < 2:
+            return Constant(_REWRITE_CONSTANTS[int(rng.integers(len(_REWRITE_CONSTANTS)))])
+        return Parameter("a") if kind == 2 else StateVar(int(rng.integers(1, 3)))
+    left, right = _rewrite_tree(rng, depth - 1), _rewrite_tree(rng, depth - 1)
+    match int(rng.integers(0, 8)):
+        case 0:
+            return Add(left, right)
+        case 1:
+            return Sub(left, right if rng.random() < 0.8 else left)
+        case 2:
+            return Mul(left, right)
+        case 3:
+            return Div(left, Constant(2) if _is_zero(right) else right)
+        case 4:
+            return Negate(left)
+        case 5:
+            return IntPow(left, int(rng.integers(0, 4)))
+        case 6:
+            return Sin(left)
+    return Cos(left)
+
+
+def test_rewrite_step_tries_a_nodes_own_rules_as_the_one_match_did(rng):
+    from switchlin.expr import _RULES, _diff, _nodes, _rewrite_step
+
+    shipped = _shipped_trees()
+    random_trees = [_rewrite_tree(rng, int(rng.integers(1, 6))) for _ in range(1500)]
+    derivatives = [_diff(tree, var) for tree in (*shipped, *random_trees[:500]) for var in range(1, 5)]
+    rewritten = set()
+    for tree in (*shipped, *random_trees, *derivatives):
+        for node in _nodes(tree):
+            want = _reference_rewrite_step(node)
+            own_rules = _RULES.get(type(node), lambda node: None)  # leaves have none
+            for got in (_rewrite_step(node), own_rules(node)):
+                assert repr(got) == repr(want)  # repr tells 0 from 0.0 from -0.0
+                if any(want is part for part in _nodes(node)):
+                    assert got is want
+            if want is not None:
+                rewritten.add(type(node))
+    assert rewritten == {Negate, Add, Sub, Mul, Div, IntPow, Sin, Cos}
+    for tree in random_trees:
+        assert repr(simplify(tree)) == repr(_reference_simplify(tree))
 
 
 # ---------------------------------------------------------------------------
