@@ -14,15 +14,15 @@ evidence machinery around that structure:
   each pairwise intersection) and reports every state at which no supplied law is valid; no
   sample is tested on a factor that interval arithmetic (``expr.bounds``) proves nonzero, and
   a block where some law is then left no factor is only counted, never scanned for witnesses;
-* one line-root finder serves both: a factor that is not a bare
-  coordinate is solved along a random line (pure parts) or along its
-  axis (probes) by a vectorised scan refined by Brent's method (``_brent``);
-* ``necessity_witness`` deterministically searches the declared
-  singularity sets for a state where every supplied law's coefficient
-  vanishes, demonstrating that the given subset of laws cannot cover the
-  state space; each stage of the search is one grid evaluated as a
-  vectorised batch, and the first hit in ``itertools.product`` order is
-  returned;
+* one line-root finder serves the pure parts, the probes and the necessity search: a factor
+  that is not a bare coordinate is solved along a random line (pure parts) or along an axis
+  through the origin (``_axis_zeros``: the probes, and the necessity grid's free axes) by a
+  vectorised scan refined by ``_brent``;
+* ``necessity_witness`` deterministically searches the declared singularity sets for a state
+  where every supplied law's coefficient vanishes, demonstrating that the given subset of
+  laws cannot cover the state space; a free axis holds fixed candidates and the declared
+  factors' zeros on it, each stage of the search is one grid evaluated as a vectorised batch,
+  and the first hit in ``itertools.product`` order is returned;
 * ``transversality_report`` stacks factor differentials, evaluated over all
   points at once, and reports their ranks from one batched SVD.
 
@@ -260,8 +260,9 @@ def _roots_along(
     than either end of its bracket (a scan point within rounding of a pole
     is itself huge) is a pole the sign change straddled, not a root, and is
     dropped.  A non-finite scan value (a vanishing denominator on the line)
-    never brackets a root: the whole line yields nothing.  An unbound
-    parameter raises EvaluationError on the first ``next``.
+    never brackets a root: the whole line yields nothing, and nor does a line inside the zero
+    set, where every scan value is 0.  An unbound parameter raises EvaluationError on the
+    first ``next``.
     """
 
     def along(t: float) -> float:
@@ -270,7 +271,7 @@ def _roots_along(
 
     ts = np.linspace(-span, span, samples)
     values = field.evaluate_many(params, base + ts[:, None] * direction)
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(values)) or not values.any():
         return
     ts, values = ts.tolist(), values.tolist()
     for left, right, f_left, f_right in zip(ts, ts[1:], values, values[1:]):
@@ -598,24 +599,33 @@ def _factor_probes(factors: Sequence[SingularityFactor], dim: int) -> np.ndarray
         found = state_indices(factor.field.expr)
         if len(found) != 1:
             continue  # multi-variable factor: probed only via the grid
-        (var,) = found
-        axis = np.zeros(dim)
-        axis[var - 1] = 1.0
         try:
-            roots = list(_roots_along(factor.field, np.zeros(dim), axis, {}, math.pi, 257))
+            roots = _axis_zeros(factor.field, *found, dim, {})
         except EvaluationError:
             continue  # a factor with a parameter is probed only via the grid
         if roots:
-            solutions.append((var, tuple(roots)))
+            solutions.append((*found, roots))
     points: dict[tuple[float, ...], None] = {}  # distinct points, first-seen order
-    for size in (1, 2):
+    for pins in _pin_sets(solutions, (1, 2)):
+        grid = _grid([pins.get(i, _PROBE_GRID) for i in range(1, dim + 1)])
+        points.update(dict.fromkeys(map(tuple, grid.tolist())))
+    return np.array(list(points)) if points else np.empty((0, dim))
+
+
+def _axis_zeros(field: ScalarField, var: int, dim: int, params: Mapping[str, Real]) -> tuple:
+    """The zeros of ``field`` on the x<var> axis through the origin, x<var> in [-pi, pi]."""
+    axis = np.zeros(dim)
+    axis[var - 1] = 1.0
+    return tuple(_roots_along(field, np.zeros(dim), axis, params, math.pi, 257))
+
+
+def _pin_sets(solutions: Sequence[tuple[int, tuple]], sizes: Iterable[int]) -> Iterator[dict]:
+    """Each combination of (coordinate, values) ``solutions``, size by size, pinning none twice."""
+    for size in sizes:
         for combo in itertools.combinations(solutions, size):
             pins = dict(combo)
-            if len(pins) < size:
-                continue  # both factors pin the same coordinate
-            grid = _grid([pins.get(i, _PROBE_GRID) for i in range(1, dim + 1)])
-            points.update(dict.fromkeys(map(tuple, grid.tolist())))
-    return np.array(list(points)) if points else np.empty((0, dim))
+            if len(pins) == size:
+                yield pins
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +637,21 @@ _AXIS_CANDIDATES = (0.0,) + tuple(
     sign * k / 10.0 for k in range(10, 0, -1) for sign in (1.0, -1.0)
 )
 
-#: extra probes for the beam-angle axis, where trig factors vanish
-_X3_SPECIAL = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4)
-
-_X3_AXIS_INDEX = 3
-
 
 def necessity_witness(
     laws: Sequence[LawDescriptor], params: Mapping[str, Real]
 ) -> tuple[float, ...] | None:
     """Deterministic search for a state where every supplied law fails.
 
-    The search walks the declared singularity structure in one loop over
-    pin sets: first the pure part of each coordinate factor (pinned to zero,
-    with the remaining factors held clear of zero), then every intersection
-    of two or more pinned factors, then the empty pin set, a plain grid.
-    Coordinate grids run over [-1, 1] at 21 points per axis, plus beam-angle
-    probes at 0, +-pi/4, +-pi/2.  Each grid is evaluated as one vectorised batch, and the first
-    state in ``itertools.product`` order at which every law's coefficient
-    magnitude is below ``NECESSITY_TOL`` is returned, or None.
+    The search walks the declared singularity structure in one loop over pin sets: first the
+    pure part of each coordinate factor (pinned to zero, with the remaining factors held clear
+    of zero), then every intersection of two or more pinned factors, then the empty pin set, a
+    plain grid.  A free coordinate runs over ``_AXIS_CANDIDATES`` (21 points over [-1, 1]) and
+    the zeros over [-pi, pi] that ``_axis_zeros`` finds on its axis for each declared factor
+    that reads it and is not a bare coordinate; 0 first, then largest magnitude first, positive
+    before negative, each value once.  Each grid is evaluated as one vectorised batch, and the
+    first state in ``itertools.product`` order at which every law's coefficient magnitude is
+    below ``NECESSITY_TOL`` is returned, or None.
 
     A law that declares no singularity factors is valid everywhere by
     declaration, so no witness can exist and the search is skipped.
@@ -655,42 +661,33 @@ def necessity_witness(
         return None
     factors = _unique([f for law in laws for f in law.factors])
     dim = laws[0].coefficient.dim
-    pinnable = [f for f in factors if f.pinned_coordinate is not None]
-    for size in [*range(1, len(pinnable) + 1), 0]:
-        for combo in itertools.combinations(pinnable, size):
-            pins = {f.pinned_coordinate: 0.0 for f in combo}
-            clear = [f for f in factors if f.field != combo[0].field] if size == 1 else ()
-            if len(pins) == size:  # no two factors pin the same coordinate
-                witness = _grid_search(dim, pins, laws, clear, params)
-                if witness is not None:
-                    return witness
+    free = [dict.fromkeys(_AXIS_CANDIDATES) for _ in range(dim)]  # a zero at -0.0 adds nothing
+    for f in factors:
+        if f.pinned_coordinate is None:  # a bare coordinate is pinned to its zero instead
+            for var in state_indices(f.field.expr):
+                free[var - 1].update(dict.fromkeys(_axis_zeros(f.field, var, dim, params)))
+    free = [sorted(values, key=lambda v: (v != 0.0, -abs(v), v < 0.0)) for values in free]
+    pinnable = [f.pinned_coordinate for f in factors if f.pinned_coordinate is not None]
+    for pins in _pin_sets([(i, (0.0,)) for i in pinnable], [*range(1, len(pinnable) + 1), 0]):
+        clear = [f for f in factors if f.pinned_coordinate not in pins] if len(pins) == 1 else ()
+        axes = [pins.get(var, values) for var, values in enumerate(free, start=1)]
+        witness = _grid_search(axes, laws, clear, params)
+        if witness is not None:
+            return witness
     return None
 
 
 def _grid_search(
-    dim: int,
-    pins: Mapping[int, float],
-    laws: Sequence[LawDescriptor],
-    clear_factors: Sequence[SingularityFactor],
-    params: Mapping[str, Real],
+    axes: Sequence[Sequence[float]], laws: Sequence[LawDescriptor],
+    clear_factors: Sequence[SingularityFactor], params: Mapping[str, Real],
 ) -> tuple[float, ...] | None:
-    """First grid state, in product order, that is clear and a witness.
+    """First state of the product of ``axes``, in product order, that is clear and a witness.
 
     A state is clear when every clear factor exceeds PURE_PART_CLEARANCE in
     magnitude, and a witness when every law's coefficient is below
     NECESSITY_TOL in magnitude.  A NaN (0/0 on the grid) never counts as
     either; an infinite factor value counts as clear.
     """
-    axes = []
-    for i in range(1, dim + 1):
-        if i in pins:
-            axes.append((pins[i],))
-        elif i == _X3_AXIS_INDEX:
-            axes.append(
-                _X3_SPECIAL + tuple(v for v in _AXIS_CANDIDATES if v != 0.0)
-            )
-        else:
-            axes.append(_AXIS_CANDIDATES)
     grid = _grid(axes)
     keep = np.ones(len(grid), dtype=bool)
     for f in clear_factors:
@@ -698,9 +695,7 @@ def _grid_search(
     for law in laws:
         keep &= np.abs(law.coefficient.evaluate_many(params, grid)) < NECESSITY_TOL
     hits = np.flatnonzero(keep)
-    if len(hits) == 0:
-        return None
-    return tuple(float(v) for v in grid[hits[0]])
+    return tuple(grid[hits[0]].tolist()) if len(hits) else None
 
 
 def _grid(axes: Sequence[Sequence[float]]) -> np.ndarray:

@@ -993,6 +993,10 @@ class ScalarField:
         return ScalarField(differentiate(self.expr, var), self.dim)
 
     def gradient(self) -> tuple["ScalarField", ...]:
+        return self._gradient
+
+    @functools.cached_property  # this field's own, so its trees keep their kernels across calls
+    def _gradient(self) -> tuple["ScalarField", ...]:
         return tuple(self.differentiate(i) for i in range(1, self.dim + 1))
 
     def simplified(self) -> "ScalarField":

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -632,6 +633,24 @@ def test_necessity_is_deterministic(params):
     assert necessity_witness(laws, params=params) == necessity_witness(laws, params=params)
 
 
+def _reference_axes(factors, params):
+    """Each coordinate's values: the candidates, then every non-coordinate factor's axis zeros.
+
+    0 first, then largest magnitude first, positive before negative; each value once.
+    """
+    axes = []
+    for i in range(1, 5):
+        values = list(coverage._AXIS_CANDIDATES)
+        axis = np.zeros(4)
+        axis[i - 1] = 1.0
+        for f in factors:
+            if f.pinned_coordinate is None and i in expr.state_indices(f.field.expr):
+                values += coverage._roots_along(f.field, np.zeros(4), axis, params, math.pi, 257)
+        unique = [v for k, v in enumerate(values) if v not in values[:k]]
+        axes.append(sorted(unique, key=lambda v: (v != 0, -abs(v), v < 0)))
+    return axes
+
+
 def _reference_witness(laws, params):
     """The point-by-point necessity search: product order, exact evaluation."""
     laws = list(laws)
@@ -653,14 +672,11 @@ def _reference_witness(laws, params):
             if len(pins) == size:
                 stages.append((pins, []))
     stages.append(({}, []))
-    x3_axis = coverage._X3_SPECIAL + tuple(v for v in coverage._AXIS_CANDIDATES if v)
+    free = _reference_axes(factors, params)
     clearance = coverage.PURE_PART_CLEARANCE
     tol = coverage.NECESSITY_TOL
     for pins, clear in stages:
-        axes = [
-            (pins[i],) if i in pins else x3_axis if i == 3 else coverage._AXIS_CANDIDATES
-            for i in range(1, 5)
-        ]
+        axes = [(pins[i],) if i in pins else free[i - 1] for i in range(1, 5)]
         for point in itertools.product(*axes):
             at_point = Bindings(params, point)
             if any(abs(f.field.evaluate(at_point)) <= clearance for f in clear):
@@ -695,17 +711,31 @@ def test_necessity_matches_pointwise_reference(params, bg):
 
 
 def test_necessity_makes_no_exact_evaluations(params, monkeypatch):
-    calls = []
-    exact = expr.evaluate
+    # the grids are evaluated in batches only; the exact evaluations are the root refinement's
+    # on the x3 axis of cos(x3), the one factor of laws 1 and 2 that is not a coordinate
+    calls, searching = [], []  # (inside _grid_search, node, bindings) per exact evaluation
+    exact, grid_search = expr.evaluate, coverage._grid_search
 
-    def counting(*args):
-        calls.append(args)
-        return exact(*args)
+    def counting(node, bindings):
+        calls.append((bool(searching), node, bindings))
+        return exact(node, bindings)
+
+    def search(*args):
+        searching.append(True)
+        try:
+            return grid_search(*args)
+        finally:
+            searching.pop()
 
     monkeypatch.setattr(expr, "evaluate", counting)
+    monkeypatch.setattr(coverage, "_grid_search", search)
     witness = necessity_witness([law_descriptor(1), law_descriptor(2)], params=params)
     assert witness is not None
-    assert calls == []
+    assert not any(inside for inside, _, _ in calls)
+    made, calls[:] = calls[:], []
+    axis = np.array([0.0, 0.0, 1.0, 0.0])
+    list(coverage._roots_along(F_COS.field, np.zeros(4), axis, params, math.pi, 257))
+    assert made == calls and len(calls) == 8
 
 
 def _probe_law(coefficient: str) -> LawDescriptor:
@@ -731,17 +761,68 @@ def test_necessity_first_hit_follows_product_order(params, text):
     assert necessity_witness(laws, params=params) == expected
 
 
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("x3 - 0.33", (0.0, 0.0, 0.33, 0.0)),  # off every candidate: no witness before
+        ("cos(x3) - sin(x3)", (0.0, 0.0, -3 * math.pi / 4, 0.0)),  # -3pi/4 ranks before pi/4
+    ],
+)
+def test_necessity_searches_a_declared_factors_axis_zeros(params, text, witness):
+    assert necessity_witness([_probe_law(text)], params=params) == witness
+
+
+_ZERO, _HALF_PI = "0x0.0p+0", "0x1.921fb54442d18p+0"
+_AT_BEAM_VERTICAL = (_ZERO, _ZERO, _HALF_PI, _ZERO)
+#: the parent search's witnesses, as float.hex, the same at every (B, G) tested
+_WITNESS_HEX = {
+    ("1",): (_ZERO, _ZERO, _ZERO, "0x1.0000000000000p+0"),
+    ("2",): _AT_BEAM_VERTICAL,
+    ("3g",): _AT_BEAM_VERTICAL,
+    ("1", "2"): _AT_BEAM_VERTICAL,
+    ("1", "3g"): _AT_BEAM_VERTICAL,
+    ("2", "3g"): _AT_BEAM_VERTICAL,
+    ("1", "2", "3g"): _AT_BEAM_VERTICAL,
+}
+
+
+@pytest.mark.parametrize(
+    "bg", [None, (0.5, 9.81), (0.9, 1.62)], ids=["benchmark", "B0.5", "B0.9"]
+)
+def test_necessity_witnesses_are_bit_identical_to_the_recorded_ones(params, bg):
+    if bg is not None:
+        params = {"B": bg[0], "G": bg[1]}
+    for names in _SUBSETS:  # every subset with law 3 has none: it declares no factor
+        witness = necessity_witness([_LAW_FAMILY[n] for n in names], params=params)
+        found = None if witness is None else tuple(v.hex() for v in witness)
+        assert found == _WITNESS_HEX.get(names), names
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize(
+    "names, witness",
+    [(("1", "3g"), (0.0, 0.0, 0.0, 0.0)), (("2", "3g"), (0.0, 0.0, 0.0, 0.0)),
+     (("1", "2"), (0.0, 0.0, 0.0, 1.0))],
+)
+def test_necessity_without_gravity_is_quick_and_unchanged(params, g, names, witness):
+    # at G = 0 law 3g's factor vanishes along whole axes: those lines add no axis values
+    start = time.perf_counter()
+    found = necessity_witness([_LAW_FAMILY[n] for n in names], {"B": params["B"], "G": g})
+    assert time.perf_counter() - start < 1.0
+    assert [v.hex() for v in found] == [v.hex() for v in witness]
+
+
 def test_grid_search_nan_is_neither_clear_nor_a_witness(params):
     # with x1 pinned to 0, x2/x1 is nan where x2 = 0 and +-inf elsewhere
     ratio = SingularityFactor(parse("x2/x1", 4), "x2/x1")
-    pins = {1: 0.0}
+    axes = [(0.0,), *[coverage._AXIS_CANDIDATES] * 3]
     # nan rows are not witnesses, inf rows are not witnesses either
-    assert coverage._grid_search(4, pins, [_probe_law("x2/x1")], (), params) is None
+    assert coverage._grid_search(axes, [_probe_law("x2/x1")], (), params) is None
     # nan rows (x2 = 0) are not clear; inf rows are, so the first hit skips x2 = 0
-    hit = coverage._grid_search(4, pins, [_probe_law("x3")], (ratio,), params)
+    hit = coverage._grid_search(axes, [_probe_law("x3")], (ratio,), params)
     assert hit == (0.0, 1.0, 0.0, 0.0)
     # law x2 vanishes only on the nan rows, which are never clear
-    assert coverage._grid_search(4, pins, [_probe_law("x2")], (ratio,), params) is None
+    assert coverage._grid_search(axes, [_probe_law("x2")], (ratio,), params) is None
 
 
 @pytest.mark.parametrize("text", ["1/x1 - 2", "x1/x1 + x1 - 2"])
@@ -754,6 +835,16 @@ def test_solve_on_line_drops_a_line_with_non_finite_values(params, text):
     assert list(coverage._roots_along(field, base, direction, params, 8.0, 161)) == []
     shifted = base + np.array([0.05, 0.0, 0.0, 0.0])  # scan misses x1 = 0
     assert list(coverage._roots_along(field, shifted, direction, params, 8.0, 161)) != []
+
+
+def test_roots_along_yields_nothing_on_a_line_inside_the_zero_set(params):
+    # every scan value is 0, so no scan point stands for a root of its own
+    base, product = np.array([0.0, 0.3, 0.2, 0.1]), parse("x1*x2", 4)
+    for direction in np.eye(4)[1:]:
+        assert list(coverage._roots_along(product, base, direction, params, 8.0, 161)) == []
+    law3g, no_gravity = parse("2*B*x2*x4 - B*G*cos(x3)", 4), {"B": 0.5, "G": 0.0}
+    along_x2 = coverage._roots_along(law3g, np.zeros(4), np.eye(4)[1], no_gravity, math.pi, 257)
+    assert list(along_x2) == []
 
 
 def test_roots_along_drops_the_poles_a_scan_straddles(params):
@@ -1067,6 +1158,24 @@ def test_transversality_of_no_points_is_empty(params):
         warnings.simplefilter("error")
         assert transversality_report((F_X1,), (F_COS,), [], params) == ()
         assert transversality_report((_factor("B*x1"),), (), iter([]), {}) == ()
+
+
+def test_transversality_reuses_each_fields_gradient_kernels(params, monkeypatch):
+    import pickle
+
+    factors_a, factors_b = law_descriptor(2).factors, law_descriptor(3, g_modified=True).factors
+    points = [(x1, 0.0, math.pi / 2, x4) for x1, x4 in [(0.3, 0.5), (-0.7, 0.1)]]
+    first = transversality_report(factors_a, factors_b, points, params)
+    emits = []
+    emit = expr._emit
+    monkeypatch.setattr(expr, "_emit", lambda *args: emits.append(args) or emit(*args))
+    assert transversality_report(factors_a, factors_b, points, params) == first
+    assert emits == []
+    for factor in (*factors_a, *factors_b):
+        copy = pickle.loads(pickle.dumps(factor))
+        assert copy == factor
+        trees = [copy.field.expr, *(g.expr for g in copy.field.gradient())]
+        assert not any("_kernels" in vars(node) for tree in trees for node in expr._nodes(tree))
 
 
 # ---------------------------------------------------------------------------

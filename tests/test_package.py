@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import switchlin
-from switchlin import controllers, expr, geometry, sim
+from switchlin import controllers, coverage, expr, geometry, sim
 
 MODULES = ["switchlin"] + [
     f"switchlin.{info.name}" for info in pkgutil.iter_modules(switchlin.__path__)
@@ -70,6 +71,14 @@ def test_rk4_weights_and_the_outer_loop_sum_are_written_once():
         written = len(re.findall(pattern, inspect.getsource(function)))
         assert written
         assert {name: count for name, count in found.items() if count} == {module: written}
+
+
+def test_coverage_hard_codes_no_beam_angle_axis():
+    # the necessity search takes its axes from the declared factors' zeros, as the probes do
+    source = pathlib.Path(coverage.__file__).read_text()
+    divisions = [ast.unparse(n) for n in ast.walk(ast.parse(source)) if isinstance(n, ast.BinOp)]
+    assert "_X3" not in source
+    assert not [d for d in divisions if re.fullmatch(r"-?(\w+\.)?pi / [24](\.0*)?", d)]
 
 
 def _node_types(base=expr.Expr):
