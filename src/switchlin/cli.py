@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, EvaluationError) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # a tree walk deeper than the stack; parse reports its own
+        print("switchlin: expression nested too deeply", file=sys.stderr)
+        return 1
     except (SimulationError, OSError, Warning) as exc:
         print(f"switchlin: {exc}", file=sys.stderr)
         return 2

@@ -250,13 +250,6 @@ class LawDescriptor:
         at_x = Bindings(params, tuple(x))
         return tuple(c.evaluate(at_x) for c in self.coordinates)
 
-    def validity_margin(self, x: Sequence[float], params: Mapping[str, Real]) -> float:
-        """min_i |phi_i(x)| over the declared factors; +inf when there are none."""
-        at_x = Bindings(params, tuple(x))
-        return min(
-            (abs(f.field.evaluate(at_x)) for f in self.factors), default=math.inf
-        )
-
     def control(self, x: Sequence[float], v: float, params: Mapping[str, Real]) -> float:
         coefficient = self.coefficient_value(x, params)
         offset = self.offset.evaluate(Bindings(params, tuple(x)))

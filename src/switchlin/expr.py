@@ -420,8 +420,9 @@ def evaluate_many(
     arguments under generated names, and compiled (see :func:`_compile`)
     on the first call for each state width; the tree object keeps that
     kernel, so later calls only bind and check the parameters and run it.
-    Trees nested beyond roughly 190 levels, where :func:`parse` also gives
-    up, exceed what Python's parser accepts.
+    The source nests one pair of parentheses per tree level, and Python's
+    parser refuses more than 200, so a deeper tree (:func:`parse` reads
+    longer chains of unary minus) raises SyntaxError, or RecursionError.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -803,160 +804,131 @@ _TOKEN_RE = re.compile(
     r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     rf"|(?P<ident>{_IDENT_RE.pattern})"
     r"|(?P<symbol>[-+*/^()])"
+    r"|(?P<end>\Z)"
 )
 _INT_RE = re.compile(r"\d+\Z")
 _STATEVAR_RE = re.compile(r"x(\d+)\Z")
-
-
-@dataclass
-class _Token:
-    kind: str  # "number" | "ident" | "symbol" | "end"
-    text: str
-    position: int
-    value: int | float | None = None
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "number":
-            literal = m.group()
-            value = int(literal) if _INT_RE.match(literal) else float(literal)
-            tokens.append(_Token("number", literal, pos, value))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group(), pos))
-        else:
-            tokens.append(_Token("symbol", m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+# the binary operators' nodes, one level of the grammar each, loosest first
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the matches of ``_TOKEN_RE``, the last one the end."""
+
+    def __init__(self, text: str, dim: int):
         self.dim = dim
+        self.tokens: list[re.Match] = []
+        # each number's value by position, converted while the text is read, so that a
+        # literal too long for int() fails before any syntax error
+        self.values: dict[int, int | float] = {}
+        self.pos = 0
+        at = 0
+        while not self.tokens or self.tokens[-1].lastgroup != "end":
+            if at < len(text) and text[at].isspace():
+                at += 1
+                continue
+            token = _TOKEN_RE.match(text, at)
+            if token is None:
+                raise ParseError(f"unexpected character {text[at]!r}", at)
+            if token.lastgroup == "number":
+                literal = token.group()
+                self.values[at] = int(literal) if _INT_RE.match(literal) else float(literal)
+            self.tokens.append(token)
+            at = token.end()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def take(self, *wanted: str) -> re.Match | None:
+        """The next token, consumed, if its symbol or else its kind is one of ``wanted``."""
         token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def at_symbol(self, *symbols: str) -> bool:
-        token = self.peek()
-        return token.kind == "symbol" and token.text in symbols
+        if (token.group() if token.lastgroup == "symbol" else token.lastgroup) in wanted:
+            self.pos += 1
+            return token
+        return None
 
     def parse(self) -> Expr:
-        expr = self.expression()
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected {token.text!r}", token.position)
+        try:
+            expr = self.binary()
+        except RecursionError:
+            position = self.tokens[self.pos].start()
+            raise ParseError("expression nested too deeply", position) from None
+        token = self.tokens[self.pos]
+        if token.lastgroup != "end":
+            raise ParseError(f"unexpected {token.group()!r}", token.start())
         return expr
 
-    def expression(self) -> Expr:
-        left = self.term()
-        while self.at_symbol("+", "-"):
-            op = self.advance()
-            right = self.term()
-            left = Add(left, right) if op.text == "+" else Sub(left, right)
-        return left
-
-    def term(self) -> Expr:
-        left = self.power()
-        while self.at_symbol("*", "/"):
-            op = self.advance()
-            right = self.power()
-            if op.text == "*":
-                left = Mul(left, right)
-            else:
-                try:
-                    left = Div(left, right)
-                except ExprError:
-                    raise ParseError("division by zero constant", op.position) from None
+    def binary(self, level: int = 0) -> Expr:
+        """A left-associative chain of ``_BINARY[level]``; the last level chains powers."""
+        nodes, deeper = _BINARY[level], level + 1 < len(_BINARY)
+        left = self.binary(level + 1) if deeper else self.power()
+        while op := self.take(*nodes):
+            right = self.binary(level + 1) if deeper else self.power()
+            try:
+                left = nodes[op.group()](left, right)
+            except ExprError:  # only Div refuses its operands
+                raise ParseError("division by zero constant", op.start()) from None
         return left
 
     def power(self) -> Expr:
         base = self.unary()
-        while self.at_symbol("^"):
-            caret = self.advance()
-            token = self.peek()
-            if token.kind != "number" or not isinstance(token.value, int):
+        while caret := self.take("^"):
+            exponent = self.take("number")
+            value = self.values[exponent.start()] if exponent else None
+            if not isinstance(value, int):
                 raise ParseError(
-                    "exponent must be a non-negative integer literal", caret.position
+                    "exponent must be a non-negative integer literal", caret.start()
                 )
-            self.advance()
-            base = IntPow(base, token.value)
+            base = IntPow(base, value)
         return base
 
     def unary(self) -> Expr:
-        if self.at_symbol("-"):
-            self.advance()
-            token = self.peek()
-            if token.kind == "number":
-                # negative literal, so printed constants re-parse identically
-                self.advance()
-                return Constant(-token.value)
-            return Negate(self.unary())
-        return self.atom()
+        if not self.take("-"):
+            return self.atom()
+        if number := self.take("number"):
+            # negative literal, so printed constants re-parse identically
+            return Constant(-self.values[number.start()])
+        return Negate(self.unary())
 
     def atom(self) -> Expr:
-        token = self.advance()
-        if token.kind == "number":
-            return Constant(token.value)
-        if token.kind == "ident":
-            if token.text in _FUNCTION_NODES:
-                if not self.at_symbol("("):
-                    raise ParseError(
-                        f"expected '(' after function {token.text!r}",
-                        self.peek().position,
-                    )
-                self.advance()
-                argument = self.expression()
-                self.expect_close()
-                return _FUNCTION_NODES[token.text](argument)
-            m = _STATEVAR_RE.match(token.text)
-            if m:
+        if token := self.take("number"):
+            return Constant(self.values[token.start()])
+        function = None
+        if token := self.take("ident"):
+            name = token.group()
+            if name not in _FUNCTION_NODES:
+                m = _STATEVAR_RE.match(name)
+                if not m:
+                    return Parameter(name)
                 index = int(m.group(1))
                 if not 1 <= index <= self.dim:
                     raise ParseError(
-                        f"state index {index} out of range 1..{self.dim}",
-                        token.position,
+                        f"state index {index} out of range 1..{self.dim}", token.start()
                     )
                 return StateVar(index)
-            return Parameter(token.text)
-        if token.kind == "symbol" and token.text == "(":
-            inner = self.expression()
-            self.expect_close()
-            return inner
-        raise ParseError(
-            f"expected a number, identifier, or '(', got {token.text or 'end of input'!r}",
-            token.position,
-        )
-
-    def expect_close(self) -> None:
-        token = self.peek()
-        if not self.at_symbol(")"):
-            raise ParseError("expected ')'", token.position)
-        self.advance()
+            if not self.take("("):
+                raise ParseError(
+                    f"expected '(' after function {name!r}", self.tokens[self.pos].start()
+                )
+            function = _FUNCTION_NODES[name]
+        elif not self.take("("):
+            token = self.tokens[self.pos]
+            raise ParseError(
+                f"expected a number, identifier, or '(', got {token.group() or 'end of input'!r}",
+                token.start(),
+            )
+        inner = self.binary()
+        if not self.take(")"):
+            raise ParseError("expected ')'", self.tokens[self.pos].start())
+        return function(inner) if function else inner
 
 
 def parse(text: str, dim: int) -> "ScalarField":
-    """Parse expression text into a scalar field over a dim-dimensional state."""
+    """Parse expression text into a scalar field over a dim-dimensional state.
+
+    Nesting deeper than the stack allows (197 parentheses at Python's
+    default recursion limit) raises :class:`ParseError`, not RecursionError.
+    """
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ExprError(f"dimension must be a positive integer, got {dim!r}")
-    expr = _Parser(_tokenize(text), dim).parse()
-    return ScalarField(expr, dim)
+    return ScalarField(_Parser(text, dim).parse(), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,19 @@ _FROM_FILE = ["derive", "--order", "1", "--system"]
 
 
 @pytest.mark.parametrize(
+    "f2", ["(" * 300 + "x1" + ")" * 300, "-" * 500 + "x1"], ids=["parentheses", "unary minus"]
+)
+def test_derive_reports_an_expression_nested_too_deeply_in_one_line(tmp_path, capsys, f2):
+    # the parentheses are too deep for parse; the minus signs parse, and are too deep to simplify
+    system_file = tmp_path / "deep.txt"
+    system_file.write_text(_SYSTEM.replace("f2 = 0", f"f2 = {f2}"))
+    assert main(["derive", "--system", f"file:{system_file}", "--order", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("switchlin: expression nested too deeply")
+
+
+@pytest.mark.parametrize(
     "command, text, message",
     [
         (_FROM_FILE, None, "cannot read system file: "),

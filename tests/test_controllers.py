@@ -23,7 +23,7 @@ from switchlin.controllers import (
     supervisor,
     table_laws,
 )
-from switchlin.expr import Constant, ScalarField, parse
+from switchlin.expr import Bindings, Constant, ScalarField, parse
 from switchlin.geometry import derivative_chain
 from switchlin.sim import ClosedLoop, IntegrationError, rk4_step
 
@@ -455,7 +455,9 @@ def test_descriptors_match_closed_forms(plant, rng):
         count = 0
         while count < 200:
             x = tuple(rng.uniform(-1.5, 1.5, size=4))
-            if descriptor.validity_margin(x, params) < 0.05:
+            at_x = Bindings(params, x)
+            margin = min((abs(f.field.evaluate(at_x)) for f in descriptor.factors), default=math.inf)
+            if margin < 0.05:
                 continue
             v = float(rng.uniform(-5, 5))
             assert descriptor.control(x, v, params) == pytest.approx(
@@ -471,13 +473,6 @@ def test_descriptor_factor_labels():
     alt = law_descriptor(3, g_modified=True)
     assert len(alt.factors) == 1
     assert alt.name == "law3g"
-
-
-def test_descriptor_validity_margin(plant):
-    params = plant.symbol_values()
-    assert law_descriptor(3).validity_margin((0, 0, 0, 0), params) == math.inf
-    margin = law_descriptor(1).validity_margin((0.2, 0, 0, -0.5), params)
-    assert margin == pytest.approx(0.2, rel=1e-12)
 
 
 def test_g_modified_variant_only_for_law3():

@@ -159,10 +159,11 @@ def test_coverage_laws_1_2_fail_on_joint_singularity(params):
     ]
     assert hits, "expected a probe on the intersection of both singular sets"
     assert {math.copysign(1.0, w.state[2]) for w in hits} == {-1.0, 1.0}  # x3 = +-pi/2
-    # a state is a witness exactly when every law's validity margin fails
+    # a state is a witness exactly when every law has a factor that vanishes there
     for witness in report.witnesses:
+        at_witness = Bindings(params, witness.state)
         for law in laws:
-            assert law.validity_margin(witness.state, params) <= 1e-12
+            assert min(abs(f.field.evaluate(at_witness)) for f in law.factors) <= 1e-12
 
 
 def test_coverage_margin_widens_failures(params):

@@ -1,8 +1,12 @@
+import ast
 import itertools
 import math
+import pathlib
+import random
 import re
 import threading
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +22,7 @@ from switchlin.expr import (
     Cos,
     Div,
     EvaluationError,
+    Expr,
     ExprError,
     IntPow,
     Mul,
@@ -36,6 +41,7 @@ from switchlin.expr import (
     simplify,
     to_text,
 )
+from switchlin.expr import _FUNCTION_NODES, _INT_RE, _STATEVAR_RE
 from switchlin.expr import _children, _is_zero, _substitute
 
 B, G = Parameter("B"), Parameter("G")
@@ -149,6 +155,215 @@ def test_parse_errors_carry_position(text, fragment):
 def test_parse_rejects_bad_dimension():
     with pytest.raises(ExprError):
         parse("x1", 0)
+
+
+# the parser as it was before its two binary levels became one loop, kept as the reference
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<symbol>[-+*/^()])"
+)
+
+
+@dataclass
+class _ReferenceToken:
+    kind: str  # "number" | "ident" | "symbol" | "end"
+    text: str
+    position: int
+    value: int | float | None = None
+
+
+def _reference_tokenize(text: str) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "number":
+            literal = m.group()
+            value = int(literal) if _INT_RE.match(literal) else float(literal)
+            tokens.append(_ReferenceToken("number", literal, pos, value))
+        elif m.lastgroup == "ident":
+            tokens.append(_ReferenceToken("ident", m.group(), pos))
+        else:
+            tokens.append(_ReferenceToken("symbol", m.group(), pos))
+        pos = m.end()
+    tokens.append(_ReferenceToken("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_ReferenceToken], dim: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.dim = dim
+
+    def peek(self) -> _ReferenceToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _ReferenceToken:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def at_symbol(self, *symbols: str) -> bool:
+        token = self.peek()
+        return token.kind == "symbol" and token.text in symbols
+
+    def parse(self) -> Expr:
+        expr = self.expression()
+        token = self.peek()
+        if token.kind != "end":
+            raise ParseError(f"unexpected {token.text!r}", token.position)
+        return expr
+
+    def expression(self) -> Expr:
+        left = self.term()
+        while self.at_symbol("+", "-"):
+            op = self.advance()
+            right = self.term()
+            left = Add(left, right) if op.text == "+" else Sub(left, right)
+        return left
+
+    def term(self) -> Expr:
+        left = self.power()
+        while self.at_symbol("*", "/"):
+            op = self.advance()
+            right = self.power()
+            if op.text == "*":
+                left = Mul(left, right)
+            else:
+                try:
+                    left = Div(left, right)
+                except ExprError:
+                    raise ParseError("division by zero constant", op.position) from None
+        return left
+
+    def power(self) -> Expr:
+        base = self.unary()
+        while self.at_symbol("^"):
+            caret = self.advance()
+            token = self.peek()
+            if token.kind != "number" or not isinstance(token.value, int):
+                raise ParseError(
+                    "exponent must be a non-negative integer literal", caret.position
+                )
+            self.advance()
+            base = IntPow(base, token.value)
+        return base
+
+    def unary(self) -> Expr:
+        if self.at_symbol("-"):
+            self.advance()
+            token = self.peek()
+            if token.kind == "number":
+                # negative literal, so printed constants re-parse identically
+                self.advance()
+                return Constant(-token.value)
+            return Negate(self.unary())
+        return self.atom()
+
+    def atom(self) -> Expr:
+        token = self.advance()
+        if token.kind == "number":
+            return Constant(token.value)
+        if token.kind == "ident":
+            if token.text in _FUNCTION_NODES:
+                if not self.at_symbol("("):
+                    raise ParseError(
+                        f"expected '(' after function {token.text!r}",
+                        self.peek().position,
+                    )
+                self.advance()
+                argument = self.expression()
+                self.expect_close()
+                return _FUNCTION_NODES[token.text](argument)
+            m = _STATEVAR_RE.match(token.text)
+            if m:
+                index = int(m.group(1))
+                if not 1 <= index <= self.dim:
+                    raise ParseError(
+                        f"state index {index} out of range 1..{self.dim}",
+                        token.position,
+                    )
+                return StateVar(index)
+            return Parameter(token.text)
+        if token.kind == "symbol" and token.text == "(":
+            inner = self.expression()
+            self.expect_close()
+            return inner
+        raise ParseError(
+            f"expected a number, identifier, or '(', got {token.text or 'end of input'!r}",
+            token.position,
+        )
+
+    def expect_close(self) -> None:
+        token = self.peek()
+        if not self.at_symbol(")"):
+            raise ParseError("expected ')'", token.position)
+        self.advance()
+
+
+def _reference_parse(text, dim):
+    return ScalarField(_ReferenceParser(_reference_tokenize(text), dim).parse(), dim)
+
+
+def _outcome(parser, text, dim):
+    try:
+        return repr(parser(text, dim))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_FRAGMENTS = (
+    "x1 x4 x5 x0 x12 B G _a 1B sin cos 2 0 3.5 1e3 .5 2. ( ) + - * / ^ $".split() + [" ", "  "]
+)
+
+
+def _texts_in(path):
+    # every string literal in the file, and the value of each of its "key = value" lines
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+            for line in node.value.splitlines():
+                yield line.partition("=")[2]
+
+
+def test_parser_matches_the_reference_on_random_texts():
+    rng = random.Random(0)
+    for _ in range(20_000):
+        text = "".join(rng.choices(_FRAGMENTS, k=rng.randint(0, 9)))
+        dim = rng.randint(1, 5)
+        assert _outcome(parse, text, dim) == _outcome(_reference_parse, text, dim), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1 ) " + "9" * 5000, "x1^" + "2" * 5000, "1e999", "-1e999", "\u0663 * x1", "x1\u00a0+\u2003x2",
+     "x1 + \u00e9", "-0", "- 0.0", "x1 / -0", "x1/0.0*2", "2^3^2", "-x1^2", "sin(x1", "cos", "( )"],
+)
+def test_parser_matches_the_reference_on_edge_texts(text):
+    for dim in (1, 2):
+        assert _outcome(parse, text, dim) == _outcome(_reference_parse, text, dim)
+
+
+def test_parser_matches_the_reference_on_every_text_of_the_package_and_its_tests():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    texts = {t for p in sorted(root.glob("src/switchlin/*.py")) + sorted(root.glob("tests/*.py"))
+             for t in _texts_in(p) if len(t) < 200}
+    assert {"B*(x1*x4*x4 - G*sin(x3))", "2*B*x2*x4 - B*G*cos(x3)", " x2"} <= texts
+    for text in sorted(texts):
+        for dim in (1, 2, 4):
+            assert _outcome(parse, text, dim) == _outcome(_reference_parse, text, dim), text
+
+
+def test_parse_reports_nesting_past_the_stack_as_a_parse_error():
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse("(" * 300 + "x1" + ")" * 300, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -100,18 +100,23 @@ def test_bounds_give_every_node_type_an_interval_or_decline(node_type):
         assert interval[0] <= values.min() and values.max() <= interval[1]
 
 
-def _loaded_by_importing_the_package_and_cli(top):
-    """The modules named ``top`` or ``top.*`` that a fresh ``python -I`` loads for the CLI."""
+def _fresh_python(code):
+    """What ``code`` prints in a fresh ``python -I`` that imports the package from this tree."""
     src = pathlib.Path(switchlin.__file__).parent.parent
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import switchlin, switchlin.cli; "
-        f"print(sorted(m for m in sys.modules if m == {top!r} or m.startswith({top + '.'!r})))"
-    )
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); {code}"
     result = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def _loaded_by_importing_the_package_and_cli(top):
+    """The modules named ``top`` or ``top.*`` that a fresh ``python -I`` loads for the CLI."""
+    return _fresh_python(
+        "import switchlin, switchlin.cli; "
+        f"print(sorted(m for m in sys.modules if m == {top!r} or m.startswith({top + '.'!r})))"
+    )
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
@@ -122,3 +127,10 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 def test_importing_the_package_and_cli_loads_no_concurrent_module():
     # coverage_check's helper is a bare threading.Thread: concurrent.futures costs setup time
     assert _loaded_by_importing_the_package_and_cli("concurrent") == "[]"
+
+
+def test_parse_reads_197_nested_parentheses_or_calls_and_988_unary_minuses():
+    # in the default recursion limit: five frames per parenthesis or call, one per unary minus
+    texts = ["(" * 197 + "x1" + ")" * 197, "sin(" * 197 + "x1" + ")" * 197, "-" * 988 + "x1"]
+    code = f"from switchlin.expr import parse\nfor text in {texts!r}: parse(text, 1)\nprint('ok')"
+    assert _fresh_python(code) == "ok"
